@@ -31,6 +31,7 @@ from ..flows.sweep import ProgressCallback, _run_flow_task, parallel_map
 from ..obs import metrics as obs_metrics
 from ..obs import span
 from ..obs.manifest import git_revision
+from ..perf.pool import resolve_jobs
 from .registry import Scenario, get_scenario, scenario_specs
 
 __all__ = [
@@ -181,12 +182,11 @@ def run_scenario(
     points = tuple(
         ScenarioPoint.from_flow(scenario.name, result) for result in results
     )
-    resolved_jobs = jobs if isinstance(jobs, int) else 0
     return ScenarioResult(
         scenario=scenario,
         fault_model=fault_spec,
         points=points,
-        jobs=resolved_jobs,
+        jobs=resolve_jobs(jobs, points=len(tasks)),
     )
 
 

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.flows.experiment import run_flow
+from repro.perf.pool import available_cpus
 from repro.scenarios import (
     SCENARIO_MATRIX_SCHEMA_VERSION,
     Scenario,
@@ -74,6 +75,14 @@ class TestRunScenario:
         assert [p.error_rate for p in parallel.points] == [
             p.error_rate for p in tiny_result.points
         ]
+
+    @pytest.mark.parametrize("jobs", ["auto", "2", 5])
+    def test_manifest_records_resolved_jobs(self, jobs):
+        """The manifest holds the worker count used, capped at TINY's 2 points."""
+        expected = min(available_cpus(), 2) if jobs == "auto" else 2
+        result = run_scenario(TINY, jobs=jobs)
+        assert result.jobs == expected
+        assert result.matrix_entry()["manifest"]["jobs"] == expected
 
     def test_unknown_name(self):
         with pytest.raises(KeyError, match="unknown scenario"):

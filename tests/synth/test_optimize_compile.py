@@ -1,4 +1,14 @@
-"""Tests for divisor extraction and the compile facade."""
+"""Tests for divisor extraction and the compile facade.
+
+``optimize_golden.json`` pins the exact networks divisor extraction
+builds on four flow inputs.  Regenerate it only for an intended change of
+the optimised networks (which also needs an ``OptimizeStage.version``
+bump), with ``PYTHONPATH=src python tests/synth/test_optimize_compile.py``.
+"""
+
+import hashlib
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +21,100 @@ from repro.espresso.cube import Cover
 from repro.synth.compile_ import compile_spec
 from repro.synth.network import LogicNetwork
 from repro.synth.optimize import extract_cubes, extract_kernels, optimize_network
+
+GOLDEN_PATH = Path(__file__).with_name("optimize_golden.json")
+GOLDEN_INPUTS = ("fout", "bench", "test4", "nodal0")
+
+
+def _golden_spec(name: str) -> FunctionSpec:
+    if name == "nodal0":
+        from repro.benchgen.synthetic import generate_spec
+
+        return generate_spec("nodal0", 8, 3, target_cf=0.45, dc_fraction=0.5, seed=60)
+    from repro.benchgen.mcnc import mcnc_benchmark
+
+    return mcnc_benchmark(name)
+
+
+def network_digest(network: LogicNetwork) -> str:
+    """SHA-256 over node order, names, fanins, cover rows and outputs."""
+    payload = {
+        "nodes": [
+            [name, node.fanins, node.cover.cube_strings()]
+            for name, node in network.nodes.items()
+        ],
+        "outputs": list(network.outputs.items()),
+    }
+    return hashlib.sha256(json.dumps(payload).encode()).hexdigest()
+
+
+def optimize_fingerprint(name: str) -> dict:
+    """Divisor counts and the digest of one golden input's optimised network."""
+    from repro.espresso.minimize import minimize_spec
+
+    spec = _golden_spec(name)
+    network = LogicNetwork.from_covers(
+        list(spec.input_names),
+        minimize_spec(spec).covers,
+        list(spec.output_names),
+    )
+    kernels_created = extract_kernels(network)
+    cubes_created = extract_cubes(network)
+    return {
+        "extract_kernels": kernels_created,
+        "extract_cubes": cubes_created,
+        "sha256": network_digest(network),
+    }
+
+
+def _random_network() -> LogicNetwork:
+    rng = np.random.default_rng(0)
+    net = LogicNetwork([f"x{i}" for i in range(5)])
+    for t in range(3):
+        rows = rng.choice([0, 1, 2], size=(6, 5), p=[0.3, 0.3, 0.4]).astype(np.uint8)
+        net.add_node(f"t{t}", [f"x{i}" for i in range(5)], Cover(rows, 5))
+        net.set_output(f"y{t}", f"t{t}")
+    return net
+
+
+def _network(covers: list[list[str]], outputs: dict[str, str] | None = None):
+    """Nodes ``t0, t1, ...`` over inputs ``a..e``, one per ``01-`` cover;
+    each drives output ``y<i>`` unless *outputs* is given."""
+    inputs = list("abcde")
+    net = LogicNetwork(inputs)
+    for t, rows in enumerate(covers):
+        cover = Cover.from_strings(rows) if rows else Cover.empty(len(inputs))
+        net.add_node(f"t{t}", inputs, cover)
+    if outputs is None:
+        outputs = {f"y{t}": f"t{t}" for t in range(len(covers))}
+    for output, signal in outputs.items():
+        net.set_output(output, signal)
+    return net
+
+
+DEGENERATE_NETWORKS = {
+    "random": _random_network,
+    # An empty cover beside two nodes sharing the kernel (a + b).
+    "constant0": lambda: _network([[], ["1-1--", "-11--"], ["1--1-", "-1-1-"]]),
+    # 1 + ac + bc: a tautology cube next to a divisible pair.
+    "tautology_cube": lambda: _network(
+        [["-----", "1-1--", "-11--"], ["1--1-", "-1-1-"], ["1-1-1", "-11-1"]]
+    ),
+    "wires": lambda: _network(
+        [["1----"], ["---0-"], ["11---", "1-1--"], ["11-1-", "1-11-"]]
+    ),
+    "identical_covers": lambda: _network(
+        [["11-0-", "1-1-1", "-111-"], ["11-0-", "1-1-1", "-111-"], ["1--01", "-1-1-"]]
+    ),
+    "two_pos_on_one_pi": lambda: _network(
+        [["1-1--", "-11--"], ["1--1-", "-1-1-"]],
+        outputs={"y0": "a", "y1": "a", "y2": "t0", "y3": "t1"},
+    ),
+    # Every cube contains ab, so cube extraction rewrites every node.
+    "shared_pair": lambda: _network(
+        [["111--", "11-1-", "11--1"], ["110--", "11-0-"], ["1111-", "11--0"]]
+    ),
+}
 
 
 class TestKernelExtraction:
@@ -26,13 +130,9 @@ class TestKernelExtraction:
         assert created >= 1
         assert net.to_spec() == before  # function preserved
 
-    def test_literal_count_never_increases(self):
-        rng = np.random.default_rng(0)
-        net = LogicNetwork([f"x{i}" for i in range(5)])
-        for t in range(3):
-            rows = rng.choice([0, 1, 2], size=(6, 5), p=[0.3, 0.3, 0.4]).astype(np.uint8)
-            net.add_node(f"t{t}", [f"x{i}" for i in range(5)], Cover(rows, 5))
-            net.set_output(f"y{t}", f"t{t}")
+    @pytest.mark.parametrize("build", DEGENERATE_NETWORKS.values(), ids=list(DEGENERATE_NETWORKS))
+    def test_literal_count_never_increases(self, build):
+        net = build()
         before_lits = net.num_literals
         before_spec = net.to_spec()
         optimize_network(net)
@@ -68,6 +168,13 @@ class TestKernelExtraction:
         before = net.to_spec()
         optimize_network(net)
         assert net.to_spec() == before
+
+
+@pytest.mark.parametrize("name", GOLDEN_INPUTS)
+def test_optimize_matches_golden(name):
+    """Divisor choice, tie-breaks and node naming are pinned exactly."""
+    golden = json.loads(GOLDEN_PATH.read_text())
+    assert optimize_fingerprint(name) == golden[name]
 
 
 class TestCompile:
@@ -123,3 +230,10 @@ class TestCompile:
         result = compile_spec(spec, objective="area")
         single = compile_spec(spec.single_output(0), objective="area")
         assert result.area < 2 * single.area
+
+
+if __name__ == "__main__":
+    GOLDEN_PATH.write_text(
+        json.dumps({name: optimize_fingerprint(name) for name in GOLDEN_INPUTS}, indent=2)
+        + "\n"
+    )
