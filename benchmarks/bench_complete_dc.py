@@ -33,7 +33,7 @@ from repro.benchgen.synthetic import generate_spec
 from repro.espresso.minimize import minimize_spec
 from repro.flows import format_table
 from repro.obs import metrics as obs_metrics
-from repro.perf.pool import available_cpus, pool_enabled
+from repro.perf.pool import available_cpus
 from repro.synth.flexibility import reassign_complete_dcs
 from repro.synth.network import LogicNetwork
 from repro.synth.optimize import optimize_network
@@ -270,23 +270,22 @@ def test_complete_dc_engine_speedup(benchmark):
         "parallel_wall_seconds": None,
     }
 
-    if pool_enabled():
-        parallel = _perf_run(jobs=PERF_JOBS)
-        # Parallel output is bit-identical to serial, always — even on
-        # a single CPU, where only the timing claim is vacuous.
-        assert _counts(parallel["report"]) == _counts(engine["report"])
-        assert parallel["snapshot"] == engine["snapshot"]
-        assert parallel["report"].parallel_groups > 0
-        perf["parallel_wall_seconds"] = round(parallel["wall"], 3)
-        confirm_speedup = (
-            engine["confirm"] / parallel["confirm"]
-            if parallel["confirm"] else None
-        )
-        perf["parallel_confirm_speedup"] = (
-            round(confirm_speedup, 2) if confirm_speedup else None
-        )
-        if available_cpus() >= PERF_JOBS:
-            assert confirm_speedup >= PARALLEL_CONFIRM_FLOOR, perf
+    parallel = _perf_run(jobs=PERF_JOBS)
+    # Parallel output is bit-identical to serial, always — even on
+    # a single CPU, where only the timing claim is vacuous.
+    assert _counts(parallel["report"]) == _counts(engine["report"])
+    assert parallel["snapshot"] == engine["snapshot"]
+    assert parallel["report"].parallel_groups > 0
+    perf["parallel_wall_seconds"] = round(parallel["wall"], 3)
+    confirm_speedup = (
+        engine["confirm"] / parallel["confirm"]
+        if parallel["confirm"] else None
+    )
+    perf["parallel_confirm_speedup"] = (
+        round(confirm_speedup, 2) if confirm_speedup else None
+    )
+    if available_cpus() >= PERF_JOBS:
+        assert confirm_speedup >= PARALLEL_CONFIRM_FLOOR, perf
 
     emit("flexibility engine vs legacy query plan", json.dumps(perf, indent=2))
     assert serial_speedup >= SERIAL_SPEEDUP_FLOOR, perf
@@ -294,8 +293,7 @@ def test_complete_dc_engine_speedup(benchmark):
 
 
 @pytest.mark.skipif(
-    available_cpus() < PERF_JOBS or not pool_enabled(),
-    reason=f"needs {PERF_JOBS} CPUs and the warm pool",
+    available_cpus() < PERF_JOBS, reason=f"needs {PERF_JOBS} CPUs"
 )
 def test_complete_dc_speedup_floor():
     """CI gate: parallel confirmation at 4 jobs is at least 2x serial.

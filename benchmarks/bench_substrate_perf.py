@@ -169,12 +169,11 @@ def test_parallel_sweep_wallclock():
         "sweepbench", 10, 8, target_cf=0.65, dc_fraction=0.5, seed=7
     )
     fractions = [i / 9 for i in range(10)]
-    # Parallel first: the workers' minimisation caches die with the pool,
-    # so neither timing inherits warm state from the other.  Shut down
-    # any pool a previous test left behind, then warm a fresh one with a
-    # cold parent cache so the workers are seeded with nothing.
+    # Parallel first: fresh workers start with empty minimisation caches
+    # that die with the pool, and the parent's cache is reset before the
+    # serial run, so neither timing inherits warm state from the other.
+    # Shut down any pool a previous test left behind and warm a fresh one.
     shutdown_pool()
-    reset_cache()
     get_pool(jobs)  # spawn + preload outside the timed region
     start = time.perf_counter()
     parallel = fraction_sweep(spec, fractions, objective="area", jobs=jobs)

@@ -34,7 +34,6 @@ from .reliability import (
     exact_error_bounds,
     max_dc_error_count,
     min_dc_error_count,
-    multibit_error_rate,
     spec_error_rate,
     weighted_error_rate,
 )
@@ -73,7 +72,6 @@ __all__ = [
     "exact_error_bounds",
     "max_dc_error_count",
     "min_dc_error_count",
-    "multibit_error_rate",
     "weighted_error_rate",
     "spec_error_rate",
     "FunctionSpec",

@@ -50,7 +50,6 @@ __all__ = [
     "error_events",
     "error_rate",
     "weighted_error_rate",
-    "multibit_error_rate",
     "spec_error_rate",
     "ErrorBounds",
 ]
@@ -230,39 +229,6 @@ def weighted_error_rate(
         count = np.count_nonzero(flips & source, axis=-1)
         accumulated += float(weights[bit]) * float(np.mean(count))
     return accumulated / (total * impl.num_minterms)
-
-
-def multibit_error_rate(
-    impl: FunctionSpec,
-    distance: int,
-    *,
-    spec: FunctionSpec | None = None,
-) -> float:
-    """Error rate for *distance*-bit input errors (deprecated).
-
-    .. deprecated::
-        The enumeration now lives in the fault-model layer; use
-        ``repro.faults.MultiBitInput(distance).error_rate(impl, spec=...)``.
-        This shim delegates there (numerically identical) and emits a
-        :class:`DeprecationWarning`.
-
-    Raises:
-        ValueError: if *distance* is outside ``[1, num_inputs]``.
-    """
-    import warnings
-
-    from ..faults import MultiBitInput
-
-    warnings.warn(
-        "multibit_error_rate is deprecated; use "
-        "repro.faults.MultiBitInput(distance).error_rate",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    n = impl.num_inputs
-    if not 1 <= distance <= n:
-        raise ValueError(f"distance must lie in [1, {n}], got {distance}")
-    return MultiBitInput(distance).error_rate(impl, spec=spec)
 
 
 def spec_error_rate(spec: FunctionSpec) -> float:

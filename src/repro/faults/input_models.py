@@ -75,11 +75,9 @@ class SingleBitInput(FaultModel):
 class MultiBitInput(FaultModel):
     """Exactly *k* input pins flip simultaneously.
 
-    The exact rate enumerates all ``C(n, k)`` flip patterns — the
-    quantity formerly computed by the deprecated
-    ``repro.core.reliability.multibit_error_rate``; ``k=1`` reduces to
-    :class:`SingleBitInput`'s numbers.  Monte-Carlo masks draw a uniform
-    random *k*-subset of pins per vector.
+    The exact rate enumerates all ``C(n, k)`` flip patterns; ``k=1``
+    reduces to :class:`SingleBitInput`'s numbers.  Monte-Carlo masks
+    draw a uniform random *k*-subset of pins per vector.
     """
 
     name = "multibit"

@@ -16,12 +16,12 @@ driver over the stage graph of :mod:`repro.pipeline` — so the sweep
 drivers accept a ``jobs`` argument (an integer or ``"auto"``) and fan
 the points out over the process-wide warm worker pool of
 :mod:`repro.perf.pool` (see :func:`parallel_map`): persistent preloaded
-workers, cache pre-seeding, shared-memory task transfer and batched
-work-stealing scheduling.  Results always come back in input order and
-synthesis is deterministic across processes, so a parallel sweep is
-bit-identical to the serial one.  ``jobs <= 1`` runs in-process, which
-additionally shares the minimisation cache of :mod:`repro.perf` across
-points.
+workers pulling one pickled point at a time from a shared queue.
+Results always come back in input order and synthesis is deterministic
+across processes, so a parallel sweep is bit-identical to the serial
+one.  ``jobs <= 1`` runs in-process, which additionally shares the
+minimisation cache of :mod:`repro.perf` across points; each worker has
+its own.
 
 Checkpointed sweeps: pass ``checkpoint_dir`` and every point persists
 its per-stage outputs content-addressed (see
@@ -54,7 +54,7 @@ from ..core.estimates import border_bounds, signal_probability_bounds
 from ..core.reliability import ErrorBounds, exact_error_bounds
 from ..core.spec import FunctionSpec
 from ..obs import span
-from ..perf.pool import WorkerTaskError, get_pool, pool_enabled, resolve_jobs
+from ..perf.pool import WorkerTaskError, get_pool, resolve_jobs
 from .experiment import FlowResult, relative_metrics, run_flow
 
 __all__ = [
@@ -126,10 +126,10 @@ def parallel_map(
 
     Parallel execution runs on the process-wide warm pool of
     :mod:`repro.perf.pool`: workers persist across successive calls (the
-    second sweep in a process pays no spawn or import cost), task
-    payloads travel zero-copy through shared memory, and points are
-    scheduled as work-stealing batches with a bounded in-flight window —
-    a thousand-point sweep never holds every payload resident at once.
+    second sweep in a process pays no spawn or import cost), each task
+    is pickled once and sent as its own message, and a bounded in-flight
+    window means a thousand-point sweep never holds every payload
+    resident at once.
 
     Args:
         func: a picklable (module-level) callable.
@@ -150,7 +150,7 @@ def parallel_map(
     """
     total = len(tasks)
     jobs = resolve_jobs(jobs, points=total)
-    if jobs <= 1 or total <= 1 or not pool_enabled():
+    if jobs <= 1 or total <= 1:
         results = []
         for index, task in enumerate(tasks):
             results.append(func(task))

@@ -320,12 +320,12 @@ def delta_capture(*, keep_zero: bool = False) -> Iterator[dict[str, Any]]:
 
     Yields an (initially empty) dict that is filled with the
     :func:`diff_snapshots` delta of the process-wide registry around the
-    block — the pattern pool workers use to attribute each task batch
-    only the work it caused, however long the worker has lived::
+    block — the pattern pool workers use to attribute each task only
+    the work it caused, however long the worker has lived::
 
         with delta_capture() as delta:
-            run_batch()
-        ship(delta)  # counters/histograms of the batch only
+            run_task()
+        ship(delta)  # counters/histograms of the task only
 
     The dict is populated when the block exits (including on exception),
     so read it only after the ``with`` statement.

@@ -14,7 +14,7 @@ CLI prints and the telemetry ledger stores.
 
 Cross-process profiles: when the parent enables profiling, the warm
 worker pool of :mod:`repro.perf.pool` starts a sampler around each task
-chunk in the worker and ships the counts back with the chunk result —
+in the worker and ships the counts back with the task's result —
 exactly how metrics deltas and trace records already travel — and the
 parent :meth:`StackSampler.merge`\\ s them.  A ``--profile`` sweep at
 ``--jobs 4`` therefore shows where the *fleet* spent its time, with the
@@ -196,7 +196,7 @@ def enable_profiling(
 ) -> StackSampler:
     """Start (and install) the process-wide sampler.
 
-    The warm pool checks :func:`is_profiling` when dispatching chunks, so
+    The warm pool checks :func:`is_profiling` when dispatching tasks, so
     enabling here also turns on worker-side sampling for subsequent
     parallel maps.
     """

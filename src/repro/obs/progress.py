@@ -10,8 +10,7 @@ far::
 
 It writes to stderr by default (stdout stays machine-readable) and
 throttles redraws, so calling it per completed sweep point is free.
-``done`` may jump by more than one between calls — the warm-pool
-executor completes points in work-stealing batches — and must never
+``done`` may jump by more than one between calls but must never
 decrease; the reporter extrapolates from the running mean either way.
 """
 

@@ -2,9 +2,11 @@
 
 See :mod:`repro.perf.cache` for the content-addressed memo consulted by
 :func:`repro.espresso.minimize.espresso` and
-:func:`repro.espresso.minimize.minimize_spec`, :mod:`repro.perf.pool`
-for the persistent sweep executor behind
-:func:`repro.flows.sweep.parallel_map`, and
+:func:`repro.espresso.minimize.minimize_spec` (one per process: pool
+workers start with an empty memo), :mod:`repro.perf.pool` for the
+persistent executor behind :func:`repro.flows.sweep.parallel_map` and
+the parallel SAT confirmation of
+:func:`repro.synth.flexibility.reassign_complete_dcs`, and
 :doc:`docs/performance.md </docs/performance>` for the design notes.
 """
 
@@ -25,11 +27,9 @@ from .pool import (
     WorkerHealth,
     WorkerTaskError,
     available_cpus,
-    configure_pool,
     executor_config,
     get_pool,
     health_snapshot,
-    pool_enabled,
     resolve_jobs,
     shutdown_pool,
     stall_threshold_seconds,
@@ -44,14 +44,12 @@ __all__ = [
     "available_cpus",
     "cache_stats",
     "configure_cache",
-    "configure_pool",
     "cover_key",
     "digest_parts",
     "executor_config",
     "get_pool",
     "global_cache",
     "health_snapshot",
-    "pool_enabled",
     "reset_cache",
     "resolve_jobs",
     "shutdown_pool",

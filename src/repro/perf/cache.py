@@ -40,7 +40,7 @@ import dataclasses
 import hashlib
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterator
 
 import numpy as np
 
@@ -219,33 +219,6 @@ class MinimizationCache:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-
-    def export_entries(self, limit: int | None = None) -> list[tuple[str, Any]]:
-        """The most-recently-used ``(key, value)`` entries, oldest first.
-
-        Used by :mod:`repro.perf.pool` to pre-seed worker caches at
-        spawn: keys are content digests, so installing them in another
-        process can only skip recomputation, never change a result.
-        """
-        items = list(self._store.items())
-        if limit is not None and limit < len(items):
-            items = items[-limit:]
-        return items
-
-    def seed(self, entries: Iterable[tuple[str, Any]]) -> None:
-        """Install exported entries without touching hit/miss counters.
-
-        Existing entries win (they are identical by construction — keys
-        are content digests); overflow evicts oldest entries silently so
-        seeding a fresh worker never inflates its eviction counter.
-        """
-        if not self.enabled:
-            return
-        for key, value in entries:
-            if key not in self._store:
-                self._store[key] = value
-        while len(self._store) > self.maxsize:
-            self._store.popitem(last=False)
 
     def stats(self) -> CacheStats:
         """Hit/miss/eviction counters plus the current size and hit rate."""

@@ -1,51 +1,36 @@
 """Warm worker pool: the process-wide executor behind parallel sweeps.
 
-The sweep drivers of :mod:`repro.flows.sweep` map independent flow runs
-over worker processes.  A cold ``ProcessPoolExecutor`` per sweep loses to
-serial on anything but long sweeps: every call pays process spawn, a full
-import of numpy + this package per worker, byte-for-byte pickling of
-every task's cover/phase arrays, and cold espresso/minimise caches.  This
-module keeps one **warm pool** per process instead:
+The pool carries two kinds of work: the paper's evaluation points (the
+sweep drivers of :mod:`repro.flows.sweep`, each point one independent
+flow run of 50 ms to a few seconds) and the per-node SAT confirmations
+of the complete-DC stage (:mod:`repro.synth.flexibility`, which sends
+one network snapshot as ``shared`` context with every group).  A cold
+``ProcessPoolExecutor`` per sweep loses to serial on anything but long
+sweeps, because every call pays process spawn and a full import of
+numpy + this package per worker.  This module keeps one **warm pool**
+per process instead:
 
-* **Persistent workers.**  Workers are started once (forkserver where
-  available, so the heavy imports happen a single time in the fork
-  server and are inherited by every worker) and live across successive
-  :meth:`WarmPool.map` calls.  A later call asking for more workers grows
-  the pool; it never re-pays startup for workers it already has.
+* **Persistent workers.**  Workers are started once and live across
+  successive :meth:`WarmPool.map` calls.  They start with forkserver
+  where the platform has it (the heavy imports happen a single time in
+  the fork server and every worker inherits them) and with spawn
+  otherwise.  A later call asking for more workers grows the pool; it
+  never re-pays startup for workers it already has.
 
-* **Cache pre-seeding.**  At spawn, each worker receives a snapshot of
-  the most-recently-used entries of the parent's content-addressed
-  minimisation cache (:mod:`repro.perf.cache`), so the fraction-0
-  baselines and shared sub-problems a sweep re-visits are warm before
-  the first task lands.  Keys are content digests, so seeding can never
-  change results — only skip recomputation.
+* **One task per message.**  The parent pickles each task (with
+  :data:`pickle.HIGHEST_PROTOCOL`) as it enqueues it, so an unpicklable
+  task raises from :meth:`WarmPool.map` at once instead of being dropped
+  by the queue's feeder thread.  Every idle worker pulls from the one
+  shared task queue, so a long-tailed point never strands work behind
+  it.
 
-* **Zero-copy task transfer.**  Tasks are pickled with protocol 5 and a
-  ``buffer_callback``: the large contiguous buffers (packed uint64
-  simulation words, ``FunctionSpec`` phase arrays, cover cube matrices)
-  are split out of the pickle stream.  Each unique buffer — identified
-  by a BLAKE2b content fingerprint — is written once into a
-  :mod:`multiprocessing.shared_memory` segment; tasks reference it by
-  name and fingerprint, and workers attach once per fingerprint and
-  reuse the mapping for every later task (interning).  Ten sweep points
-  over the same spec ship the spec's phase array exactly once, and
-  workers read it straight out of shared memory.
-
-* **Batched, work-stealing scheduling.**  Tasks are grouped into chunks
-  with a guided (decreasing-size) plan: early chunks are large to
-  amortise dispatch, tail chunks shrink to one task so a long-tailed
-  point (one slow espresso call) cannot strand work behind it.  Chunks
-  go into one shared queue that every idle worker pulls from — central
-  work stealing — so stragglers self-balance without the parent
-  micro-managing placement.
-
-* **Bounded in-flight window.**  The parent encodes and enqueues at most
-  a small window of chunks at a time and tops it up as results return,
-  so a thousand-point sweep never holds every task payload resident in
-  the queue at once.
+* **Bounded in-flight window.**  The parent enqueues at most
+  ``max(2, 2 * jobs)`` tasks at a time and tops the window up as
+  results return, so a thousand-point sweep never holds every task
+  payload resident in the queue at once.
 
 * **Worker health.**  Every worker runs a heartbeat thread while it is
-  executing a chunk, shipping ``(rss, tasks done, busy-since)`` beats
+  executing a task, shipping ``(rss, tasks done, busy-since)`` beats
   over the result queue; the parent folds them into ``pool.worker.*``
   gauges and a stall detector flags any worker stuck on one task past
   :func:`stall_threshold_seconds` — surfaced on the progress line and
@@ -55,51 +40,45 @@ module keeps one **warm pool** per process instead:
 The pool preserves the ordering/error contract callers rely on: results
 come back in input order, worker exceptions surface as
 :class:`WorkerTaskError` (index + message + formatted worker traceback)
-with the remaining queued work cancelled, and per-chunk observability
-deltas (metrics + tracing spans + profiler stack samples) are merged
-into the parent as chunks complete.  See ``docs/performance.md`` for
-the architecture notes and ``BENCH_substrate.json`` for current
-numbers.
+with the remaining queued work cancelled, and each task's observability
+delta (metrics + tracing spans + profiler stack samples) is merged into
+the parent as the task completes.  See ``docs/performance.md`` for the
+architecture notes and the measured traffic of both callers.
 """
 
 from __future__ import annotations
 
 import atexit
-import hashlib
 import os
 import pickle
 import queue as queue_module
 import threading
 import time
 import traceback as _traceback
-from collections import OrderedDict
 from contextlib import suppress
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 import multiprocessing as mp
+# Imported before ``atexit.register(shutdown_pool)`` below: atexit hooks
+# run last-in first-out, so the pool shuts its workers down before
+# multiprocessing's own exit hook unlinks the queues' semaphores, which
+# would make a worker that is still starting fail to attach to them.
+import multiprocessing.util  # noqa: F401
 
 from ..obs import metrics as obs_metrics
 from ..obs import profile as obs_profile
 from ..obs import span
 from ..obs import trace as obs_trace
 
-try:  # pragma: no cover - present on every supported platform
-    from multiprocessing import shared_memory
-except ImportError:  # pragma: no cover - very restricted builds
-    shared_memory = None  # type: ignore[assignment]
-
 __all__ = [
     "WarmPool",
     "WorkerHealth",
     "WorkerTaskError",
     "available_cpus",
-    "configure_pool",
     "executor_config",
     "get_pool",
     "health_snapshot",
-    "plan_chunks",
-    "pool_enabled",
     "resolve_jobs",
     "shutdown_pool",
     "stall_threshold_seconds",
@@ -109,28 +88,12 @@ _PRELOAD_MODULES = ("repro.flows.sweep",)
 """Imported in the fork server / at worker start: pulls in numpy, the
 espresso passes, the sim engine and the flow drivers exactly once."""
 
-MIN_SHARED_BUFFER_BYTES = 4096
-"""Out-of-band buffers below this ride inline in the pickle stream —
-a shared-memory segment costs a file descriptor and a syscall, which
-only pays for itself on buffers bigger than the message envelope."""
-
-MAX_SHARED_BYTES = 128 * 1024 * 1024
-"""Parent-side cap on the total bytes held in shared-memory segments;
-least-recently-interned segments are unlinked between calls."""
-
-CACHE_SEED_LIMIT = 512
-"""Most-recently-used minimisation-cache entries shipped to a worker at
-spawn."""
-
-MAX_CHUNK_TASKS = 16
-"""Upper bound on tasks per chunk regardless of sweep size."""
-
-WINDOW_CHUNKS_PER_WORKER = 2
-"""In-flight chunk window per requested worker (bounded-memory feed)."""
+WINDOW_TASKS_PER_WORKER = 2
+"""In-flight task window per requested worker (bounded-memory feed)."""
 
 HEARTBEAT_INTERVAL_SECONDS = 0.25
 """How often a busy worker ships a heartbeat over the result queue.
-Beats only flow while a chunk is executing, so idle workers never
+Beats only flow while a task is executing, so idle workers never
 flood the queue between maps."""
 
 DEFAULT_STALL_SECONDS = 5.0
@@ -187,178 +150,10 @@ def resolve_jobs(jobs: int | str, points: int | None = None) -> int:
     return max(1, resolved)
 
 
-def _default_start_method() -> str:
-    override = _START_OVERRIDE or os.environ.get("REPRO_POOL_START_METHOD")
-    if override:
-        return override
+def _start_method() -> str:
+    """forkserver where the platform has it, spawn otherwise."""
     methods = mp.get_all_start_methods()
     return "forkserver" if "forkserver" in methods else "spawn"
-
-
-# ------------------------------------------------------- zero-copy transfer
-
-
-def _fingerprint(view: memoryview) -> str:
-    return hashlib.blake2b(view, digest_size=16).hexdigest()
-
-
-class _SharedBufferTable:
-    """Parent-side content-addressed shared-memory segments.
-
-    One segment per unique buffer content: interning the same fingerprint
-    again is a dict hit, so a sweep whose tasks all reference one spec
-    writes its phase array into shared memory exactly once.
-    """
-
-    def __init__(self, max_bytes: int = MAX_SHARED_BYTES):
-        self.max_bytes = max_bytes
-        self._segments: OrderedDict[str, tuple[Any, int]] = OrderedDict()
-        self._total_bytes = 0
-
-    @property
-    def segment_count(self) -> int:
-        return len(self._segments)
-
-    @property
-    def total_bytes(self) -> int:
-        return self._total_bytes
-
-    def intern(self, view: memoryview) -> tuple[str, str, int]:
-        """Return ``(shm_name, fingerprint, nbytes)`` for *view*'s content."""
-        fingerprint = _fingerprint(view)
-        entry = self._segments.get(fingerprint)
-        if entry is None:
-            segment = shared_memory.SharedMemory(create=True, size=view.nbytes)
-            segment.buf[: view.nbytes] = view
-            self._segments[fingerprint] = (segment, view.nbytes)
-            self._total_bytes += view.nbytes
-            obs_metrics.counter("pool.shm_segments").inc()
-            obs_metrics.counter("pool.shm_bytes").inc(view.nbytes)
-        else:
-            self._segments.move_to_end(fingerprint)
-            segment, _ = entry
-        return segment.name, fingerprint, view.nbytes
-
-    def trim(self) -> None:
-        """Unlink least-recently-interned segments above the byte cap.
-
-        Only called between :meth:`WarmPool.map` calls, when no live task
-        still references a segment by name.  Workers that already mapped
-        an unlinked segment keep their (still valid) mapping.
-        """
-        while self._total_bytes > self.max_bytes and len(self._segments) > 1:
-            _, (segment, nbytes) = self._segments.popitem(last=False)
-            self._total_bytes -= nbytes
-            with suppress(OSError):
-                segment.close()
-                segment.unlink()
-
-    def release_all(self) -> None:
-        for segment, _ in self._segments.values():
-            with suppress(OSError):
-                segment.close()
-                segment.unlink()
-        self._segments.clear()
-        self._total_bytes = 0
-
-
-def _attach_untracked(name: str) -> Any:
-    """Attach to a parent-owned segment without tracker registration.
-
-    Attaching normally registers the segment with the attaching process's
-    resource tracker (``track=False`` only exists from 3.13): under
-    ``spawn`` the worker's own tracker would unlink the parent's segment
-    on worker exit, and under ``forkserver`` the shared tracker would be
-    unbalanced against the parent's create-time registration.  Suppress
-    registration for the attach — ownership stays with the parent.
-    """
-    from multiprocessing import resource_tracker
-
-    original = resource_tracker.register
-    resource_tracker.register = lambda *args, **kwargs: None
-    try:
-        return shared_memory.SharedMemory(name=name)
-    finally:
-        resource_tracker.register = original
-
-
-class _WorkerBufferTable:
-    """Worker-side fingerprint -> attached buffer interning table."""
-
-    def __init__(self, max_entries: int = 512):
-        self.max_entries = max_entries
-        self._buffers: OrderedDict[str, tuple[Any, memoryview]] = OrderedDict()
-
-    def resolve(self, ref: tuple) -> Any:
-        if ref[0] == "inline":
-            return ref[1]
-        _, name, fingerprint, nbytes = ref
-        entry = self._buffers.get(fingerprint)
-        if entry is None:
-            segment = _attach_untracked(name)
-            entry = (segment, segment.buf[:nbytes])
-            self._buffers[fingerprint] = entry
-            while len(self._buffers) > self.max_entries:
-                # Dropping the reference is enough: numpy arrays decoded
-                # from the view keep it (and the mapping) alive until GC.
-                self._buffers.popitem(last=False)
-        else:
-            self._buffers.move_to_end(fingerprint)
-        return entry[1]
-
-
-def _encode_payload(
-    obj: Any, shm_table: _SharedBufferTable | None
-) -> tuple[bytes, tuple]:
-    """Pickle *obj*, splitting large buffers out into shared memory.
-
-    Returns ``(stream, refs)`` where *refs* describes each out-of-band
-    buffer as ``("shm", name, fingerprint, nbytes)`` or
-    ``("inline", bytes)``.  Falls back to a plain in-band pickle when the
-    object's buffers are not contiguous or protocol-5 extraction fails.
-    """
-    buffers: list[pickle.PickleBuffer] = []
-    try:
-        stream = pickle.dumps(obj, protocol=5, buffer_callback=buffers.append)
-        refs = []
-        for buffer in buffers:
-            view = buffer.raw()  # raises BufferError if non-contiguous
-            if shm_table is not None and view.nbytes >= MIN_SHARED_BUFFER_BYTES:
-                name, fingerprint, nbytes = shm_table.intern(view)
-                refs.append(("shm", name, fingerprint, nbytes))
-            else:
-                refs.append(("inline", view.tobytes()))
-            buffer.release()
-        return stream, tuple(refs)
-    except (pickle.PicklingError, BufferError, OSError):
-        return pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL), ()
-
-
-def _decode_payload(stream: bytes, refs: tuple, table: _WorkerBufferTable) -> Any:
-    if not refs:
-        return pickle.loads(stream)
-    return pickle.loads(stream, buffers=[table.resolve(ref) for ref in refs])
-
-
-# ------------------------------------------------------------- chunk planning
-
-
-def plan_chunks(total: int, workers: int) -> list[tuple[int, int]]:
-    """Guided self-scheduling chunk plan: ``(start, size)`` per chunk.
-
-    Each chunk takes ``remaining / (2 * workers)`` tasks (capped at
-    :data:`MAX_CHUNK_TASKS`), so early chunks batch small points together
-    while the plan decays to single-task chunks at the tail — a slow
-    final point never drags a batch of queued work along with it.
-    """
-    chunks: list[tuple[int, int]] = []
-    start = 0
-    while start < total:
-        remaining = total - start
-        size = max(1, min(MAX_CHUNK_TASKS, remaining // (2 * workers)))
-        chunks.append((start, size))
-        start += size
-    return chunks
 
 
 # ------------------------------------------------------------------- worker
@@ -368,17 +163,6 @@ def _warm_imports() -> None:
     for name in _PRELOAD_MODULES:
         with suppress(Exception):
             __import__(name)
-
-
-def _install_cache_seed(seed_bytes: bytes) -> None:
-    if not seed_bytes:
-        return
-    with suppress(Exception):
-        from .cache import global_cache
-
-        entries = pickle.loads(seed_bytes)
-        global_cache.seed(entries)
-        obs_metrics.counter("pool.seeded_entries").inc(len(entries))
 
 
 def _rss_bytes() -> int:
@@ -410,7 +194,7 @@ class _WorkerState:
 
 def _heartbeat_loop(result_queue: Any, state: _WorkerState,
                     stop: threading.Event) -> None:
-    """Ship ``("hb", ...)`` beats while the worker is executing a chunk."""
+    """Ship ``("hb", ...)`` beats while the worker is executing a task."""
     pid = os.getpid()
     while not stop.wait(HEARTBEAT_INTERVAL_SECONDS):
         if state.busy_since is None:
@@ -422,15 +206,13 @@ def _heartbeat_loop(result_queue: Any, state: _WorkerState,
             ))
 
 
-def _worker_main(task_queue: Any, result_queue: Any, seed_bytes: bytes) -> None:
-    """Worker loop: pull chunks, run tasks, ship per-chunk obs deltas."""
+def _worker_main(task_queue: Any, result_queue: Any) -> None:
+    """Worker loop: pull one task per message, ship its obs delta back."""
     with suppress(Exception):
         import signal
 
         signal.signal(signal.SIGINT, signal.SIG_IGN)
     _warm_imports()
-    _install_cache_seed(seed_bytes)
-    buffers = _WorkerBufferTable()
     state = _WorkerState()
     heartbeat_stop = threading.Event()
     threading.Thread(
@@ -444,57 +226,45 @@ def _worker_main(task_queue: Any, result_queue: Any, seed_bytes: bytes) -> None:
         if message is None:
             heartbeat_stop.set()
             break
-        (_, epoch, chunk_id, func_bytes, shared_payload, encoded_tasks,
+        (_, epoch, index, func_bytes, shared_bytes, task_bytes,
          traced, profiled) = message
-        outcomes: list[tuple] = []
         tracer = obs_trace.enable_tracing() if traced else None
         sampler = obs_profile.StackSampler().start() if profiled else None
+        state.current_index = index
+        state.busy_since = time.time()
         try:
             with obs_metrics.delta_capture() as delta:
-                func = pickle.loads(func_bytes)
-                if shared_payload is not None and shared_epoch != epoch:
-                    # One decode per map() call: later chunks of the same
-                    # epoch reuse the object (e.g. a network snapshot an
-                    # oracle was built from), not just its bytes.
-                    shared_obj = _decode_payload(
-                        shared_payload[0], shared_payload[1], buffers
+                try:
+                    func = pickle.loads(func_bytes)
+                    if shared_bytes is not None and shared_epoch != epoch:
+                        # One decode per map() call: later tasks of the
+                        # same epoch reuse the object (e.g. a network
+                        # snapshot an oracle was built from).
+                        shared_obj = pickle.loads(shared_bytes)
+                        shared_epoch = epoch
+                        obs_metrics.counter("pool.shared_decodes").inc()
+                    task = pickle.loads(task_bytes)
+                    with span("sweep.point", index=index):
+                        if shared_bytes is not None:
+                            outcome = ("ok", func(shared_obj, task))
+                        else:
+                            outcome = ("ok", func(task))
+                except Exception as exc:  # noqa: BLE001 - to the parent
+                    outcome = (
+                        "error",
+                        f"{type(exc).__name__}: {exc}",
+                        _traceback.format_exc(),
                     )
-                    shared_epoch = epoch
-                    obs_metrics.counter("pool.shared_decodes").inc()
-                for index, stream, refs in encoded_tasks:
-                    state.current_index = index
-                    state.busy_since = time.time()
-                    try:
-                        task = _decode_payload(stream, refs, buffers)
-                        with span("sweep.point", index=index):
-                            if shared_payload is not None:
-                                result = func(shared_obj, task)
-                            else:
-                                result = func(task)
-                        outcomes.append((index, "ok", result))
-                    except Exception as exc:  # noqa: BLE001 - to the parent
-                        outcomes.append(
-                            (
-                                index,
-                                "error",
-                                f"{type(exc).__name__}: {exc}",
-                                _traceback.format_exc(),
-                            )
-                        )
-                        break  # abandon the rest of the chunk
-                    finally:
-                        state.busy_since = None
-                        state.current_index = None
-                        state.tasks_done += 1
         finally:
             state.busy_since = None
             state.current_index = None
+            state.tasks_done += 1
             if traced:
                 obs_trace.disable_tracing()
         records = tracer.snapshot(clear=True) if tracer is not None else []
         samples = sampler.stop() if sampler is not None else None
         result_queue.put((
-            "done", epoch, chunk_id, outcomes, delta, records, samples,
+            "done", epoch, index, outcome, delta, records, samples,
             (os.getpid(), _rss_bytes(), state.tasks_done),
         ))
 
@@ -553,23 +323,11 @@ class WorkerHealth:
         }
 
 
-def _export_cache_seed(limit: int = CACHE_SEED_LIMIT) -> bytes:
-    from .cache import global_cache
-
-    entries = global_cache.export_entries(limit)
-    if not entries:
-        return b""
-    try:
-        return pickle.dumps(entries, protocol=pickle.HIGHEST_PROTOCOL)
-    except Exception:  # pragma: no cover - unpicklable cache value
-        return b""
-
-
 class WarmPool:
-    """Persistent worker processes draining one shared chunk queue."""
+    """Persistent worker processes draining one shared task queue."""
 
-    def __init__(self, workers: int, *, start_method: str | None = None):
-        self.start_method = start_method or _default_start_method()
+    def __init__(self, workers: int):
+        self.start_method = _start_method()
         self._ctx = mp.get_context(self.start_method)
         if self.start_method == "forkserver":
             with suppress(Exception):
@@ -577,7 +335,6 @@ class WarmPool:
         self._tasks = self._ctx.Queue()
         self._results = self._ctx.Queue()
         self._workers: list[Any] = []
-        self._shm = _SharedBufferTable() if shared_memory is not None else None
         self._epoch = 0
         self.closed = False
         self.last_max_in_flight = 0
@@ -593,11 +350,10 @@ class WarmPool:
         return len(self._workers)
 
     def _spawn(self, count: int) -> None:
-        seed = _export_cache_seed()
         for _ in range(count):
             process = self._ctx.Process(
                 target=_worker_main,
-                args=(self._tasks, self._results, seed),
+                args=(self._tasks, self._results),
                 daemon=True,
             )
             process.start()
@@ -611,7 +367,7 @@ class WarmPool:
             self._spawn(count - len(self._workers))
 
     def shutdown(self, timeout: float = 5.0) -> None:
-        """Stop every worker and release queues and shared memory."""
+        """Stop every worker and release the queues."""
         if self.closed:
             return
         self.closed = True
@@ -629,8 +385,6 @@ class WarmPool:
             with suppress(Exception):
                 q.cancel_join_thread()
                 q.close()
-        if self._shm is not None:
-            self._shm.release_all()
         self._workers.clear()
         obs_metrics.gauge("pool.workers").set(0)
 
@@ -647,25 +401,27 @@ class WarmPool:
     ) -> list[Any]:
         """Map *func* over *tasks* on the pool; results in input order.
 
-        *jobs* bounds the chunk plan and in-flight window (defaults to the
-        pool size); extra idle workers beyond it simply steal from the
-        same queue.  The *progress* callback fires with a monotonically
-        increasing ``done`` count as tasks complete, regardless of chunk
-        completion order.
+        *jobs* bounds the in-flight window (defaults to the pool size);
+        extra idle workers beyond it simply pull from the same queue.
+        The *progress* callback fires with a monotonically increasing
+        ``done`` count as tasks complete, regardless of completion order.
 
-        When *shared* is given it is encoded **once** for the whole call,
-        shipped with every chunk, decoded **once per worker** (cached by
+        When *shared* is given it is pickled **once** for the whole call,
+        shipped with every task, decoded **once per worker** (cached by
         epoch), and passed as the first argument: ``func(shared, task)``.
         Use it for a large context common to all tasks — a network
         snapshot, a pattern matrix — that workers should not re-decode
         per task.
 
         Raises:
-            WorkerTaskError: a task raised in a worker; queued chunks are
+            WorkerTaskError: a task raised in a worker; queued tasks are
                 cancelled first (in-flight ones finish and are discarded
                 as stale by the next call).
             RuntimeError: a worker process died; the pool is shut down so
                 the next :func:`get_pool` starts fresh.
+            pickle.PicklingError / AttributeError / TypeError: a task,
+                *func* or *shared* cannot be pickled; the pool stays
+                usable.
         """
         total = len(tasks)
         if total == 0:
@@ -674,47 +430,44 @@ class WarmPool:
         self._epoch += 1
         epoch = self._epoch
         self._drain_stale()
-        if self._shm is not None:
-            self._shm.trim()
         traced = obs_trace.is_enabled()
         profiled = obs_profile.is_profiling()
         func_bytes = pickle.dumps(func, protocol=pickle.HIGHEST_PROTOCOL)
-        shared_payload = (
-            None if shared is None else _encode_payload(shared, self._shm)
+        shared_bytes = (
+            None if shared is None
+            else pickle.dumps(shared, protocol=pickle.HIGHEST_PROTOCOL)
         )
-        chunks = plan_chunks(total, jobs)
-        window = max(2, WINDOW_CHUNKS_PER_WORKER * jobs)
+        window = max(2, WINDOW_TASKS_PER_WORKER * jobs)
         results: list[Any] = [None] * total
-        pending: dict[int, tuple[int, int]] = {}
-        next_chunk = 0
+        pending: set[int] = set()
+        next_index = 0
         done = 0
         self.last_max_in_flight = 0
 
         def feed() -> None:
-            nonlocal next_chunk
-            while next_chunk < len(chunks) and len(pending) < window:
-                chunk_id = next_chunk
-                start, size = chunks[chunk_id]
-                encoded = [
-                    (index, *_encode_payload(tasks[index], self._shm))
-                    for index in range(start, start + size)
-                ]
-                self._tasks.put(
-                    ("chunk", epoch, chunk_id, func_bytes, shared_payload,
-                     encoded, traced, profiled)
+            nonlocal next_index
+            while next_index < total and len(pending) < window:
+                index = next_index
+                # Pickled here, not in the queue's feeder thread: there an
+                # unpicklable task would be dropped and map() would hang.
+                task_bytes = pickle.dumps(
+                    tasks[index], protocol=pickle.HIGHEST_PROTOCOL
                 )
-                pending[chunk_id] = (start, size)
-                next_chunk += 1
+                self._tasks.put(
+                    ("task", epoch, index, func_bytes, shared_bytes,
+                     task_bytes, traced, profiled)
+                )
+                pending.add(index)
+                next_index += 1
                 self.last_max_in_flight = max(
                     self.last_max_in_flight, len(pending)
                 )
-                obs_metrics.counter("pool.dispatched_chunks").inc()
-                obs_metrics.counter("pool.dispatched_tasks").inc(size)
+                obs_metrics.counter("pool.dispatched_tasks").inc()
 
         feed()
         while pending:
             message = self._next_result(progress)
-            _, msg_epoch, chunk_id, outcomes, delta, records, samples, health \
+            _, msg_epoch, index, outcome, delta, records, samples, health \
                 = message
             obs_metrics.merge_snapshot(delta)
             tracer = obs_trace.current_tracer()
@@ -727,22 +480,20 @@ class WarmPool:
             if msg_epoch != epoch:
                 obs_metrics.counter("pool.stale_results").inc()
                 continue
-            pending.pop(chunk_id, None)
-            for outcome in outcomes:
-                index, status = outcome[0], outcome[1]
-                if status != "ok":
-                    self._cancel_queued()
-                    raise WorkerTaskError(index, outcome[2], outcome[3])
-                results[index] = outcome[2]
-                done += 1
-                obs_metrics.counter("pool.completed_tasks").inc()
-                if progress is not None:
-                    progress(done, total)
+            pending.discard(index)
+            if outcome[0] != "ok":
+                self._cancel_queued()
+                raise WorkerTaskError(index, outcome[1], outcome[2])
+            results[index] = outcome[1]
+            done += 1
+            obs_metrics.counter("pool.completed_tasks").inc()
+            if progress is not None:
+                progress(done, total)
             feed()
         return results
 
     def _next_result(self, progress: Any = None) -> tuple:
-        """The next chunk result, absorbing heartbeats along the way.
+        """The next task result, absorbing heartbeats along the way.
 
         Liveness (dead workers) and stalls are checked about once a
         second regardless of message traffic — heartbeats from healthy
@@ -826,7 +577,7 @@ class WarmPool:
         native call), so a stalled worker keeps reporting how long it
         has been stuck.  Flagging never interrupts the task — the sweep
         keeps draining other workers' results, and a recovered worker
-        (its chunk finally completes) is unflagged.
+        (its task finally completes) is unflagged.
         """
         threshold = stall_threshold_seconds()
         now = time.time()
@@ -878,14 +629,14 @@ class WarmPool:
         }
 
     def _cancel_queued(self) -> None:
-        """Drop every not-yet-claimed chunk from the shared queue."""
+        """Drop every not-yet-claimed task from the shared queue."""
         with suppress(queue_module.Empty):
             while True:
                 self._tasks.get_nowait()
-                obs_metrics.counter("pool.cancelled_chunks").inc()
+                obs_metrics.counter("pool.cancelled_tasks").inc()
 
     def _drain_stale(self) -> None:
-        """Absorb results of chunks cancelled by a previous call's error."""
+        """Absorb results of tasks cancelled by a previous call's error."""
         with suppress(queue_module.Empty):
             while True:
                 message = self._results.get_nowait()
@@ -900,28 +651,6 @@ class WarmPool:
 # --------------------------------------------------------------- module state
 
 _pool: WarmPool | None = None
-_ENABLED = os.environ.get("REPRO_POOL_DISABLE", "") != "1"
-_START_OVERRIDE: str | None = None
-
-
-def pool_enabled() -> bool:
-    """False when the warm pool is disabled (env or :func:`configure_pool`)."""
-    return _ENABLED
-
-
-def configure_pool(
-    *, enabled: bool | None = None, start_method: str | None = None
-) -> None:
-    """Disable the warm pool (callers fall back to serial) or pin the
-    multiprocessing start method.  Either change shuts the current pool
-    down so the next use starts with the new configuration."""
-    global _ENABLED, _START_OVERRIDE
-    if enabled is not None:
-        _ENABLED = enabled
-        shutdown_pool()
-    if start_method is not None:
-        _START_OVERRIDE = start_method
-        shutdown_pool()
 
 
 def get_pool(workers: int) -> WarmPool:
@@ -960,26 +689,13 @@ atexit.register(shutdown_pool)
 def executor_config(jobs: int | str | None = None) -> dict[str, Any]:
     """The resolved executor configuration, for ``repro info --json``.
 
-    Reports the start method, live/requested worker counts, chunking and
-    zero-copy parameters — the knobs that decide how a ``--jobs N`` sweep
-    actually executes on this machine.
+    Reports the start method and the live/requested worker counts — what
+    decides how a ``--jobs N`` sweep actually executes on this machine.
     """
     live = _pool is not None and not _pool.closed
     return {
-        "enabled": _ENABLED,
-        "start_method": _pool.start_method if live else _default_start_method(),
+        "start_method": _pool.start_method if live else _start_method(),
         "cpus": available_cpus(),
         "workers": _pool.size if live else None,
         "resolved_jobs": resolve_jobs(jobs) if jobs is not None else None,
-        "chunking": {
-            "schedule": "guided",
-            "max_chunk_tasks": MAX_CHUNK_TASKS,
-            "window_chunks_per_worker": WINDOW_CHUNKS_PER_WORKER,
-        },
-        "zero_copy": {
-            "shared_memory": shared_memory is not None,
-            "min_buffer_bytes": MIN_SHARED_BUFFER_BYTES,
-            "max_shared_bytes": MAX_SHARED_BYTES,
-        },
-        "cache_seed_entries": CACHE_SEED_LIMIT,
     }

@@ -2,8 +2,8 @@
 
 :func:`run_scenario` fans one scenario's (benchmark × policy) points
 over the warm worker pool (:func:`repro.flows.sweep.parallel_map` — the
-same executor the sweeps use, so workers, shared-memory transfer and
-work stealing come for free) and returns a :class:`ScenarioResult`.
+same executor the sweeps use, so persistent workers and merged worker
+telemetry come for free) and returns a :class:`ScenarioResult`.
 
 :func:`write_scenario_matrix` merges results into ``BENCH_scenarios.json``
 (see ``docs/scenarios.md`` for the schema): one entry per scenario with

@@ -57,7 +57,7 @@ parallel runs of :func:`reassign_complete_dcs` bit-identical.
 contiguous *independent groups* (no member's fanout cone intersects
 another member's support), confirms a group's flexibilities against the
 group-start network state — serially, or fanned out across
-:mod:`repro.perf.pool` workers with work stealing — and applies the
+:mod:`repro.perf.pool` workers — and applies the
 rewrites sequentially in topological order, so the schedule observed by
 every node is the same in both modes.
 """
@@ -899,7 +899,7 @@ def reassign_complete_dcs(
     """
     if policy not in ("conventional", "ranking", "cfactor", "complete"):
         raise ValueError(f"unknown policy {policy!r}")
-    from ..perf.pool import get_pool, pool_enabled
+    from ..perf.pool import get_pool
 
     full_sim: IncrementalNetworkSim | None = None
     reference = None
@@ -931,7 +931,7 @@ def reassign_complete_dcs(
             continue
         candidates.append(name)
     groups = plan_node_groups(network, candidates)
-    use_pool = jobs > 1 and pool_enabled()
+    use_pool = jobs > 1
 
     considered = 0
     changed = 0

@@ -1,13 +1,12 @@
-"""Tests for the generalised error models (weighted and multi-bit)."""
+"""Tests for the weighted error model."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.reliability import error_rate, multibit_error_rate, weighted_error_rate
+from repro.core.reliability import error_rate, weighted_error_rate
 from repro.core.spec import FunctionSpec
-from repro.core.truthtable import DC, OFF, ON
 
 from .conftest import random_spec
 
@@ -47,41 +46,3 @@ class TestWeighted:
             weighted_error_rate(spec, [0.0] * spec.num_inputs)
         with pytest.raises(ValueError, match="non-negative"):
             weighted_error_rate(spec, [1.0, 1.0, -1.0, 1.0, 1.0])
-
-
-class TestMultiBit:
-    @given(st.integers(0, 10**9))
-    @settings(max_examples=20, deadline=None)
-    def test_distance_one_matches_error_rate(self, seed):
-        spec = completed(seed)
-        assert multibit_error_rate(spec, 1) == pytest.approx(error_rate(spec))
-
-    def test_parity_detects_odd_flips(self):
-        """Parity flips on every odd-weight error and never on even."""
-        idx = np.arange(16)
-        bits = sum(((idx >> b) & 1 for b in range(4)), np.zeros(16, np.int64))
-        spec = FunctionSpec.from_truth_table((bits % 2 == 1)[None, :])
-        assert multibit_error_rate(spec, 1) == pytest.approx(1.0)
-        assert multibit_error_rate(spec, 2) == pytest.approx(0.0)
-        assert multibit_error_rate(spec, 3) == pytest.approx(1.0)
-
-    def test_constant_function_immune(self):
-        spec = FunctionSpec.from_truth_table(np.ones((1, 32)))
-        for distance in (1, 2, 3):
-            assert multibit_error_rate(spec, distance) == 0.0
-
-    def test_sources_respect_spec(self):
-        base = random_spec(11, num_inputs=4, num_outputs=1, dc_fraction=0.4)
-        values = np.where(base.phases == DC, 0, base.phases == ON).astype(bool)
-        full = base.assigned(values)
-        restricted = multibit_error_rate(full, 2, spec=base)
-        unrestricted = multibit_error_rate(full, 2)
-        assert 0.0 <= restricted <= 1.0
-        assert 0.0 <= unrestricted <= 1.0
-
-    def test_distance_validation(self):
-        spec = completed(5)
-        with pytest.raises(ValueError, match="distance"):
-            multibit_error_rate(spec, 0)
-        with pytest.raises(ValueError, match="distance"):
-            multibit_error_rate(spec, spec.num_inputs + 1)

@@ -67,6 +67,11 @@ class TestExactReductions:
         unrestricted = MultiBitInput(2).error_rate(full)
         assert restricted <= unrestricted
 
+    def test_constant_function_immune(self):
+        spec = FunctionSpec.from_truth_table(np.ones((1, 32)))
+        for k in (1, 2, 3):
+            assert MultiBitInput(k).error_rate(spec) == 0.0
+
 
 class TestPatterns:
     def test_single_bit_patterns(self):

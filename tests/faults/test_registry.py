@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core.reliability import multibit_error_rate
 from repro.faults import (
     MultiBitInput,
     SingleBitInput,
@@ -11,8 +10,6 @@ from repro.faults import (
     fault_model_names,
     registered_fault_models,
 )
-
-from ..core.conftest import random_spec
 
 
 class TestResolution:
@@ -66,18 +63,3 @@ class TestListing:
         assert by_name["stuck_at"]["scope"] == "node"
         assert by_name["multibit"]["params"] == ["k"]
         assert all(entry["summary"] for entry in listing)
-
-
-class TestDeprecatedShim:
-    def test_multibit_error_rate_warns_and_matches(self):
-        spec = random_spec(4, num_inputs=5, num_outputs=2, dc_fraction=0.0)
-        with pytest.warns(DeprecationWarning, match="MultiBitInput"):
-            legacy = multibit_error_rate(spec, 2)
-        assert legacy == MultiBitInput(2).error_rate(spec)
-
-    def test_shim_keeps_validation(self):
-        spec = random_spec(4, num_inputs=5, num_outputs=2, dc_fraction=0.0)
-        with pytest.raises(ValueError, match="distance"):
-            multibit_error_rate(spec, 0)
-        with pytest.raises(ValueError, match="distance"):
-            multibit_error_rate(spec, spec.num_inputs + 1)

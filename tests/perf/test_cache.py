@@ -115,52 +115,6 @@ class TestCacheMechanics:
         assert snapshot["cache.entries"]["type"] == "gauge"
 
 
-class TestSeedTransfer:
-    """export_entries/seed: how the warm pool warms its workers."""
-
-    def test_export_then_seed_roundtrip(self):
-        source = MinimizationCache(maxsize=16)
-        source.put("a", 1)
-        source.put("b", 2)
-        target = MinimizationCache(maxsize=16)
-        target.seed(source.export_entries())
-        assert target.get("a") == 1
-        assert target.get("b") == 2
-
-    def test_export_limit_keeps_most_recent(self):
-        cache = MinimizationCache(maxsize=16)
-        for index in range(6):
-            cache.put(f"k{index}", index)
-        exported = dict(cache.export_entries(2))
-        assert set(exported) == {"k4", "k5"}
-
-    def test_seed_does_not_touch_counters(self):
-        cache = MinimizationCache(maxsize=16)
-        cache.seed([("a", 1), ("b", 2)])
-        stats = cache.stats()
-        assert stats.entries == 2
-        assert stats.hits == 0
-        assert stats.misses == 0
-        assert stats.evictions == 0
-
-    def test_seed_never_overwrites_existing_entries(self):
-        cache = MinimizationCache(maxsize=16)
-        cache.put("a", "local")
-        cache.seed([("a", "remote"), ("b", "remote")])
-        assert cache.get("a") == "local"
-        assert cache.get("b") == "remote"
-
-    def test_seed_respects_maxsize(self):
-        cache = MinimizationCache(maxsize=2)
-        cache.seed([(f"k{index}", index) for index in range(5)])
-        assert len(cache) == 2
-
-    def test_seed_on_disabled_cache_is_inert(self):
-        cache = MinimizationCache(enabled=False)
-        cache.seed([("a", 1)])
-        assert len(cache) == 0
-
-
 class TestEspressoMemo:
     def test_espresso_hits_on_identical_problem(self):
         on = Cover.from_minterms(5, [1, 3, 7, 12, 19])

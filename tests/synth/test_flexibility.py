@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.core.truthtable import DC
 from repro.espresso.cube import Cover
 from repro.obs import metrics as obs_metrics
+from repro.perf import get_pool
 from repro.synth.flexibility import (
     CompleteFlexibilityOracle,
     node_flexibility_sat,
@@ -290,9 +291,14 @@ class TestParallelReassign:
         serial = reassign_complete_dcs(
             serial_net, policy=policy, rng=np.random.default_rng(7)
         )
+        decodes = obs_metrics.counter("pool.shared_decodes").value
         parallel = reassign_complete_dcs(
             parallel_net, policy=policy, rng=np.random.default_rng(7), jobs=2
         )
+        # The group's network snapshot is decoded once per worker per
+        # group, never once per task.
+        decodes = obs_metrics.counter("pool.shared_decodes").value - decodes
+        assert decodes <= get_pool(2).size * parallel.parallel_groups
         assert _network_snapshot(serial_net) == _network_snapshot(parallel_net)
         assert (
             serial.complete_dc_minterms,
