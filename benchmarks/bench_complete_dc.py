@@ -7,15 +7,14 @@ extractor at depth 1.  The claims under test: the complete extractor
 confirms **strictly more** DC minterms than the windowed one, and the
 reassignment never changes a primary output.
 
-A second experiment measures the batched/parallel flexibility engine
-against its own legacy query plan (one cube-assumption solve per
-candidate, no encoding reuse, no counterexample recycling) on a
-SAT-bound subject: a disjoint union of four independent cones, which
-also gives the wave scheduler four-wide groups to fan out across
-worker processes.  Batching + caching + recycling must buy >= 1.3x
-serial wall clock, and the parallel confirmation phase >= 3x at four
-jobs (timing asserted only when the machine actually has the CPUs),
-with the DC counts and the rewritten networks bit-identical throughout.
+A second experiment times the flexibility engine serially and at four
+jobs on a SAT-bound subject: a disjoint union of four independent cones,
+which also gives the wave scheduler four-wide groups to fan out across
+worker processes.  The serial DC counts must equal the values recorded
+before the engine's unbatched query plan was removed, the parallel run
+must be bit-identical to the serial one, and the parallel confirmation
+phase must be >= 3x serial at four jobs (timing asserted only when the
+machine actually has the CPUs).
 
 Results (DC counts, deltas, per-circuit wall/solver seconds and the
 ``sat.*`` query counters) persist to ``BENCH_complete_dc.json`` at the
@@ -48,13 +47,13 @@ complete extractor must dominate it on every circuit."""
 
 SAT_COUNTERS = (
     "sat.queries", "sat.confirmations", "sat.refutations", "sat.fallbacks",
-    "sat.batch_queries", "sat.cex_recycled", "sat.cone_cache_hits",
+    "sat.cex_recycled", "sat.cone_cache_hits",
 )
 
-SERIAL_SPEEDUP_FLOOR = 1.3
-"""Minimum end-to-end speedup the engine's batching + encoding caching +
-counterexample recycling must buy over the legacy one-query-per-solve
-plan, serially, on the SAT-bound perf subject."""
+PERF_GOLDEN_COUNTS = (7205, 0, 56, 7008)
+"""Serial ``_counts`` on the perf subject, recorded from the batched
+engine and checked equal to the unbatched one-query-per-solve plan
+before that plan was removed."""
 
 PARALLEL_CONFIRM_FLOOR = 3.0
 """Minimum confirmation-phase speedup at 4 jobs.  The apply phase
@@ -195,27 +194,22 @@ def _perf_subject():
     return union
 
 
-def _perf_run(jobs=1, legacy=False):
+def _perf_run(jobs=1):
     """One reassignment over the perf subject; timing + identity data.
 
     ``simulation_vectors=64`` leaves real work for SAT (256 proposes
     most candidates away) and ``query_budget=4096`` admits every node
-    (fallback nodes would burn conflict budget in *both* plans and
-    blur the comparison).
+    (fallback nodes would burn conflict budget and blur the timing).
     """
     network = _perf_subject()
-    kwargs = dict(
-        policy="cfactor", threshold=1.0, window_levels=WINDOW_LEVELS,
-        simulation_vectors=64, query_budget=4096,
-        rng=np.random.default_rng(7), jobs=jobs,
-    )
-    if legacy:
-        kwargs.update(batch_size=1, reuse_encodings=False,
-                      recycle_counterexamples=False)
     solver_before = obs_metrics.counter("sat.solve_seconds").value
     confirm_before = obs_metrics.counter("complete_dc.confirm_seconds").value
     started = time.perf_counter()
-    report = reassign_complete_dcs(network, **kwargs)
+    report = reassign_complete_dcs(
+        network, policy="cfactor", threshold=1.0,
+        window_levels=WINDOW_LEVELS, simulation_vectors=64,
+        query_budget=4096, rng=np.random.default_rng(7), jobs=jobs,
+    )
     wall = time.perf_counter() - started
     return {
         "wall": wall,
@@ -237,34 +231,25 @@ def _counts(report):
 
 
 def test_complete_dc_engine_speedup(benchmark):
-    # Interleaved min-of-2: machine noise on this scale exceeds the
-    # margin a single pair of runs would leave.
-    runs = {"legacy": [], "engine": []}
+    # Min-of-2: machine noise on this scale exceeds the margin a single
+    # run would leave.
+    runs = []
     def _once():
         for _ in range(2):
-            runs["legacy"].append(_perf_run(legacy=True))
-            runs["engine"].append(_perf_run())
+            runs.append(_perf_run())
         return runs
     benchmark.pedantic(_once, rounds=1, iterations=1)
-    legacy = min(runs["legacy"], key=lambda r: r["wall"])
-    engine = min(runs["engine"], key=lambda r: r["wall"])
+    engine = min(runs, key=lambda r: r["wall"])
 
-    # Identical results first — the speedup must be a pure query-plan
-    # win, not a different answer.
-    for other in runs["legacy"] + runs["engine"]:
-        assert _counts(other["report"]) == _counts(engine["report"])
+    for other in runs:
+        assert _counts(other["report"]) == PERF_GOLDEN_COUNTS
         assert other["snapshot"] == engine["snapshot"]
 
-    serial_speedup = legacy["wall"] / engine["wall"]
     perf = {
         "subject": "4x disjoint 8-PI cones",
         "jobs": PERF_JOBS,
-        "legacy_wall_seconds": round(legacy["wall"], 3),
-        "legacy_solver_seconds": round(legacy["solver"], 3),
         "engine_wall_seconds": round(engine["wall"], 3),
         "engine_solver_seconds": round(engine["solver"], 3),
-        "serial_speedup": round(serial_speedup, 2),
-        "serial_floor": SERIAL_SPEEDUP_FLOOR,
         "parallel_confirm_floor": PARALLEL_CONFIRM_FLOOR,
         "parallel_confirm_speedup": None,
         "parallel_wall_seconds": None,
@@ -287,8 +272,7 @@ def test_complete_dc_engine_speedup(benchmark):
     if available_cpus() >= PERF_JOBS:
         assert confirm_speedup >= PARALLEL_CONFIRM_FLOOR, perf
 
-    emit("flexibility engine vs legacy query plan", json.dumps(perf, indent=2))
-    assert serial_speedup >= SERIAL_SPEEDUP_FLOOR, perf
+    emit("flexibility engine, serial vs parallel", json.dumps(perf, indent=2))
     _update_bench_file(perf=perf)
 
 

@@ -1,7 +1,7 @@
 """P1 — Substrate performance micro-benchmarks.
 
-Throughput of the load-bearing substrate pieces (ESPRESSO, the BDD
-manager, the technology mapper, the reliability metrics).  These are true
+Throughput of the load-bearing substrate pieces (ESPRESSO, the
+technology mapper, the reliability metrics).  These are true
 pytest-benchmark timings (multiple rounds), useful for catching
 performance regressions in the algorithms everything else sweeps over.
 
@@ -19,7 +19,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.bdd import BddManager
 from repro.benchgen import mcnc_benchmark
 from repro.benchgen.synthetic import generate_spec
 from repro.core.complexity import local_complexity_factor
@@ -202,21 +201,6 @@ def test_parallel_sweep_wallclock():
             f"warm-pool jobs={jobs} only {speedup:.2f}x over serial "
             f"({parallel_seconds:.2f}s vs {serial_seconds:.2f}s) on {cpus} CPUs"
         )
-
-
-def test_bdd_build_throughput(benchmark):
-    rng = np.random.default_rng(1)
-    table = rng.random(1 << 12) < 0.5
-
-    def build():
-        manager = BddManager(12)
-        return manager, manager.from_truth_table(table)
-
-    manager, ref = benchmark(build)
-    assert manager.sat_count(ref) == int(table.sum())
-    mean, _ = _timings(benchmark)
-    if mean is not None:
-        _RESULTS["bdd_build_n12"] = {"mean_seconds": mean}
 
 
 def test_mapper_throughput(benchmark):

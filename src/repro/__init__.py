@@ -3,7 +3,7 @@
 A complete, self-contained reproduction of Zukoski, Choudhury & Mohanram,
 *"Reliability-driven don't care assignment for logic synthesis"*, DATE 2011,
 including every substrate the paper's evaluation depends on: an ESPRESSO-
-style two-level minimiser, a BDD package, PLA I/O, a multi-level synthesis
+style two-level minimiser, a SAT solver, PLA I/O, a multi-level synthesis
 flow with technology mapping / timing / power, an AIG optimiser, synthetic
 benchmark generation, and the full experiment harness.
 

@@ -192,12 +192,11 @@ class CompleteDcStage:
     it by listing ``complete_dc`` between ``optimize`` and ``map`` in a
     pipeline config (or ``repro pipeline run --complete-dc``).  Per node
     it proposes DC candidates from random simulation, confirms them
-    exactly with batched shared-solver SAT queries (``dc_batch``
-    candidates per incremental ``solve()``), applies the ``dc_policy``
-    assignment and rebuilds the cover; nodes exhausting the query or
-    conflict budget fall back to the window-limited extractor.  With
-    ``dc_jobs`` > 1 independent nodes are confirmed in parallel on the
-    warm worker pool — results stay bit-identical to serial.  Primary
+    exactly with batched shared-solver SAT queries, applies the
+    ``dc_policy`` assignment and rebuilds the cover; nodes exhausting the
+    query or conflict budget fall back to the window-limited extractor.
+    With ``dc_jobs`` > 1 independent nodes are confirmed in parallel on
+    the warm worker pool — results stay bit-identical to serial.  Primary
     outputs are verified unchanged (packed compare per rewrite plus a
     final SAT miter), so every downstream artefact stays functionally
     identical and the stage can be toggled without invalidating results.
@@ -222,18 +221,14 @@ class CompleteDcStage:
         "dc_window",
         "dc_seed",
     )
-    # dc_jobs / dc_batch are read but deliberately NOT declared above:
-    # they are execution knobs whose results are bit-identical to the
-    # serial single-query run, so they must not change the checkpoint
-    # fingerprint (a jobs=4 resume reuses a jobs=1 checkpoint).
+    # dc_jobs is read but deliberately NOT declared above: it is an
+    # execution knob whose results are bit-identical to the serial run,
+    # so it must not change the checkpoint fingerprint (a jobs=4 resume
+    # reuses a jobs=1 checkpoint).
     version = "1"
 
     def run(self, ctx: FlowContext) -> None:
-        from ..synth.flexibility import (
-            DEFAULT_BATCH_SIZE,
-            CompleteDcReport,
-            reassign_complete_dcs,
-        )
+        from ..synth.flexibility import CompleteDcReport, reassign_complete_dcs
 
         network = ctx.require("network")
         if not ctx.param("complete_dc", True):
@@ -256,7 +251,6 @@ class CompleteDcStage:
                 window_levels=ctx.param("dc_window", 2),
                 rng=np.random.default_rng(ctx.param("dc_seed", 0)),
                 jobs=ctx.param("dc_jobs", 1),
-                batch_size=ctx.param("dc_batch", DEFAULT_BATCH_SIZE),
             )
         ctx.set("network", network)
         ctx.set("complete_dc_report", report)

@@ -2,7 +2,7 @@
 
 The SAT half of the simulation+SAT flexibility machinery the paper cites
 (Mishchenko et al., [16]); also an independent engine for combinational
-equivalence checking next to the BDD and dense-truth-table checks.
+equivalence checking next to the dense-truth-table checks.
 """
 
 from .encode import CnfBuilder, encode_aig, encode_network, networks_equivalent

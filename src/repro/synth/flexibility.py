@@ -42,24 +42,24 @@ in place.  Per-node flip-cone miters are memoized keyed by their
 dependency fingerprint — the cone signals plus its side inputs — and
 evicted only when a rewrite dirties a dependency.
 
-**Unchanged results.**  Batching, recycling and caching change *how
-fast* answers arrive, never *which* answers: pattern statuses are exact
-semantic facts, and the per-node query budget is accounted the way the
-original sequential engine would have charged it (one query per
-unobserved-in-the-base-patterns candidate, plus one observability query
-per semantically reachable candidate, classified against the **base**
-pattern set only).  A node therefore falls back to the window-limited
-extractor on exactly the same inputs regardless of batch size, recycled
-patterns, or execution schedule — which is what keeps serial and
-parallel runs of :func:`reassign_complete_dcs` bit-identical.
+**Schedule-independent results.**  Batching, recycling and caching
+change *how fast* answers arrive, never *which* answers: pattern
+statuses are exact semantic facts, and the per-node query budget is
+charged against the **base** pattern set only — one query per pattern
+the base patterns do not prove a care, plus one more per
+base-unobserved pattern found reachable.  A node therefore falls back
+to the window-limited extractor on exactly the same inputs whatever
+counterexamples were recycled or however the nodes were scheduled —
+which is what keeps serial and parallel runs of
+:func:`reassign_complete_dcs` bit-identical.
 
-:func:`reassign_complete_dcs` partitions the topological order into
-contiguous *independent groups* (no member's fanout cone intersects
-another member's support), confirms a group's flexibilities against the
-group-start network state — serially, or fanned out across
-:mod:`repro.perf.pool` workers — and applies the
-rewrites sequentially in topological order, so the schedule observed by
-every node is the same in both modes.
+:func:`reassign_complete_dcs` partitions the candidate nodes into
+*independent waves* (:func:`plan_node_groups`: no member's rewrite can
+change another member's flexibility), confirms a wave's flexibilities
+against the wave-start network state — serially, or fanned out across
+:mod:`repro.perf.pool` workers — and applies the rewrites sequentially
+in topological order, so the schedule observed by every node is the
+same in both modes.
 """
 
 from __future__ import annotations
@@ -98,7 +98,7 @@ _FULL_SIM_MAX_PIS = 20
 for the per-rewrite output self-check and the window-limited baseline;
 beyond it only the final miter check and the SAT path remain."""
 
-DEFAULT_BATCH_SIZE = 16
+BATCH_SIZE = 16
 """Candidates per one-hot selector batch.  Large enough that an UNSAT
 answer confirms a pile of candidates in one solve, small enough that the
 final complete-search UNSAT proof per batch stays shallow (the measured
@@ -114,8 +114,8 @@ once its clause count exceeds this multiple of a fresh encoding's (see
 
 
 class _BudgetExhausted(Exception):
-    """Internal: a node hit its (legacy-accounted) query budget or an
-    inconclusive solve; the caller falls back to the window extractor."""
+    """Internal: a node hit its query budget or an inconclusive solve;
+    the caller falls back to the window extractor."""
 
 
 class CompleteFlexibilityOracle:
@@ -129,21 +129,17 @@ class CompleteFlexibilityOracle:
     only sees genuine candidates.
 
     After a node's cover is rewritten, call :meth:`notify_rewrite` — the
-    dirtied cone is re-encoded under fresh signal versions (or, with
-    ``reuse_encodings=False``, the whole encoding is discarded) and the
+    dirtied cone is re-encoded under fresh signal versions and the
     simulation refreshed incrementally.
 
     Attributes:
         network: the analysed network (rewrites allowed between queries
             when announced via :meth:`notify_rewrite`).
-        query_budget: max SAT queries per node under the legacy
-            sequential accounting (``None`` = unlimited); exhausting it
-            makes :meth:`node_flexibility` return ``None``.
+        query_budget: max SAT queries charged per node (``None`` =
+            unlimited; see the module docstring for the charge);
+            exhausting it makes :meth:`node_flexibility` return ``None``.
         conflict_budget: per-solve conflict cap (``None`` = unlimited);
             an inconclusive solve also returns ``None``.
-        batch_size: candidates per one-hot batch; ``<= 1`` issues one
-            plain cube-assumption query per candidate (the pre-batching
-            engine, kept as the benchmark baseline and fuzz oracle).
     """
 
     def __init__(
@@ -154,18 +150,12 @@ class CompleteFlexibilityOracle:
         rng: np.random.Generator | None = None,
         query_budget: int | None = None,
         conflict_budget: int | None = None,
-        batch_size: int = DEFAULT_BATCH_SIZE,
-        reuse_encodings: bool = True,
-        recycle_counterexamples: bool = True,
         vectors: np.ndarray | None = None,
         base_vectors: int | None = None,
     ) -> None:
         self.network = network
         self.query_budget = query_budget
         self.conflict_budget = conflict_budget
-        self.batch_size = batch_size
-        self.reuse_encodings = reuse_encodings
-        self.recycle_counterexamples = recycle_counterexamples
         if vectors is None:
             rng = rng or np.random.default_rng(0)
             vectors = (
@@ -178,7 +168,6 @@ class CompleteFlexibilityOracle:
         self.base_vectors = (
             vectors.shape[0] if base_vectors is None else base_vectors
         )
-        self.simulation_vectors = simulation_vectors
         self._vector_keys = {row.tobytes() for row in vectors}
         self._pending: list[np.ndarray] = []
         self.sim = IncrementalNetworkSim(
@@ -268,20 +257,14 @@ class CompleteFlexibilityOracle:
     def notify_rewrite(self, node_name: str) -> None:
         """Announce that *node_name*'s cover changed.
 
-        With ``reuse_encodings`` the rewritten fanout cone is re-encoded
-        under fresh signal versions — untouched logic and all learned
-        clauses persist — and only flip-cone miters whose dependency
-        fingerprint includes a dirtied signal are evicted.  Otherwise the
-        whole encoding is discarded (the pre-caching engine).  The node's
-        simulation cone is refreshed in place either way.
+        The rewritten fanout cone is re-encoded under fresh signal
+        versions — untouched logic and all learned clauses persist — and
+        only flip-cone miters whose dependency fingerprint includes a
+        dirtied signal are evicted.  The node's simulation cone is
+        refreshed in place.
         """
         self.sim.recompute(node_name)
         if self._builder is None:
-            return
-        if not self.reuse_encodings:
-            self._builder = None
-            self._any_diff.clear()
-            self._flip_deps.clear()
             return
         dirty = self.network.fanout_cone(node_name)
         dirty_set = set(dirty)
@@ -339,7 +322,7 @@ class CompleteFlexibilityOracle:
         between nodes: mid-node state (fanin variables, guards, miters)
         always refers to one builder generation.
         """
-        if self._builder is None or not self.reuse_encodings:
+        if self._builder is None:
             return
         if len(self._builder.solver.clauses) > _GC_FACTOR * max(
             self._fresh_clauses, 1
@@ -448,27 +431,20 @@ class CompleteFlexibilityOracle:
     ) -> set[int]:
         """Decide every candidate cube: returns the refuted (SAT) ones.
 
-        *extra* literals are assumed on every query (the observability
-        ``any_diff``).  *charge_refutation* is invoked per refutation for
-        the legacy budget accounting and may raise
-        :class:`_BudgetExhausted`; an inconclusive solve raises it too.
+        Candidates go to the solver :data:`BATCH_SIZE` at a time behind
+        one selector.  UNSAT confirms the whole batch; on SAT the model's
+        fanin values name exactly one refuted candidate, which is removed
+        before the batch is queried again.  *extra* literals are assumed
+        on every query (the observability ``any_diff``).
+        *charge_refutation* is invoked per refutation for the query
+        budget and may raise :class:`_BudgetExhausted`; an inconclusive
+        solve raises it too.
         """
         builder = self._ensure_builder()
         refuted: set[int] = set()
-        if self.batch_size <= 1:
-            for pattern in patterns:
-                sat, model = self._solve(
-                    self._cube_literals(fanin_vars, pattern) + list(extra)
-                )
-                if sat is None:
-                    raise _BudgetExhausted
-                if sat:
-                    refuted.add(pattern)
-                    self._refuted(builder, model, pattern, charge_refutation)
-            return refuted
         pending_all = list(patterns)
-        for start in range(0, len(pending_all), self.batch_size):
-            pending = pending_all[start:start + self.batch_size]
+        for start in range(0, len(pending_all), BATCH_SIZE):
+            pending = pending_all[start:start + BATCH_SIZE]
             while pending:
                 for pattern in pending:
                     if pattern not in guards:
@@ -478,7 +454,6 @@ class CompleteFlexibilityOracle:
                 selector = builder.encode_selector(
                     [guards[pattern] for pattern in pending]
                 )
-                obs_metrics.counter("sat.batch_queries").inc()
                 sat, model = self._solve(list(extra) + [selector])
                 if sat is None:
                     raise _BudgetExhausted
@@ -495,14 +470,10 @@ class CompleteFlexibilityOracle:
                 pending.remove(pattern)
                 refuted.add(pattern)
                 obs_metrics.counter("sat.batch_refutations").inc()
-                self._refuted(builder, model, pattern, charge_refutation)
+                self.record_counterexamples([self._model_row(builder, model)])
+                if charge_refutation is not None:
+                    charge_refutation(pattern)
         return refuted
-
-    def _refuted(self, builder, model, pattern, charge_refutation) -> None:
-        if self.recycle_counterexamples:
-            self.record_counterexamples([self._model_row(builder, model)])
-        if charge_refutation is not None:
-            charge_refutation(pattern)
 
     def node_flexibility(self, node_name: str) -> FunctionSpec | None:
         """The node's complete local flexibility, or ``None`` on budget
@@ -526,7 +497,7 @@ class CompleteFlexibilityOracle:
         # --- Simulation phase: observed patterns and sim-proven cares.
         # The *_any views include recycled counterexamples (they prune
         # solver work); the *_base views see only the base pattern set
-        # and drive the legacy-equivalent budget accounting.
+        # and drive the query-budget charge.
         masks = pk.pattern_masks(
             [self.sim.values[fanin] for fanin in node.fanins],
             self.num_vectors,
@@ -538,12 +509,12 @@ class CompleteFlexibilityOracle:
         observed_base = np.any(masks & self._base_mask, axis=1)
         care_base = np.any(care_masks & self._base_mask, axis=1)
 
-        # Legacy charge — what the sequential single-query engine would
-        # have spent: one query per non-base-care pattern (reachability if
-        # base-unobserved, else observability), plus a second for every
-        # base-unobserved pattern that turns out semantically reachable.
-        # Reachability is known up front when a recycled vector witnesses
-        # it; SDC refutations below add the rest as they are discovered.
+        # Query-budget charge: one query per pattern the base patterns do
+        # not prove a care (reachability if base-unobserved, else
+        # observability), plus one more per base-unobserved pattern found
+        # reachable.  Reachability is known up front when a recycled
+        # vector witnesses it; SDC refutations below add the rest as they
+        # are discovered.
         budget = self.query_budget
         charge = int(np.count_nonzero(~care_base))
         charge += int(np.count_nonzero(~observed_base & observed_any))
@@ -716,8 +687,6 @@ class _GroupPayload:
     base_vectors: int
     query_budget: int | None
     conflict_budget: int | None
-    batch_size: int
-    recycle_counterexamples: bool
 
 
 def _support_subnetwork(
@@ -773,8 +742,6 @@ def _confirm_node_task(payload: _GroupPayload, name: str):
         base_vectors=payload.base_vectors,
         query_budget=payload.query_budget,
         conflict_budget=payload.conflict_budget,
-        batch_size=payload.batch_size,
-        recycle_counterexamples=payload.recycle_counterexamples,
     )
     spec = oracle.node_flexibility(name)
     rows = []
@@ -803,7 +770,8 @@ class CompleteDcReport:
             the window-limited extraction instead.
         error_rate_before / error_rate_after: internal error rates
             (``nan`` when the PI space is too large to simulate).
-        node_groups: independent groups the topological order split into.
+        node_groups: independent waves the candidate nodes split into
+            (:func:`plan_node_groups`).
         parallel_groups: groups whose confirmation ran on the pool.
         recycled_patterns: refuting models installed as simulation
             patterns.
@@ -836,9 +804,6 @@ def reassign_complete_dcs(
     window_levels: int = 2,
     rng: np.random.Generator | None = None,
     jobs: int = 1,
-    batch_size: int = DEFAULT_BATCH_SIZE,
-    reuse_encodings: bool = True,
-    recycle_counterexamples: bool = True,
     progress=None,
 ) -> CompleteDcReport:
     """Reassign every node's *complete* internal DCs for reliability.
@@ -850,14 +815,13 @@ def reassign_complete_dcs(
     chosen policy assigns the confirmed flexibility, and ESPRESSO
     rebuilds the cover.
 
-    Nodes are scheduled as contiguous independent groups of the
-    topological order (:func:`plan_node_groups`): a group's flexibilities
-    are confirmed against the group-start network — serially or, with
-    ``jobs > 1``, fanned out across the warm worker pool — and the
-    rewrites applied sequentially, so every node sees flexibilities
-    consistent with all earlier decisions and the result is bit-identical
-    to the strictly sequential schedule (and to the parallel one; see the
-    module docstring).
+    Nodes are scheduled as independent waves (:func:`plan_node_groups`):
+    a wave's flexibilities are confirmed against the wave-start network
+    — serially or, with ``jobs > 1``, fanned out across the warm worker
+    pool — and the rewrites applied sequentially, so every node sees
+    flexibilities consistent with all earlier decisions and the result
+    is bit-identical to the strictly sequential schedule (and to the
+    parallel one; see the module docstring).
 
     A node that exhausts *query_budget* or *conflict_budget* falls back
     to the window-limited extractor (depth *window_levels*) when the PI
@@ -886,10 +850,6 @@ def reassign_complete_dcs(
         window_levels: fanout-window depth of the fallback extractor.
         rng: random generator for the simulation phase.
         jobs: worker processes for group confirmation (``1`` = serial).
-        batch_size: candidates per one-hot SAT batch (``1`` = unbatched).
-        reuse_encodings: keep the CNF across rewrites (versioned cones).
-        recycle_counterexamples: feed refuting models back into the
-            proposal simulation at group boundaries.
         progress: optional ``(done, total)`` callback over considered
             nodes.
 
@@ -920,9 +880,6 @@ def reassign_complete_dcs(
         rng=rng,
         query_budget=query_budget,
         conflict_budget=conflict_budget,
-        batch_size=batch_size,
-        reuse_encodings=reuse_encodings,
-        recycle_counterexamples=recycle_counterexamples,
     )
     candidates = []
     for name in network.topological_order():
@@ -967,8 +924,6 @@ def reassign_complete_dcs(
                     base_vectors=oracle.base_vectors,
                     query_budget=query_budget,
                     conflict_budget=conflict_budget,
-                    batch_size=batch_size,
-                    recycle_counterexamples=recycle_counterexamples,
                 )
                 base_done = done
                 sub_progress = None

@@ -1,12 +1,16 @@
 """Tests for simulation+SAT flexibility extraction."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.benchgen.synthetic import generate_spec
 from repro.core.truthtable import DC
 from repro.espresso.cube import Cover
+from repro.espresso.minimize import minimize_spec
 from repro.obs import metrics as obs_metrics
 from repro.perf import get_pool
 from repro.synth.flexibility import (
@@ -20,6 +24,7 @@ from repro.synth.odc import (
     node_flexibility,
     reassign_internal_dcs,
 )
+from repro.synth.optimize import optimize_network
 
 
 def random_multilevel(seed: int, n: int = 5) -> LogicNetwork:
@@ -193,35 +198,84 @@ def _network_snapshot(net: LogicNetwork) -> dict:
 class TestBatching:
     @given(st.integers(0, 10**9))
     @settings(max_examples=8, deadline=None)
-    def test_batched_matches_single_query(self, seed):
-        """One-hot selector batching is a pure query-plan change: the
-        confirmed flexibility must equal the one-cube-per-solve path."""
-        single_net = random_multilevel(seed)
-        batched_net = random_multilevel(seed)
-        single = CompleteFlexibilityOracle(
-            single_net, simulation_vectors=16,
-            rng=np.random.default_rng(seed), batch_size=1,
+    def test_batched_matches_exhaustive(self, seed):
+        """With 16 simulation vectors most candidates reach the batched
+        SAT queries; the confirmed flexibility must still equal the
+        exhaustive extractor's."""
+        net = random_multilevel(seed)
+        oracle = CompleteFlexibilityOracle(
+            net, simulation_vectors=16, rng=np.random.default_rng(seed)
         )
-        batched = CompleteFlexibilityOracle(
-            batched_net, simulation_vectors=16,
-            rng=np.random.default_rng(seed), batch_size=16,
-        )
-        for name in list(single_net.nodes):
+        for name in list(net.nodes):
             np.testing.assert_array_equal(
-                batched.node_flexibility(name).phases,
-                single.node_flexibility(name).phases,
+                oracle.node_flexibility(name).phases,
+                node_flexibility(net, name).phases,
                 err_msg=name,
             )
 
-    def test_batch_queries_counted(self):
-        net = random_multilevel(13)
-        before = obs_metrics.counter("sat.batch_queries").value
-        oracle = CompleteFlexibilityOracle(
-            net, simulation_vectors=4, batch_size=8
+
+def _cone(index: int) -> LogicNetwork:
+    spec = generate_spec(f"cone{index}", 7, 3, target_cf=0.5,
+                         dc_fraction=0.4, seed=90 + index)
+    minimized = minimize_spec(spec)
+    network = LogicNetwork.from_covers(
+        list(spec.input_names), minimized.covers, list(spec.output_names)
+    )
+    optimize_network(network)
+    return network
+
+
+def _wide_subject() -> LogicNetwork:
+    """Disjoint union of three 7-PI cones: 21 PIs, one more than the
+    exhaustive extractor (and the full-space simulator) can take."""
+    cones = [_cone(i) for i in range(3)]
+    union = LogicNetwork([f"c{i}_{p}" for i, net in enumerate(cones)
+                          for p in net.primary_inputs])
+    for i, net in enumerate(cones):
+        rename = {p: f"c{i}_{p}" for p in net.primary_inputs}
+        for name in net.topological_order():
+            node = net.nodes[name]
+            rename[name] = f"c{i}_{name}"
+            union.add_node(
+                rename[name], [rename[f] for f in node.fanins], node.cover
+            )
+        for out, signal in net.outputs.items():
+            union.set_output(f"c{i}_{out}", rename[signal])
+    return union
+
+
+# Recorded from the batched engine and checked equal to the unbatched
+# one-query-per-solve plan before that plan was removed.
+WIDE_GOLDEN_COUNTS = (386, 0, 14, 386, 0)
+WIDE_GOLDEN_DIGEST = (
+    "8598ab55fdcd9c7526a9f312992927a64990778be15ebc22b11430d793a851ca"
+)
+
+
+class TestWideGolden:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_wide_mode_matches_golden(self, jobs):
+        """Above 20 PIs the pass runs on sampled simulation plus the
+        final SAT miter, where no exhaustive reference exists: pin its
+        DC counts and rewritten network."""
+        net = _wide_subject()
+        assert len(net.primary_inputs) == 21
+        report = reassign_complete_dcs(
+            net, policy="cfactor", threshold=1.0, window_levels=1,
+            simulation_vectors=64, query_budget=4096,
+            rng=np.random.default_rng(7), jobs=jobs,
         )
-        for name in list(net.nodes):
-            oracle.node_flexibility(name)
-        assert obs_metrics.counter("sat.batch_queries").value > before
+        if jobs > 1:
+            assert report.parallel_groups > 0
+        assert (
+            report.complete_dc_minterms,
+            report.window_dc_minterms,
+            report.nodes_changed,
+            report.dc_entries_assigned,
+            report.sat_fallback_nodes,
+        ) == WIDE_GOLDEN_COUNTS
+        digest = hashlib.sha256(repr(_network_snapshot(net)).encode())
+        assert digest.hexdigest() == WIDE_GOLDEN_DIGEST
 
 
 def _ballasted_network() -> LogicNetwork:

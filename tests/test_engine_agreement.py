@@ -1,44 +1,18 @@
-"""Cross-engine agreement: dense tables, BDDs, SAT, and covers must all
-tell the same story about the same functions."""
+"""Cross-engine agreement: dense tables, SAT, and covers must all tell
+the same story about the same functions."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bdd import BddManager
 from repro.espresso.cube import Cover
-from repro.espresso.unate import complement, is_tautology
+from repro.espresso.unate import is_tautology
 from repro.sat.encode import CnfBuilder
-from repro.sat.solver import SatSolver
 
 
 def random_cover(rng, n, k):
     rows = rng.choice([0, 1, 2], size=(k, n), p=[0.3, 0.3, 0.4]).astype(np.uint8)
     return Cover(rows, n)
-
-
-class TestCoverVsBdd:
-    @given(st.integers(0, 10**9))
-    @settings(max_examples=25, deadline=None)
-    def test_cover_tautology_equals_bdd_one(self, seed):
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(1, 6))
-        cover = random_cover(rng, n, int(rng.integers(1, 8)))
-        manager = BddManager(n)
-        ref = manager.from_truth_table(cover.evaluate())
-        assert is_tautology(cover) == (ref == manager.one)
-
-    @given(st.integers(0, 10**9))
-    @settings(max_examples=25, deadline=None)
-    def test_cover_complement_equals_bdd_not(self, seed):
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(1, 6))
-        cover = random_cover(rng, n, int(rng.integers(0, 6)))
-        manager = BddManager(n)
-        direct = manager.from_truth_table(complement(cover).evaluate())
-        via_not = manager.apply_not(manager.from_truth_table(cover.evaluate()))
-        assert direct == via_not
 
 
 class TestCoverVsSat:
@@ -67,18 +41,16 @@ class TestCoverVsSat:
         assert (not sat) == is_tautology(cover)
 
 
-class TestBddVsSat:
+class TestTableVsSat:
     @given(st.integers(0, 10**9))
     @settings(max_examples=15, deadline=None)
     def test_model_count_consistency(self, seed):
-        """BDD satcount equals brute-force CNF model count over the
-        function variables (projected)."""
+        """The dense table's on-count equals the brute-force CNF model
+        count over the function variables (projected)."""
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 5))
         cover = random_cover(rng, n, int(rng.integers(1, 5)))
         table = cover.evaluate()
-        manager = BddManager(n)
-        assert manager.sat_count(manager.from_truth_table(table)) == int(table.sum())
         builder = CnfBuilder()
         builder.encode_sop("out", [f"x{i}" for i in range(n)], cover)
         out_var = builder.var("out")

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
-from repro.bdd import BddManager
 from repro.benchgen.synthetic import generate_spec
 from repro.core.ranking import complete_assignment
 from repro.core.reliability import exact_error_bounds
@@ -63,13 +62,13 @@ class TestPlaToSilicon:
         assert again == spec
 
 
-class TestBddEquivalenceCheck:
-    """Verify a mapped netlist against the spec through the BDD engine
-    (an independent check from the dense truth-table comparison)."""
+class TestDenseEquivalenceCheck:
+    """Verify a mapped netlist against the spec by set containment on
+    dense truth tables (independent of ``equivalent_within_dc``)."""
 
     @given(st.integers(0, 10**9))
     @settings(max_examples=10, deadline=None)
-    def test_netlist_equals_spec_via_bdds(self, seed):
+    def test_netlist_equals_spec_on_dense_tables(self, seed):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(3, 6))
         phases = rng.choice(
@@ -77,17 +76,10 @@ class TestBddEquivalenceCheck:
         )
         spec = FunctionSpec(phases)
         result = compile_spec(spec, objective="area")
-        manager = BddManager(n)
-        impl_tables = result.implemented.truth_values()
-        for out in range(spec.num_outputs):
-            impl_ref = manager.from_truth_table(impl_tables[out])
-            on_ref = manager.from_truth_table(spec.phases[out] == ON)
-            dc_ref = manager.from_truth_table(spec.phases[out] == DC)
-            # impl must contain the on-set and avoid the off-set:
-            # on <= impl <= on + dc.
-            assert manager.apply_and(on_ref, manager.apply_not(impl_ref)) == manager.zero
-            allowed = manager.apply_or(on_ref, dc_ref)
-            assert manager.apply_and(impl_ref, manager.apply_not(allowed)) == manager.zero
+        impl = result.implemented.truth_values()
+        # on <= impl <= on + dc.
+        assert impl[phases == ON].all()
+        assert not impl[phases == OFF].any()
 
 
 class TestPolicyInvariants:
