@@ -145,6 +145,16 @@ def cube_tables(cubes: np.ndarray, num_inputs: int) -> np.ndarray:
     return ((idx[None, :] ^ values[:, 0][:, None]) & masks[:, 0][:, None]) == 0
 
 
+_DENSE_CELL_LIMIT = 16_000_000
+"""ESPRESSO's dense passes run while ``num_cubes * 2**n`` stays below this."""
+
+
+def _use_dense(num_cubes: int, num_inputs: int) -> bool:
+    """True when REDUCE and IRREDUNDANT may work on dense minterm tables
+    (:func:`cube_tables` and the DC set's :meth:`Cover.table`)."""
+    return num_inputs <= 62 and num_cubes << num_inputs <= _DENSE_CELL_LIMIT
+
+
 def cube_string(cube: np.ndarray) -> str:
     """Render a cube as a ``01-`` string (input 0 first)."""
     return "".join(_CHAR_OF[int(v)] for v in cube)
@@ -236,11 +246,12 @@ class Cover:
     def table(self) -> np.ndarray:
         """Cached read-only dense truth table (see :meth:`evaluate`).
 
-        Simulation re-applies the same node function to every batch of
-        vectors; caching the ``2**n`` table on the (conventionally
-        immutable) cover makes the per-batch cost independent of the cube
-        count.  Only sensible for the narrow local functions of network
-        nodes — callers guard the width.
+        Caching the ``2**n`` table on the (conventionally immutable) cover
+        builds it once for every reader: simulation re-applies a node
+        function to every batch of vectors, and each ``espresso`` call's
+        REDUCE, IRREDUNDANT and LAST_GASP passes all read its DC set.
+        Only sensible for narrow functions — callers guard the width
+        (:func:`_use_dense` in ESPRESSO).
         """
         if self._table is None:
             table = self.evaluate()
@@ -416,14 +427,18 @@ class Cover:
         if self.num_cubes == 0:
             return result
         masks, values = self.packed
+        # A row binding every input is one minterm: write it by index.
+        minterm = masks[:, 0] == np.uint64(size - 1)
+        result[values[minterm, 0].astype(np.intp)] = True
+        masks, values = masks[~minterm, 0], values[~minterm, 0]
         idx = np.arange(size, dtype=np.uint64)
-        # Whole-row kernel: minterm m is in cube c iff (m ^ value_c) has no
-        # set bit under mask_c.  Chunk the cube axis to bound the (k, 2**n)
+        # Other rows: minterm m is in cube c iff (m ^ value_c) has no set
+        # bit under mask_c.  Chunk the cube axis to bound the (k, 2**n)
         # intermediate.
-        chunk = max(1, 8_000_000 // max(1, size))
-        for start in range(0, self.num_cubes, chunk):
-            mask_block = masks[start : start + chunk, 0][:, None]
-            value_block = values[start : start + chunk, 0][:, None]
+        chunk = max(1, 8_000_000 // size)
+        for start in range(0, len(masks), chunk):
+            mask_block = masks[start : start + chunk, None]
+            value_block = values[start : start + chunk, None]
             result |= np.any(((idx[None, :] ^ value_block) & mask_block) == 0, axis=0)
         return result
 

@@ -14,13 +14,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cube import FREE, Cover, cube_tables
+from .cube import FREE, Cover, _use_dense, cube_tables
 from .unate import _is_tautology
 
 __all__ = ["irredundant"]
-
-_DENSE_CELL_LIMIT = 16_000_000
-"""Use the dense kernel while ``num_cubes * 2**n`` stays below this."""
 
 
 def _dense_irredundant(cubes: np.ndarray, dont_care: Cover, num_inputs: int) -> np.ndarray:
@@ -31,11 +28,7 @@ def _dense_irredundant(cubes: np.ndarray, dont_care: Cover, num_inputs: int) -> 
     another still-alive cube.
     """
     tables = cube_tables(cubes, num_inputs)
-    dc_table = (
-        dont_care.evaluate()
-        if dont_care.num_cubes
-        else np.zeros(1 << num_inputs, dtype=bool)
-    )
+    dc_table = dont_care.table()
     coverage = tables.sum(axis=0, dtype=np.int64)
     alive = np.ones(len(cubes), dtype=bool)
     for i in range(len(cubes)):
@@ -54,7 +47,7 @@ def irredundant(cover: Cover, dont_care: Cover) -> Cover:
     order = np.argsort(-np.count_nonzero(cubes != FREE, axis=1), kind="stable")
     cubes = cubes[order]
     num_inputs = cover.num_inputs
-    if num_inputs <= 62 and len(cubes) << num_inputs <= _DENSE_CELL_LIMIT:
+    if _use_dense(len(cubes), num_inputs):
         alive = _dense_irredundant(cubes, dont_care, num_inputs)
         return Cover(cubes[alive], num_inputs)
     alive = np.ones(len(cubes), dtype=bool)

@@ -20,17 +20,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cube import FREE, V0, V1, Cover, cube_tables, supercube
+from .cube import FREE, V0, V1, Cover, _use_dense, cube_tables, supercube
 from .unate import _complement
 
 __all__ = ["reduce_cover"]
-
-_DENSE_CELL_LIMIT = 16_000_000
-"""Use the dense kernel while ``num_cubes * 2**n`` stays below this."""
-
-
-def _use_dense(num_cubes: int, num_inputs: int) -> bool:
-    return num_inputs <= 62 and num_cubes << num_inputs <= _DENSE_CELL_LIMIT
 
 
 def _minterm_supercube(table: np.ndarray, bits: np.ndarray) -> np.ndarray:
@@ -58,11 +51,7 @@ def _dense_reduce(cubes: np.ndarray, dont_care: Cover, num_inputs: int) -> tuple
     Returns ``(cubes, alive)`` — the reduced rows and the survivor mask.
     """
     tables = cube_tables(cubes, num_inputs)
-    dc_table = (
-        dont_care.evaluate()
-        if dont_care.num_cubes
-        else np.zeros(1 << num_inputs, dtype=bool)
-    )
+    dc_table = dont_care.table()
     bits = _minterm_bits(num_inputs)
     coverage = tables.sum(axis=0, dtype=np.int64)
     alive = np.ones(len(cubes), dtype=bool)
@@ -97,11 +86,7 @@ def max_reduce(cover: Cover, dont_care: Cover) -> np.ndarray:
     num_inputs = cover.num_inputs
     if _use_dense(k, num_inputs):
         tables = cube_tables(cubes, num_inputs)
-        dc_table = (
-            dont_care.evaluate()
-            if dont_care.num_cubes
-            else np.zeros(1 << num_inputs, dtype=bool)
-        )
+        dc_table = dont_care.table()
         coverage = tables.sum(axis=0, dtype=np.int64)
         # unique[i, m]: only cube i covers care-minterm m.
         unique = tables & ~dc_table[None, :] & ((coverage[None, :] - tables) <= 0)

@@ -17,50 +17,58 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cube import FREE, V0, V1, Cover, pack_cubes
+from .cube import FREE, V0, V1, Cover
 
 __all__ = ["is_tautology", "complement", "cover_contains_cube", "covers_cover"]
 
 _DENSE_LIMIT = 8
-"""Fall back to dense evaluation at or below this many active variables."""
+"""Tautology falls back to dense evaluation at or below this many active
+variables."""
 
+_COMPLEMENT_LEAF_VARS = 6
+"""Complement by truth table at or below this many active variables.
 
-def _active_vars(cubes: np.ndarray) -> np.ndarray:
-    """Indices of variables bound by at least one cube."""
-    if cubes.shape[0] == 0:
-        return np.empty(0, dtype=np.int64)
-    return np.flatnonzero(np.any(cubes != FREE, axis=0))
+Do not change it: the leaf size fixes which off-set cubes, in which
+order, ``complement`` returns, and EXPAND picks the literals it raises
+from per-column conflict counts against that cube array, so another
+value changes the covers and every paper number."""
 
 
 def _dense_covered(cubes: np.ndarray, active: np.ndarray) -> np.ndarray:
     """Truth table of the cover over its active variables (packed kernel).
 
     Minterm ``m`` (bit ``pos`` = value of ``active[pos]``) is covered iff
-    some cube's packed words satisfy ``(m ^ value) & mask == 0`` — one
-    whole-row bitwise op per cube block, no per-variable Python loop.
+    some cube's ``(mask, value)`` word pair satisfies
+    ``(m ^ value) & mask == 0`` — one whole-row bitwise op per cube block,
+    no per-variable Python loop.  The few active variables fit one word,
+    so a dot product with the bit weights packs them.
     """
     k = len(active)
     size = 1 << k
-    masks, values = pack_cubes(cubes[:, active])
-    idx = np.arange(size, dtype=np.uint64)
+    sub = cubes[:, active]
+    weights = np.int64(1) << np.arange(k, dtype=np.int64)
+    masks = (sub != FREE) @ weights
+    values = (sub == V1) @ weights
+    idx = np.arange(size, dtype=np.int64)
     covered = np.zeros(size, dtype=bool)
     chunk = max(1, 4_000_000 // max(1, size))
     for start in range(0, cubes.shape[0], chunk):
-        mask_block = masks[start : start + chunk, 0][:, None]
-        value_block = values[start : start + chunk, 0][:, None]
+        mask_block = masks[start : start + chunk, None]
+        value_block = values[start : start + chunk, None]
         covered |= np.any(((idx[None, :] ^ value_block) & mask_block) == 0, axis=0)
         if covered.all():
             break
     return covered
 
 
-def _most_binate_var(cubes: np.ndarray) -> int | None:
+def _most_binate_var(count0: np.ndarray, count1: np.ndarray) -> int | None:
     """The variable with both polarities present maximising min(#0s, #1s).
+
+    Args:
+        count0, count1: per-variable counts of V0 and V1 literals.
 
     Returns None when the cover is unate (no variable has both polarities).
     """
-    count0 = np.count_nonzero(cubes == V0, axis=0)
-    count1 = np.count_nonzero(cubes == V1, axis=0)
     binate = (count0 > 0) & (count1 > 0)
     if not np.any(binate):
         return None
@@ -84,7 +92,6 @@ def _is_tautology(cubes: np.ndarray) -> bool:
     free_rows = np.all(cubes == FREE, axis=1)
     if np.any(free_rows):
         return True
-    active = _active_vars(cubes)
     # Quick necessary condition: a cover of k cubes over v active variables
     # covers at most k * 2**(v - min_literals) minterms.
     literals = np.count_nonzero(cubes != FREE, axis=1)
@@ -101,9 +108,10 @@ def _is_tautology(cubes: np.ndarray) -> bool:
         unate_vars = np.concatenate([pos_unate, neg_unate])
         keep = ~np.any(cubes[:, unate_vars] != FREE, axis=1)
         return _is_tautology(cubes[keep])
+    active = np.flatnonzero(count0 + count1)
     if len(active) <= _DENSE_LIMIT:
         return _dense_tautology(cubes, active)
-    var = _most_binate_var(cubes)
+    var = _most_binate_var(count0, count1)
     assert var is not None  # unate covers were handled above
     return _is_tautology(_var_cofactor(cubes, var, V1)) and _is_tautology(
         _var_cofactor(cubes, var, V0)
@@ -121,8 +129,7 @@ def _cube_complement(cube: np.ndarray) -> np.ndarray:
     """De Morgan complement of a single cube (one row per bound literal)."""
     bound = np.flatnonzero(cube != FREE)
     rows = np.full((len(bound), len(cube)), FREE, dtype=np.uint8)
-    for row, var in enumerate(bound):
-        rows[row, var] = V1 - cube[var]
+    rows[np.arange(len(bound)), bound] = V1 - cube[bound]
     return rows
 
 
@@ -130,41 +137,34 @@ def _dense_complement(cubes: np.ndarray, active: np.ndarray) -> np.ndarray:
     """Complement by truth-table enumeration over the active variables.
 
     Off-minterms of the active subspace become fully bound cubes over the
-    active variables (FREE elsewhere).  Used only at small active counts.
+    active variables (FREE elsewhere), in minterm order.
     """
-    k = len(active)
     off = np.flatnonzero(~_dense_covered(cubes, active))
     rows = np.full((len(off), cubes.shape[1]), FREE, dtype=np.uint8)
-    if len(off):
-        bits = (off[:, None] >> np.arange(k)[None, :]) & 1
-        rows[:, active] = bits.astype(np.uint8)
+    rows[:, active] = (off[:, None] >> np.arange(len(active))) & 1
     return rows
 
 
-def _merge_shannon(
-    num_vars: int, var: int, comp0: np.ndarray, comp1: np.ndarray
-) -> np.ndarray:
-    """Assemble ``x'·comp0 + x·comp1``, merging cubes equal up to *var*."""
-    if comp0.shape[0] == 0 and comp1.shape[0] == 0:
-        return np.empty((0, num_vars), dtype=np.uint8)
-    # One dict pass both dedups within each branch and detects cubes common
-    # to the two branches (for which the split variable is irrelevant).
-    seen: dict[bytes, tuple[int, int]] = {}
-    rows: list[np.ndarray] = []
-    for value, part in ((V0, comp0), (V1, comp1)):
-        for cube in part:
-            key = cube.tobytes()
-            prev = seen.get(key)
-            if prev is not None:
-                prev_value, prev_index = prev
-                if prev_value != value:
-                    rows[prev_index][var] = FREE
-                continue
-            merged = cube.copy()
-            merged[var] = value
-            seen[key] = (value, len(rows))
-            rows.append(merged)
-    return np.vstack(rows) if rows else np.empty((0, num_vars), dtype=np.uint8)
+def _merge_shannon(var: int, comp0: np.ndarray, comp1: np.ndarray) -> np.ndarray:
+    """Assemble ``x'·comp0 + x·comp1``, merging cubes equal up to *var*.
+
+    Rows keep the order of their first occurrence in ``comp0`` then
+    ``comp1``; a row found in both halves no longer depends on *var*.
+    """
+    rows = np.vstack([comp0, comp1])
+    if rows.shape[0] == 0:
+        return rows
+    keys = rows.view(np.dtype((np.void, rows.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    split = comp0.shape[0]
+    in0 = np.zeros(len(first), dtype=bool)
+    in0[inverse[:split]] = True
+    in1 = np.zeros(len(first), dtype=bool)
+    in1[inverse[split:]] = True
+    order = np.argsort(first)
+    merged = rows[first[order]]
+    merged[:, var] = np.where(in1, np.where(in0, FREE, V1), V0)[order]
+    return merged
 
 
 def complement(cover: Cover) -> Cover:
@@ -175,21 +175,27 @@ def complement(cover: Cover) -> Cover:
 def _complement(cubes: np.ndarray, num_vars: int) -> np.ndarray:
     if cubes.shape[0] == 0:
         return np.full((1, num_vars), FREE, dtype=np.uint8)
-    if np.any(np.all(cubes == FREE, axis=1)):
+    bound = cubes != FREE
+    if not bound.any(axis=1).all():
         return np.empty((0, num_vars), dtype=np.uint8)
     if cubes.shape[0] == 1:
         return _cube_complement(cubes[0])
-    active = _active_vars(cubes)
-    if len(active) <= min(_DENSE_LIMIT, 6):
+    count_bound = bound.sum(axis=0)
+    active = np.flatnonzero(count_bound)
+    if len(active) <= _COMPLEMENT_LEAF_VARS:
         return _dense_complement(cubes, active)
-    var = _most_binate_var(cubes)
+    count1 = (cubes == V1).sum(axis=0)
+    var = _most_binate_var(count_bound - count1, count1)
     if var is None:
         # Unate cover: split about the most frequently bound variable.
-        counts = np.count_nonzero(cubes != FREE, axis=0)
-        var = int(np.argmax(counts))
-    comp0 = _complement(_var_cofactor(cubes, var, V0), num_vars)
-    comp1 = _complement(_var_cofactor(cubes, var, V1), num_vars)
-    return _merge_shannon(num_vars, var, comp0, comp1)
+        var = int(np.argmax(count_bound))
+    column = cubes[:, var]
+    halves = []
+    for value in (V0, V1):
+        rows = cubes[~bound[:, var] | (column == value)]
+        rows[:, var] = FREE
+        halves.append(_complement(rows, num_vars))
+    return _merge_shannon(var, *halves)
 
 
 def cover_contains_cube(cover: Cover, cube: np.ndarray) -> bool:

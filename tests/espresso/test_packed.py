@@ -2,7 +2,8 @@
 
 Every packed kernel is checked against a straightforward dense reference
 implementation (the pre-packing per-literal loops) on seeded random covers
-across n in 1..10, plus the empty and universe edge cases.
+across n in 1..10 (0..10 for ``evaluate``), plus the empty and universe
+edge cases.
 """
 
 import numpy as np
@@ -107,12 +108,25 @@ def test_pack_unpack_roundtrip(n):
     assert np.array_equal(unpack_cubes(masks, values, n), cover.cubes)
 
 
-@pytest.mark.parametrize("n", range(1, 11))
+@pytest.mark.parametrize("n", range(0, 11))
 def test_evaluate_matches_reference(n):
     rng = np.random.default_rng(200 + n)
-    for k in (0, 1, 2, 7, 23):
-        cover = random_cover(rng, n, k)
-        assert np.array_equal(cover.evaluate(), ref_evaluate(cover))
+    covers = [random_cover(rng, n, k) for k in (0, 1, 2, 7, 23)]
+    # Rows binding every input take the by-index path of evaluate(); mix
+    # them with other rows and repeat some minterms.
+    minterms = rng.integers(0, 1 << n, size=(1 << n) // 2 + 3)
+    covers += [
+        Cover.from_minterms(n, np.unique(minterms)),
+        Cover.from_minterms(n, range(1 << n)),
+        Cover.from_minterms(n, minterms).union(random_cover(rng, n, 6)),
+        random_cover(rng, n, 4).union(Cover.from_minterms(n, minterms[:3])),
+    ]
+    for cover in covers:
+        want = ref_evaluate(cover)
+        assert np.array_equal(cover.evaluate(), want)
+        table = cover.table()
+        assert not table.flags.writeable
+        assert np.array_equal(table, want)
 
 
 def test_evaluate_empty_and_universe():
