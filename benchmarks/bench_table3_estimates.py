@@ -14,13 +14,13 @@ import numpy as np
 import pytest
 
 from repro.benchgen import mcnc_benchmark
-from repro.flows import format_table, table3_row
+from repro.flows import format_table, table3_rows
 
 from conftest import emit, roster
 
 
 def _build():
-    return [table3_row(mcnc_benchmark(name)) for name in roster()]
+    return table3_rows([mcnc_benchmark(name) for name in roster()])
 
 
 def test_table3(benchmark):

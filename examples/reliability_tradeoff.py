@@ -10,7 +10,7 @@ Run:  python examples/reliability_tradeoff.py [benchmark] [points]
 import sys
 
 from repro.benchgen import benchmark_names, mcnc_benchmark
-from repro.flows import format_table, relative_metrics, run_flow
+from repro.flows import format_table, fraction_sweep, relative_metrics
 
 
 def main() -> None:
@@ -18,19 +18,16 @@ def main() -> None:
     points = int(sys.argv[2]) if len(sys.argv) > 2 else 6
     if name not in benchmark_names():
         raise SystemExit(f"pick one of {benchmark_names()}")
+    if points < 2:
+        raise SystemExit(f"points must be at least 2 (fractions 0 and 1), got {points}")
     spec = mcnc_benchmark(name)
     fractions = [i / (points - 1) for i in range(points)]
 
     for objective in ("delay", "power"):
-        baseline = run_flow(spec, "ranking", fraction=0.0, objective=objective)
+        results = fraction_sweep(spec, fractions, objective=objective)
         rows = []
-        for fraction in fractions:
-            result = (
-                baseline
-                if fraction == 0.0
-                else run_flow(spec, "ranking", fraction=fraction, objective=objective)
-            )
-            rel = relative_metrics(result, baseline)
+        for fraction, result in zip(fractions, results):
+            rel = relative_metrics(result, results[0])
             rows.append(
                 [fraction, rel["error_rate"], rel["area"], rel["delay"], rel["power"]]
             )

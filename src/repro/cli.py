@@ -60,6 +60,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from . import __version__
 from .benchgen import benchmark_names, generate_spec, mcnc_benchmark
@@ -82,6 +83,14 @@ def _resolve_jobs_arg(value: str, points: int | None = None) -> int:
         return resolve_jobs(value, points=points)
     except ValueError as error:
         raise SystemExit(f"--jobs: {error}") from None
+
+
+def _sweep_points(value: str) -> int:
+    """``--points``: a sweep needs its fraction-0 baseline and fraction 1."""
+    points = int(value)
+    if points < 2:
+        raise argparse.ArgumentTypeError(f"must be at least 2, got {points}")
+    return points
 
 
 def _add_jobs_arg(parser: argparse.ArgumentParser) -> None:
@@ -232,7 +241,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from .flows.sweep import fraction_sweep
-    from .perf import cache_stats
+    from .obs import diff_snapshots, metrics_snapshot
 
     spec = _load_spec(args.benchmark)
     fractions = [i / (args.points - 1) for i in range(args.points)]
@@ -243,15 +252,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         if session is not None
         else None
     )
+    before = metrics_snapshot()
     results = fraction_sweep(
         spec, fractions, objective=args.objective, jobs=jobs,
         progress=progress, checkpoint_dir=args.checkpoint_dir,
     )
     if session is not None:
         session.record_quality(results)
-    baseline = results[0] if fractions and fractions[0] == 0.0 else run_flow(
-        spec, "ranking", fraction=0.0, objective=args.objective
-    )
+    baseline = results[0]
     rows = []
     for fraction, result in zip(fractions, results):
         rel = relative_metrics(result, baseline)
@@ -259,11 +267,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             [fraction, rel["error_rate"], rel["area"], rel["delay"], rel["power"]]
         )
     print(format_table(["fraction", "error", "area", "delay", "power"], rows))
-    if args.cache_stats:
-        stats = cache_stats()
+    if args.cache_stats:  # merged counters: under --jobs N the workers minimise
+        delta = diff_snapshots(metrics_snapshot(), before, keep_zero=True)
+        hits = delta["cache.hits"]["value"]
+        misses = delta["cache.misses"]["value"]
+        rate = hits / (hits + misses) if hits + misses else 0.0
         print(
-            f"minimization cache: {stats.hits} hits / {stats.misses} misses "
-            f"(hit rate {100 * stats.hit_rate:.1f}%, {stats.entries} entries)"
+            f"minimization cache: {hits} hits / {misses} misses "
+            f"(hit rate {100 * rate:.1f}%, all processes)"
         )
     return 0
 
@@ -700,9 +711,12 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         )
         results.append(result)
         if session is not None:
-            session.record_quality(
-                [point.quality_dict() for point in result.points]
-            )
+            # Scenario-prefixed: one benchmark under two fault models keeps
+            # two ledger quality keys.
+            session.record_quality([
+                {**asdict(point), "benchmark": f"{scenario.name}:{point.benchmark}"}
+                for point in result.points
+            ])
     matrix = write_scenario_matrix(args.out, results)
     if args.json:
         print(json.dumps(matrix, indent=2, sort_keys=True))
@@ -854,7 +868,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("benchmark")
     p_sweep.add_argument("--objective", default="power",
                          choices=["delay", "power", "area"])
-    p_sweep.add_argument("--points", type=int, default=5)
+    p_sweep.add_argument("--points", type=_sweep_points, default=5,
+                         help="evenly spaced fractions from 0 to 1 (>= 2)")
     _add_jobs_arg(p_sweep)
     p_sweep.add_argument("--cache-stats", action="store_true",
                          help="print minimization-cache hit/miss counters")

@@ -20,9 +20,9 @@ from .sweep import (
     Table3Row,
     family_tradeoff,
     fraction_sweep,
-    table2_row,
-    table3_row,
-    threshold_sweep,
+    run_points,
+    table2_rows,
+    table3_rows,
 )
 
 __all__ = [
@@ -38,7 +38,7 @@ __all__ = [
     "Table3Row",
     "family_tradeoff",
     "fraction_sweep",
-    "table2_row",
-    "table3_row",
-    "threshold_sweep",
+    "run_points",
+    "table2_rows",
+    "table3_rows",
 ]

@@ -38,6 +38,7 @@ from ..synth.netlist import MappedNetlist
 
 __all__ = [
     "POLICIES",
+    "POLICY_KNOBS",
     "FlowResult",
     "apply_policy",
     "flow_result",
@@ -45,6 +46,10 @@ __all__ = [
     "relative_metrics",
     "sampled_error_rate",
 ]
+
+
+POLICY_KNOBS = {"ranking": ("fraction", 1.0), "cfactor": ("threshold", DEFAULT_THRESHOLD)}
+"""Each policy's one knob and its :func:`run_flow` default; the others take none."""
 
 
 @dataclass(frozen=True)
@@ -84,16 +89,11 @@ def flow_result(ctx: FlowContext) -> FlowResult:
     assignment = ctx.require("assignment")
     synthesis = ctx.require("synthesis")
     policy = ctx.param("policy", "conventional")
-    if policy == "ranking":
-        parameter = ctx.param("fraction", 1.0)
-    elif policy == "cfactor":
-        parameter = ctx.param("threshold", DEFAULT_THRESHOLD)
-    else:
-        parameter = 0.0
+    knob = POLICY_KNOBS.get(policy)
     return FlowResult(
         benchmark=spec.name,
         policy=policy,
-        parameter=parameter,
+        parameter=ctx.param(*knob) if knob else 0.0,
         objective=ctx.param("objective", "delay"),
         fraction_assigned=assignment.fraction_of(spec),
         area=synthesis.area,

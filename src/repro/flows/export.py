@@ -14,8 +14,8 @@ from pathlib import Path
 
 from ..benchgen import TABLE1, mcnc_benchmark
 from ..core.complexity import spec_complexity_factor, spec_expected_complexity_factor
-from .experiment import relative_metrics, run_flow
-from .sweep import table2_row, table3_row
+from .experiment import relative_metrics
+from .sweep import fraction_sweep, table2_rows, table3_rows
 
 __all__ = ["export_table1", "export_fraction_sweep", "export_table2", "export_table3", "export_all"]
 
@@ -54,22 +54,21 @@ def export_fraction_sweep(
 ) -> Path:
     """Write the Fig. 4/5 sweep data (normalised metrics per fraction).
 
-    With ``jobs > 1`` each benchmark's fractions fan out over the warm
-    worker pool (see :func:`repro.flows.sweep.fraction_sweep`); results
-    are bit-identical to the serial export.
+    Each benchmark's rows are normalised to its fraction-0 point, so
+    *fractions* must include 0.0.  With ``jobs > 1`` each benchmark's
+    fractions fan out over the warm worker pool (see
+    :func:`repro.flows.sweep.fraction_sweep`); results are bit-identical
+    to the serial export.
     """
-    from .sweep import fraction_sweep
-
+    if 0.0 not in fractions:
+        raise ValueError(f"fractions must include 0.0, got {list(fractions)}")
     rows = []
     for name in names:
         spec = mcnc_benchmark(name)
         results = fraction_sweep(
             spec, list(fractions), objective=objective, jobs=jobs
         )
-        baseline = (
-            results[fractions.index(0.0)] if 0.0 in fractions
-            else run_flow(spec, "ranking", fraction=0.0, objective=objective)
-        )
+        baseline = results[fractions.index(0.0)]
         for fraction, result in zip(fractions, results):
             rel = relative_metrics(result, baseline)
             rows.append([
@@ -86,22 +85,10 @@ def export_fraction_sweep(
     return path
 
 
-def _table2_task(name: str) -> "Table2Row":
-    """Module-level trampoline: Table 2 rows pickle across pool workers."""
-    return table2_row(mcnc_benchmark(name))
-
-
-def _table3_task(name: str) -> "Table3Row":
-    """Module-level trampoline: Table 3 rows pickle across pool workers."""
-    return table3_row(mcnc_benchmark(name))
-
-
 def export_table2(directory: Path, names: list[str], jobs: int = 1) -> Path:
-    """Write Table 2 rows (one benchmark per pool task with ``jobs > 1``)."""
-    from .sweep import parallel_map
-
+    """Write Table 2 rows (flow points on the warm pool with ``jobs > 1``)."""
     rows = []
-    for row in parallel_map(_table2_task, names, jobs):
+    for row in table2_rows([mcnc_benchmark(name) for name in names], jobs=jobs):
         rows.append([
             row.benchmark, round(row.cf, 4),
             round(row.lcf_area, 2), round(row.lcf_error, 2),
@@ -120,11 +107,9 @@ def export_table2(directory: Path, names: list[str], jobs: int = 1) -> Path:
 
 
 def export_table3(directory: Path, names: list[str], jobs: int = 1) -> Path:
-    """Write Table 3 rows (one benchmark per pool task with ``jobs > 1``)."""
-    from .sweep import parallel_map
-
+    """Write Table 3 rows (flow points on the warm pool with ``jobs > 1``)."""
     rows = []
-    for row in parallel_map(_table3_task, names, jobs):
+    for row in table3_rows([mcnc_benchmark(name) for name in names], jobs=jobs):
         rows.append([
             row.benchmark, row.gates,
             round(row.exact.lo, 5), round(row.exact.hi, 5),
@@ -153,7 +138,7 @@ def export_all(
 ) -> list[Path]:
     """Regenerate all figure/table CSVs into *directory*.
 
-    ``jobs > 1`` fans the sweep points and per-benchmark table rows out
+    ``jobs > 1`` fans the flow points of the sweep and of both tables out
     over the warm worker pool; the CSVs are bit-identical either way.
     """
     target = Path(directory)

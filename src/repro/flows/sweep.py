@@ -1,31 +1,34 @@
-"""Sweeps and table builders for the paper's figures and tables.
+"""One runner for flow point sets, and the paper artefacts built on it.
 
-Each function here regenerates the data behind one artefact:
+:func:`run_points` runs ``(spec, policy point)`` pairs through ``run_flow``
+(a policy point is ``{"policy": P}`` plus that policy's own knob, see
+:func:`check_policy_point`).  Every evaluation point set goes through it:
 
 * :func:`fraction_sweep` — Figs. 4 and 5 (ranking fraction 0 -> 1);
 * :func:`family_tradeoff` — Fig. 6 (area vs error rate per C^f family);
-* :func:`table2_row` — Table 2 (LC^f vs ranking vs complete);
-* :func:`table3_row` — Table 3 (estimate bands and achieved rates);
-* :func:`threshold_sweep` — the LC^f-threshold ablation.
+* :func:`table2_rows` — Table 2 (LC^f vs ranking vs complete);
+* :func:`table3_rows` — Table 3 (estimate bands and achieved rates);
+* :func:`repro.scenarios.run_scenario`, the CSV export and the benchmark
+  scripts, including the LC^f-threshold ablation.
 
 Parallel execution
 ------------------
 
-Every sweep point is an independent ``run_flow`` call — itself a thin
-driver over the stage graph of :mod:`repro.pipeline` — so the sweep
-drivers accept a ``jobs`` argument (an integer or ``"auto"``) and fan
-the points out over the process-wide warm worker pool of
+Every point is an independent ``run_flow`` call — itself a thin driver
+over the stage graph of :mod:`repro.pipeline` — so :func:`run_points`
+accepts a ``jobs`` argument (an integer or ``"auto"``) and fans the
+points out over the process-wide warm worker pool of
 :mod:`repro.perf.pool` (see :func:`parallel_map`): persistent preloaded
 workers pulling one pickled point at a time from a shared queue.
 Results always come back in input order and synthesis is deterministic
-across processes, so a parallel sweep is bit-identical to the serial
-one.  ``jobs <= 1`` runs in-process, which additionally shares the
+across processes, so a parallel run is bit-identical to the serial one.
+``jobs <= 1`` runs in-process, which additionally shares the
 minimisation cache of :mod:`repro.perf` across points; each worker has
 its own.
 
-Checkpointed sweeps: pass ``checkpoint_dir`` and every point persists
-its per-stage outputs content-addressed (see
-:mod:`repro.pipeline.checkpoint`).  An interrupted sweep — or a
+Checkpointed runs: pass ``checkpoint_dir`` and every point persists its
+per-stage outputs content-addressed (see
+:mod:`repro.pipeline.checkpoint`).  An interrupted run — or a
 re-parameterised one whose early stages are unaffected by the changed
 knob — resumes from the last valid stage output of each point instead
 of recomputing whole flows.  Worker processes share the directory
@@ -44,7 +47,7 @@ stack.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence, TypeVar
+from typing import Any, Callable, Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -55,18 +58,19 @@ from ..core.reliability import ErrorBounds, exact_error_bounds
 from ..core.spec import FunctionSpec
 from ..obs import span
 from ..perf.pool import WorkerTaskError, get_pool, resolve_jobs
-from .experiment import FlowResult, relative_metrics, run_flow
+from .experiment import POLICIES, POLICY_KNOBS, FlowResult, relative_metrics, run_flow
 
 __all__ = [
     "SweepPointError",
+    "check_policy_point",
     "fraction_sweep",
     "family_tradeoff",
     "parallel_map",
-    "table2_row",
+    "run_points",
+    "table2_rows",
     "Table2Row",
-    "table3_row",
+    "table3_rows",
     "Table3Row",
-    "threshold_sweep",
 ]
 
 _T = TypeVar("_T")
@@ -168,9 +172,50 @@ def parallel_map(
 
 
 def _run_flow_task(task: tuple[FunctionSpec, str, dict]) -> FlowResult:
-    """Module-level trampoline so sweep points pickle across processes."""
+    """Module-level trampoline so flow points pickle across processes."""
     spec, policy, kwargs = task
     return run_flow(spec, policy, **kwargs)
+
+
+def check_policy_point(point: Mapping[str, Any]) -> None:
+    """Check that *point* names a known policy plus at most its own knob.
+
+    Raises:
+        ValueError: otherwise (the knobs are
+            :data:`~repro.flows.experiment.POLICY_KNOBS`), so a misspelt or
+            misplaced knob cannot silently run the knob's default.
+    """
+    policy = point.get("policy")
+    if policy not in POLICIES:
+        raise ValueError(f"policy must be one of {POLICIES}, got {policy!r}")
+    knob = POLICY_KNOBS.get(policy, (None,))[0]
+    stray = sorted(set(point) - {"policy", knob})
+    if stray:
+        takes = f"only {knob!r}" if knob else "no knob"
+        raise ValueError(f"policy {policy!r} takes {takes}, got {stray}")
+
+
+def run_points(
+    points: Sequence[tuple[FunctionSpec, Mapping[str, Any]]],
+    *,
+    jobs: int | str = 1,
+    progress: ProgressCallback | None = None,
+    **flow_kwargs: Any,
+) -> list[FlowResult]:
+    """One :class:`FlowResult` per ``(spec, policy point)`` pair, in order.
+
+    Every policy point is checked (:func:`check_policy_point`) before any
+    flow runs; *flow_kwargs* (``objective``, ``fault_model``,
+    ``checkpoint_dir``, ...) go to every :func:`run_flow` call, and
+    ``jobs``/``progress`` to :func:`parallel_map`, so the results are
+    bit-identical for every ``jobs``.
+    """
+    tasks = []
+    for spec, point in points:
+        check_policy_point(point)
+        knobs = dict(point)
+        tasks.append((spec, knobs.pop("policy"), {**knobs, **flow_kwargs}))
+    return parallel_map(_run_flow_task, tasks, jobs, progress=progress)
 
 
 def fraction_sweep(
@@ -183,41 +228,14 @@ def fraction_sweep(
     checkpoint_dir: str | None = None,
 ) -> list[FlowResult]:
     """Ranking-based results across assignment fractions (Figs. 4-5)."""
-    extra = {} if checkpoint_dir is None else {"checkpoint_dir": checkpoint_dir}
-    tasks = [
-        (spec, "ranking", {"fraction": fraction, "objective": objective, **extra})
-        for fraction in fractions
-    ]
     with span(
-        "sweep.fraction", benchmark=spec.name, points=len(tasks), jobs=jobs
+        "sweep.fraction", benchmark=spec.name, points=len(fractions), jobs=jobs
     ):
-        return parallel_map(_run_flow_task, tasks, jobs, progress=progress)
-
-
-def _family_member_task(
-    task: tuple[FunctionSpec, tuple[float, ...], str, str | None],
-) -> list[tuple[float, float, float]] | None:
-    """One family member's full trajectory: ``(fraction, area, error)``.
-
-    Returns None for degenerate (wire-only) members, whose baseline has
-    zero area and therefore no overhead signal.
-    """
-    spec, fractions, objective, checkpoint_dir = task
-    extra = {} if checkpoint_dir is None else {"checkpoint_dir": checkpoint_dir}
-    baseline = run_flow(spec, "ranking", fraction=0.0, objective=objective, **extra)
-    if baseline.area == 0:
-        return None
-    points: list[tuple[float, float, float]] = []
-    for fraction in fractions:
-        if fraction == 0.0:
-            result = baseline
-        else:
-            result = run_flow(
-                spec, "ranking", fraction=fraction, objective=objective, **extra
-            )
-        rel = relative_metrics(result, baseline)
-        points.append((fraction, rel["area"], rel["error_rate"]))
-    return points
+        return run_points(
+            [(spec, {"policy": "ranking", "fraction": f}) for f in fractions],
+            jobs=jobs, progress=progress,
+            objective=objective, checkpoint_dir=checkpoint_dir,
+        )
 
 
 def family_tradeoff(
@@ -231,15 +249,14 @@ def family_tradeoff(
     objective: str = "power",
     seed: int = 0,
     jobs: int = 1,
-    progress: ProgressCallback | None = None,
     checkpoint_dir: str | None = None,
 ) -> dict[float, list[dict[str, float]]]:
     """Fig. 6: normalised (area, error rate) trajectories per C^f family.
 
-    With ``jobs > 1`` the family members (each a full baseline-plus-
-    fractions trajectory) are distributed over worker processes; the
-    aggregation below is order-preserving, so results are identical to the
-    serial run.
+    Every member's fraction-0 baseline runs first.  A wire-only member
+    has zero baseline area and therefore no overhead signal, so only the
+    other members run their remaining fractions; a family whose members
+    are all wire-only is left out.
 
     Returns:
         Map from family C^f to a list of ``{fraction, area, error_rate}``
@@ -263,26 +280,36 @@ def family_tradeoff(
                     ),
                 )
             )
+    flow_kwargs = {"objective": objective, "checkpoint_dir": checkpoint_dir}
+    others = [fraction for fraction in fractions if fraction != 0.0]
     with span("sweep.family", members=len(members), jobs=jobs):
-        trajectories_raw = parallel_map(
-            _family_member_task,
-            [(spec, fractions, objective, checkpoint_dir) for _, spec in members],
-            jobs,
-            progress=progress,
+        baselines = run_points(
+            [(spec, {"policy": "ranking", "fraction": 0.0}) for _, spec in members],
+            jobs=jobs, **flow_kwargs,
         )
-    trajectories: dict[float, list[dict[str, float]]] = {}
-    for cf in complexity_factors:
-        accumulator: dict[float, list[tuple[float, float]]] = {
-            fraction: [] for fraction in fractions
-        }
-        for (member_cf, _), points in zip(members, trajectories_raw):
-            if member_cf != cf or points is None:
-                continue
-            for fraction, area, error_rate in points:
-                accumulator[fraction].append((area, error_rate))
-        if not any(accumulator.values()):
-            continue  # every family member was degenerate; nothing to report
-        trajectories[cf] = [
+        kept = [
+            (cf, spec, baseline)
+            for (cf, spec), baseline in zip(members, baselines)
+            if baseline.area != 0
+        ]
+        rest = iter(run_points(
+            [
+                (spec, {"policy": "ranking", "fraction": fraction})
+                for _, spec, _ in kept
+                for fraction in others
+            ],
+            jobs=jobs, **flow_kwargs,
+        ))
+    accumulators: dict[float, dict[float, list[tuple[float, float]]]] = {
+        cf: {fraction: [] for fraction in fractions} for cf in complexity_factors
+    }
+    for cf, _, baseline in kept:
+        for fraction in fractions:
+            result = baseline if fraction == 0.0 else next(rest)
+            rel = relative_metrics(result, baseline)
+            accumulators[cf][fraction].append((rel["area"], rel["error_rate"]))
+    return {
+        cf: [
             {
                 "fraction": fraction,
                 "area": float(np.mean([p[0] for p in points])),
@@ -290,7 +317,9 @@ def family_tradeoff(
             }
             for fraction, points in accumulator.items()
         ]
-    return trajectories
+        for cf, accumulator in accumulators.items()
+        if any(accumulator.values())
+    }
 
 
 @dataclass(frozen=True)
@@ -307,13 +336,14 @@ class Table2Row:
     complete_error: float
 
 
-def table2_row(
-    spec: FunctionSpec,
+def table2_rows(
+    specs: Sequence[FunctionSpec],
     *,
     threshold: float = DEFAULT_THRESHOLD,
     objective: str = "area",
+    jobs: int | str = 1,
     checkpoint_dir: str | None = None,
-) -> Table2Row:
+) -> list[Table2Row]:
     """Table 2: LC^f-based vs equal-fraction ranking vs complete.
 
     The ranking fraction is tied to the fraction the LC^f policy decided,
@@ -321,30 +351,35 @@ def table2_row(
     """
     from ..core.complexity import spec_complexity_factor
 
-    extra = {} if checkpoint_dir is None else {"checkpoint_dir": checkpoint_dir}
-    baseline = run_flow(spec, "conventional", objective=objective, **extra)
-    lcf_assignment = cfactor_assignment(spec, threshold)
-    lcf_fraction = min(1.0, lcf_assignment.fraction_of(spec))
-    lcf = run_flow(
-        spec, "cfactor", threshold=threshold, objective=objective, **extra
+    points = []
+    for spec in specs:
+        lcf_fraction = min(1.0, cfactor_assignment(spec, threshold).fraction_of(spec))
+        points += [
+            (spec, {"policy": "conventional"}),
+            (spec, {"policy": "cfactor", "threshold": threshold}),
+            (spec, {"policy": "ranking", "fraction": lcf_fraction}),
+            (spec, {"policy": "complete"}),
+        ]
+    results = run_points(
+        points, jobs=jobs, objective=objective, checkpoint_dir=checkpoint_dir
     )
-    ranking = run_flow(
-        spec, "ranking", fraction=lcf_fraction, objective=objective, **extra
-    )
-    complete = run_flow(spec, "complete", objective=objective, **extra)
-    rel_lcf = relative_metrics(lcf, baseline)
-    rel_rank = relative_metrics(ranking, baseline)
-    rel_complete = relative_metrics(complete, baseline)
-    return Table2Row(
-        benchmark=spec.name,
-        cf=spec_complexity_factor(spec),
-        lcf_area=rel_lcf["area_improvement_pct"],
-        lcf_error=rel_lcf["error_improvement_pct"],
-        ranking_area=rel_rank["area_improvement_pct"],
-        ranking_error=rel_rank["error_improvement_pct"],
-        complete_area=rel_complete["area_improvement_pct"],
-        complete_error=rel_complete["error_improvement_pct"],
-    )
+    rows = []
+    for index, spec in enumerate(specs):
+        baseline, lcf, ranking, complete = results[4 * index:4 * index + 4]
+        rel_lcf = relative_metrics(lcf, baseline)
+        rel_rank = relative_metrics(ranking, baseline)
+        rel_complete = relative_metrics(complete, baseline)
+        rows.append(Table2Row(
+            benchmark=spec.name,
+            cf=spec_complexity_factor(spec),
+            lcf_area=rel_lcf["area_improvement_pct"],
+            lcf_error=rel_lcf["error_improvement_pct"],
+            ranking_area=rel_rank["area_improvement_pct"],
+            ranking_error=rel_rank["error_improvement_pct"],
+            complete_area=rel_complete["area_improvement_pct"],
+            complete_error=rel_complete["error_improvement_pct"],
+        ))
+    return rows
 
 
 @dataclass(frozen=True)
@@ -362,57 +397,44 @@ class Table3Row:
     lcf_diff_pct: float
 
 
-def table3_row(
-    spec: FunctionSpec,
+def table3_rows(
+    specs: Sequence[FunctionSpec],
     *,
     threshold: float = DEFAULT_THRESHOLD,
     objective: str = "area",
+    jobs: int | str = 1,
     checkpoint_dir: str | None = None,
-) -> Table3Row:
+) -> list[Table3Row]:
     """Table 3: estimate bands plus conventional and LC^f achieved rates.
 
     The "% Diff." columns report how far above the exact minimum each
     implementation's rate lands, as in the paper.
     """
-    extra = {} if checkpoint_dir is None else {"checkpoint_dir": checkpoint_dir}
-    exact = exact_error_bounds(spec)
-    conventional = run_flow(spec, "conventional", objective=objective, **extra)
-    lcf = run_flow(
-        spec, "cfactor", threshold=threshold, objective=objective, **extra
+    results = run_points(
+        [
+            (spec, point)
+            for spec in specs
+            for point in ({"policy": "conventional"},
+                          {"policy": "cfactor", "threshold": threshold})
+        ],
+        jobs=jobs, objective=objective, checkpoint_dir=checkpoint_dir,
     )
 
-    def diff_pct(rate: float) -> float:
-        return 100.0 * (rate - exact.lo) / exact.lo if exact.lo else 0.0
+    def diff_pct(rate: float, minimum: float) -> float:
+        return 100.0 * (rate - minimum) / minimum if minimum else 0.0
 
-    return Table3Row(
-        benchmark=spec.name,
-        gates=conventional.gates,
-        exact=exact,
-        signal=signal_probability_bounds(spec),
-        border=border_bounds(spec),
-        conventional_rate=conventional.error_rate,
-        conventional_diff_pct=diff_pct(conventional.error_rate),
-        lcf_rate=lcf.error_rate,
-        lcf_diff_pct=diff_pct(lcf.error_rate),
-    )
-
-
-def threshold_sweep(
-    spec: FunctionSpec,
-    thresholds: list[float],
-    *,
-    objective: str = "area",
-    jobs: int = 1,
-    progress: ProgressCallback | None = None,
-    checkpoint_dir: str | None = None,
-) -> list[FlowResult]:
-    """LC^f-threshold ablation: results across the threshold knob."""
-    extra = {} if checkpoint_dir is None else {"checkpoint_dir": checkpoint_dir}
-    tasks = [
-        (spec, "cfactor", {"threshold": threshold, "objective": objective, **extra})
-        for threshold in thresholds
-    ]
-    with span(
-        "sweep.threshold", benchmark=spec.name, points=len(tasks), jobs=jobs
-    ):
-        return parallel_map(_run_flow_task, tasks, jobs, progress=progress)
+    rows = []
+    for spec, conventional, lcf in zip(specs, results[0::2], results[1::2]):
+        exact = exact_error_bounds(spec)
+        rows.append(Table3Row(
+            benchmark=spec.name,
+            gates=conventional.gates,
+            exact=exact,
+            signal=signal_probability_bounds(spec),
+            border=border_bounds(spec),
+            conventional_rate=conventional.error_rate,
+            conventional_diff_pct=diff_pct(conventional.error_rate, exact.lo),
+            lcf_rate=lcf.error_rate,
+            lcf_diff_pct=diff_pct(lcf.error_rate, exact.lo),
+        ))
+    return rows

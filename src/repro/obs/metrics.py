@@ -14,7 +14,7 @@ instrument.  Three instrument kinds:
   espresso call).  Merged by summing per-bucket counts.
 
 Snapshots (:func:`metrics_snapshot`) are plain JSON-ready dicts; worker
-processes in :func:`repro.flows.sweep.parallel_map` send snapshot
+processes of :func:`repro.flows.sweep.run_points` send snapshot
 *deltas* (:func:`diff_snapshots`) back with each result and the parent
 :func:`merge_snapshot`\\ s them, so ``--metrics-out`` reflects work done
 in every process of a parallel sweep.

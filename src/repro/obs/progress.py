@@ -1,7 +1,7 @@
 """Terminal progress reporting for long sweeps.
 
 A :class:`ProgressReporter` is a plain callable ``reporter(done, total)``
-— the shape :func:`repro.flows.sweep.parallel_map` accepts — that
+— the shape :func:`repro.flows.sweep.run_points` accepts — that
 renders a single self-overwriting status line with percentage, elapsed
 time, throughput and an ETA extrapolated from the mean per-item rate so
 far::

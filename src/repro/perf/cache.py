@@ -17,15 +17,16 @@ Concurrency model
 -----------------
 
 The cache is **not thread-safe and does not need to be**: every consumer
-in this package is single-threaded, and the parallel sweep executor
-(:func:`repro.flows.sweep.parallel_map`) uses *processes*, each of which
+in this package is single-threaded, and the flow-point runner
+(:func:`repro.flows.sweep.run_points`) uses *processes*, each of which
 gets its own ``global_cache`` at import time.  Worker-process hit/miss
 activity therefore never races the parent's — it is reported back
 explicitly as a metrics delta with each result and merged by the parent
-(see :mod:`repro.obs.metrics`), which is why ``--metrics-out`` shows
-cache traffic from every process while the in-process counters here only
-ever see one.  If you embed the cache in a threaded host, wrap access in
-your own lock; the methods do not lock internally.
+(see :mod:`repro.obs.metrics`), which is why ``--metrics-out`` and
+``repro sweep --cache-stats`` show cache traffic from every process
+while :func:`cache_stats` here only ever sees one.  If you embed the
+cache in a threaded host, wrap access in your own lock; the methods do
+not lock internally.
 
 Observability: :func:`cache_stats` returns a typed :class:`CacheStats`
 snapshot (dict-style access kept for compatibility), the counters are

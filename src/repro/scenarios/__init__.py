@@ -20,7 +20,6 @@ from . import builtin as _builtin  # noqa: F401 - registers the roster
 from .builtin import BUILTIN_SCENARIOS
 from .runner import (
     SCENARIO_MATRIX_SCHEMA_VERSION,
-    ScenarioPoint,
     ScenarioResult,
     run_scenario,
     write_scenario_matrix,
@@ -30,7 +29,6 @@ __all__ = [
     "BUILTIN_SCENARIOS",
     "SCENARIO_MATRIX_SCHEMA_VERSION",
     "Scenario",
-    "ScenarioPoint",
     "ScenarioResult",
     "describe_scenarios",
     "get_scenario",

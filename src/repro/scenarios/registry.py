@@ -5,8 +5,8 @@ matrix — which benchmarks (Table-1 stand-ins, ``.pla`` paths, or
 synthetic generator configs), which fault model, which assignment
 policies, which synthesis objective.  Scenarios are plain data: running
 one (:func:`repro.scenarios.runner.run_scenario`, CLI ``repro bench``)
-fans each (benchmark, policy) point through the standard six-stage
-pipeline on the warm worker pool and persists the results into the
+hands each (benchmark, policy) point to the flow-point runner
+:func:`repro.flows.sweep.run_points` and persists the results into the
 ``BENCH_scenarios.json`` matrix that ``repro obs regressions`` gates.
 
 Scenarios register under a name with :func:`register_scenario`, in the
@@ -16,6 +16,7 @@ them as strings (``repro bench paper-single-bit``).
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 from typing import Any, Mapping
 
@@ -46,7 +47,8 @@ class Scenario:
         fault_model: declarative fault-model spec (name or dict, see
             :func:`repro.faults.create_fault_model`).
         policies: one dict per assignment policy point: ``policy`` plus
-            optional ``fraction`` / ``threshold`` knobs.
+            that policy's own knob, if any (``fraction`` for ranking,
+            ``threshold`` for cfactor).
         objective: synthesis objective for every point.
     """
 
@@ -69,41 +71,65 @@ class Scenario:
         return create_fault_model(self.fault_model).spec_dict()
 
 
-def scenario_specs(scenario: Scenario) -> list[FunctionSpec]:
-    """Load/generate every benchmark spec of *scenario*, in order.
+_GENERATED_KEYS = {
+    "name": "name", "inputs": "num_inputs", "outputs": "num_outputs",
+    "cf": "target_cf", "dc": "dc_fraction",
+}
+"""Required generated-config keys -> the ``generate_spec`` parameters they
+fill; any other key (``seed``, ...) passes through under its own name."""
+
+
+def _check_benchmarks(scenario: Scenario) -> None:
+    """Check that every benchmark of *scenario* can load.
 
     Raises:
-        SystemExit is *not* used here (unlike the CLI loader): unknown
-        benchmark tokens raise :class:`ValueError` so library callers
-        get a catchable error.
+        ValueError: for a token that is neither a Table-1 name nor a
+            ``.pla`` path, and for a generated config that lacks a required
+            key or has one :func:`repro.benchgen.generate_spec` does not take.
     """
-    from ..benchgen import benchmark_names, generate_spec, mcnc_benchmark
-    from ..pla import read_pla
+    from ..benchgen import benchmark_names, generate_spec
 
-    specs: list[FunctionSpec] = []
     for token in scenario.benchmarks:
-        if token.endswith(".pla"):
-            specs.append(read_pla(token))
-        elif token in benchmark_names():
-            specs.append(mcnc_benchmark(token))
-        else:
+        if not token.endswith(".pla") and token not in benchmark_names():
             raise ValueError(
                 f"scenario {scenario.name!r}: unknown benchmark {token!r} "
                 f"(pass a .pla path or one of {benchmark_names()})"
             )
+    optional = set(inspect.signature(generate_spec).parameters) - set(
+        _GENERATED_KEYS.values()
+    )
     for config in scenario.generated:
-        config = dict(config)
-        specs.append(
-            generate_spec(
-                config.pop("name"),
-                config.pop("inputs"),
-                config.pop("outputs"),
-                target_cf=config.pop("cf"),
-                dc_fraction=config.pop("dc"),
-                seed=config.pop("seed", 0),
-                **config,
+        label = f"scenario {scenario.name!r}: generated config {config.get('name')!r}"
+        missing = [key for key in _GENERATED_KEYS if key not in config]
+        if missing:
+            raise ValueError(f"{label} lacks {missing}")
+        unknown = sorted(set(config) - set(_GENERATED_KEYS) - optional)
+        if unknown:
+            raise ValueError(
+                f"{label} has keys generate_spec does not take: {unknown} "
+                f"(optional keys: {sorted(optional)})"
             )
-        )
+
+
+def scenario_specs(scenario: Scenario) -> list[FunctionSpec]:
+    """Load/generate every benchmark spec of *scenario*, in order.
+
+    Raises:
+        ValueError: for benchmarks :func:`register_scenario` rejects (as
+            a catchable error, unlike the CLI loader's ``SystemExit``).
+    """
+    from ..benchgen import generate_spec, mcnc_benchmark
+    from ..pla import read_pla
+
+    _check_benchmarks(scenario)
+    specs = [
+        read_pla(token) if token.endswith(".pla") else mcnc_benchmark(token)
+        for token in scenario.benchmarks
+    ]
+    for config in scenario.generated:
+        specs.append(generate_spec(**{
+            _GENERATED_KEYS.get(key, key): value for key, value in config.items()
+        }))
     return specs
 
 
@@ -115,11 +141,14 @@ def register_scenario(scenario: Scenario) -> Scenario:
 
     Raises:
         ValueError: on empty names, duplicate registration with
-            different content, unknown policies/objectives, or a fault
-            model the registry cannot resolve — configs fail at import
-            time, not in a pool worker mid-run.
+            different content, unknown objectives, policy points
+            :func:`repro.flows.sweep.check_policy_point` rejects, missing
+            or unloadable benchmarks, or a fault model the registry cannot
+            resolve — configs fail at import time, not in a pool worker
+            mid-run.
     """
-    from ..pipeline.stages import OBJECTIVES, POLICIES
+    from ..flows.sweep import check_policy_point
+    from ..pipeline.stages import OBJECTIVES
 
     if not scenario.name:
         raise ValueError("scenario needs a name")
@@ -136,13 +165,13 @@ def register_scenario(scenario: Scenario) -> Scenario:
     if not scenario.policies:
         raise ValueError(f"scenario {scenario.name!r} has no policy points")
     for point in scenario.policies:
-        if point.get("policy") not in POLICIES:
-            raise ValueError(
-                f"scenario {scenario.name!r}: policy must be one of "
-                f"{POLICIES}, got {point.get('policy')!r}"
-            )
+        try:
+            check_policy_point(point)
+        except ValueError as error:
+            raise ValueError(f"scenario {scenario.name!r}: {error}") from None
     if not scenario.benchmarks and not scenario.generated:
         raise ValueError(f"scenario {scenario.name!r} has no benchmarks")
+    _check_benchmarks(scenario)
     scenario.fault_model_spec()  # validates the fault-model spec
     _REGISTRY[scenario.name] = scenario
     return scenario

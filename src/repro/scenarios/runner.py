@@ -1,9 +1,10 @@
 """Run scenarios through the pipeline and persist the result matrix.
 
-:func:`run_scenario` fans one scenario's (benchmark × policy) points
-over the warm worker pool (:func:`repro.flows.sweep.parallel_map` — the
-same executor the sweeps use, so persistent workers and merged worker
-telemetry come for free) and returns a :class:`ScenarioResult`.
+:func:`run_scenario` hands one scenario's (benchmark × policy) points
+to :func:`repro.flows.sweep.run_points` — the runner every sweep and
+table uses, so the warm worker pool and merged worker telemetry come
+for free — and returns a :class:`ScenarioResult` holding one
+:class:`~repro.flows.experiment.FlowResult` per point.
 
 :func:`write_scenario_matrix` merges results into ``BENCH_scenarios.json``
 (see ``docs/scenarios.md`` for the schema): one entry per scenario with
@@ -12,22 +13,23 @@ version, jobs).  Re-running a subset of scenarios updates only their
 entries, so the matrix accumulates across invocations like the other
 ``BENCH_*.json`` files.
 
-Quality points for the telemetry ledger prefix the benchmark with the
-scenario name (``paper-single-bit:bench``): two scenarios measuring the
-same benchmark under different fault models produce different —
-individually gateable — rates, and the prefix keeps their
-``repro obs regressions`` quality keys from colliding.
+Matrix rows are the :class:`FlowResult` fields of each point.  The
+telemetry ledger's quality points (built by ``repro bench``) prefix the
+benchmark with the scenario name (``paper-single-bit:bench``): two
+scenarios measuring the same benchmark under different fault models
+produce different — individually gateable — rates, and the prefix keeps
+their ``repro obs regressions`` quality keys from colliding.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any
 
 from ..flows.experiment import FlowResult
-from ..flows.sweep import ProgressCallback, _run_flow_task, parallel_map
+from ..flows.sweep import ProgressCallback, run_points
 from ..obs import metrics as obs_metrics
 from ..obs import span
 from ..obs.manifest import git_revision
@@ -36,7 +38,6 @@ from .registry import Scenario, get_scenario, scenario_specs
 
 __all__ = [
     "SCENARIO_MATRIX_SCHEMA_VERSION",
-    "ScenarioPoint",
     "ScenarioResult",
     "run_scenario",
     "write_scenario_matrix",
@@ -47,61 +48,12 @@ SCENARIO_MATRIX_SCHEMA_VERSION = 1
 
 
 @dataclass(frozen=True)
-class ScenarioPoint:
-    """One measured (benchmark, policy) point of a scenario."""
-
-    scenario: str
-    benchmark: str
-    policy: str
-    parameter: float
-    objective: str
-    fraction_assigned: float
-    area: float
-    delay: float
-    power: float
-    gates: int
-    literals: int
-    error_rate: float
-
-    @classmethod
-    def from_flow(cls, scenario: str, result: FlowResult) -> "ScenarioPoint":
-        return cls(
-            scenario=scenario,
-            benchmark=result.benchmark,
-            policy=result.policy,
-            parameter=result.parameter,
-            objective=result.objective,
-            fraction_assigned=result.fraction_assigned,
-            area=result.area,
-            delay=result.delay,
-            power=result.power,
-            gates=result.gates,
-            literals=result.literals,
-            error_rate=result.error_rate,
-        )
-
-    def to_dict(self) -> dict[str, Any]:
-        """The matrix-row form (scenario carried by the parent entry)."""
-        import dataclasses
-
-        row = dataclasses.asdict(self)
-        row.pop("scenario")
-        return row
-
-    def quality_dict(self) -> dict[str, Any]:
-        """The ledger quality point, scenario-prefixed (module docstring)."""
-        row = self.to_dict()
-        row["benchmark"] = f"{self.scenario}:{self.benchmark}"
-        return row
-
-
-@dataclass(frozen=True)
 class ScenarioResult:
     """Everything one scenario run produced."""
 
     scenario: Scenario
     fault_model: dict[str, Any]
-    points: tuple[ScenarioPoint, ...]
+    points: tuple[FlowResult, ...]
     jobs: int
 
     def matrix_entry(self) -> dict[str, Any]:
@@ -114,7 +66,7 @@ class ScenarioResult:
             "objective": self.scenario.objective,
             "policies": [dict(point) for point in self.scenario.policies],
             "points": len(self.points),
-            "rows": [point.to_dict() for point in self.points],
+            "rows": [asdict(point) for point in self.points],
             "manifest": {
                 "git_rev": git_revision(),
                 "repro_version": __version__,
@@ -156,37 +108,30 @@ def run_scenario(
     if isinstance(scenario, str):
         scenario = get_scenario(scenario)
     fault_spec = scenario.fault_model_spec()
-    specs = scenario_specs(scenario)
-    extra: dict[str, Any] = {"objective": scenario.objective,
-                             "fault_model": fault_spec}
-    if checkpoint_dir is not None:
-        extra["checkpoint_dir"] = checkpoint_dir
-    tasks = []
-    for spec in specs:
-        for point in scenario.policies:
-            kwargs = dict(extra)
-            for knob in ("fraction", "threshold"):
-                if knob in point:
-                    kwargs[knob] = point[knob]
-            tasks.append((spec, point["policy"], kwargs))
+    points = [
+        (spec, point)
+        for spec in scenario_specs(scenario)
+        for point in scenario.policies
+    ]
     obs_metrics.counter("scenario.runs").inc()
-    obs_metrics.counter("scenario.points").inc(len(tasks))
+    obs_metrics.counter("scenario.points").inc(len(points))
     with span(
         "scenario.run",
         scenario=scenario.name,
-        points=len(tasks),
+        points=len(points),
         jobs=jobs,
         fault_model=fault_spec.get("model"),
     ):
-        results = parallel_map(_run_flow_task, tasks, jobs, progress=progress)
-    points = tuple(
-        ScenarioPoint.from_flow(scenario.name, result) for result in results
-    )
+        results = run_points(
+            points, jobs=jobs, progress=progress,
+            objective=scenario.objective, fault_model=fault_spec,
+            checkpoint_dir=checkpoint_dir,
+        )
     return ScenarioResult(
         scenario=scenario,
         fault_model=fault_spec,
-        points=points,
-        jobs=resolve_jobs(jobs, points=len(tasks)),
+        points=tuple(results),
+        jobs=resolve_jobs(jobs, points=len(points)),
     )
 
 

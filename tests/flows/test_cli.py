@@ -72,6 +72,15 @@ class TestCli:
         assert "fraction" in out
         assert out.count("\n") >= 4
 
+    @pytest.mark.parametrize("points", ["0", "1"])
+    def test_sweep_rejects_fewer_than_two_points(self, pla_file, points, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", pla_file, "--points", points])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert "--points: must be at least 2" in captured.err
+        assert captured.out == ""
+
     def test_gen(self, tmp_path, capsys):
         out_path = str(tmp_path / "gen.pla")
         assert main([
@@ -129,6 +138,25 @@ class TestCliObservability:
         assert mani["command"] == "sweep"
         assert mani["exit_status"] == 0
         assert mani["parameters"]["points"] == 2
+
+    def test_sweep_cache_stats_cover_worker_processes(
+        self, pla_file, tmp_path, capsys
+    ):
+        import json
+        import re
+
+        metrics = tmp_path / "metrics.json"
+        assert main([
+            "sweep", pla_file, "--points", "3", "--objective", "area",
+            "--jobs", "2", "--cache-stats", "--metrics-out", str(metrics),
+        ]) == 0
+        out = capsys.readouterr().out
+        hits, misses = map(
+            int, re.search(r"(\d+) hits / (\d+) misses", out).groups()
+        )
+        document = json.loads(metrics.read_text())["metrics"]
+        assert misses == document["cache.misses"]["value"] > 0
+        assert hits == document["cache.hits"]["value"]
 
     def test_sweep_progress_renders_to_stderr(self, pla_file, capsys):
         assert main([

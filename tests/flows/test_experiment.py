@@ -7,12 +7,8 @@ from repro.core.spec import FunctionSpec
 from repro.core.truthtable import DC, OFF, ON
 from repro.flows.experiment import POLICIES, apply_policy, relative_metrics, run_flow
 from repro.flows.report import format_table
-from repro.flows.sweep import (
-    fraction_sweep,
-    table2_row,
-    table3_row,
-    threshold_sweep,
-)
+from repro.flows.sweep import fraction_sweep, run_points, table2_rows, table3_rows
+from repro.obs import metrics_snapshot
 
 
 @pytest.fixture(scope="module")
@@ -94,18 +90,52 @@ class TestSweeps:
         assert rates[-1] <= rates[0] + 0.02
 
     def test_threshold_sweep_fraction_monotone(self, small_spec):
-        results = threshold_sweep(small_spec, [0.3, 0.6, 0.9], objective="area")
+        results = run_points(
+            [(small_spec, {"policy": "cfactor", "threshold": threshold})
+             for threshold in (0.3, 0.6, 0.9)],
+            objective="area",
+        )
         fractions = [r.fraction_assigned for r in results]
         assert fractions == sorted(fractions)
 
+    def test_run_points_keeps_input_order(self, small_spec):
+        points = [
+            (small_spec, {"policy": "complete"}),
+            (small_spec, {"policy": "ranking", "fraction": 0.25}),
+            (small_spec, {"policy": "conventional"}),
+        ]
+        results = run_points(points, objective="area")
+        assert [(r.policy, r.parameter) for r in results] == [
+            ("complete", 0.0), ("ranking", 0.25), ("conventional", 0.0),
+        ]
+        assert results[1] == run_flow(
+            small_spec, "ranking", fraction=0.25, objective="area"
+        )
+
+    @pytest.mark.parametrize("point, message", [
+        ({"policy": "ranking", "fracton": 0.25}, "takes only 'fraction'"),
+        ({"policy": "cfactor", "fraction": 0.3}, "takes only 'threshold'"),
+        ({"policy": "complete", "threshold": 0.5}, "takes no knob"),
+        ({"policy": "mystery"}, "policy must be one of"),
+        ({"fraction": 0.5}, "policy must be one of"),
+    ])
+    def test_run_points_rejects_bad_points_before_running(
+        self, small_spec, point, message
+    ):
+        runs = metrics_snapshot().get("flow.runs", {}).get("value", 0)
+        with pytest.raises(ValueError, match=message):
+            run_points([(small_spec, {"policy": "conventional"}),
+                        (small_spec, point)])
+        assert metrics_snapshot().get("flow.runs", {}).get("value", 0) == runs
+
     def test_table2_row(self, small_spec):
-        row = table2_row(small_spec)
+        (row,) = table2_rows([small_spec])
         assert row.benchmark == "small"
         # Complete assignment is the reliability ceiling.
         assert row.complete_error >= row.lcf_error - 5.0
 
     def test_table3_row(self, small_spec):
-        row = table3_row(small_spec)
+        (row,) = table3_rows([small_spec])
         assert row.exact.lo <= row.conventional_rate + 1e-9
         assert row.conventional_diff_pct >= -1e-9
         assert row.lcf_rate <= row.conventional_rate + 0.02

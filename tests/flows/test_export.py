@@ -33,10 +33,15 @@ class TestExport:
         assert len(rows) == 3  # header + 2 fractions
         assert float(rows[1][2]) == pytest.approx(1.0)  # fraction 0 baseline
 
+    def test_fraction_sweep_needs_the_baseline_fraction(self, tmp_path):
+        with pytest.raises(ValueError, match="must include 0.0"):
+            export_fraction_sweep(tmp_path, ["bench"], [0.5, 1.0], "area")
+        assert not list(tmp_path.iterdir())
+
     def test_table2_roundtrip(self, tmp_path):
-        """The exported CSV carries exactly the table2_row measurements."""
+        """The exported CSV carries exactly the table2_rows measurements."""
         from repro.benchgen import mcnc_benchmark
-        from repro.flows.sweep import table2_row
+        from repro.flows.sweep import table2_rows
 
         path = export_table2(tmp_path, ["bench"])
         rows = read_csv(path)
@@ -46,7 +51,7 @@ class TestExport:
             "complete_area_pct", "complete_error_pct",
         ]
         data = dict(zip(rows[0], rows[1]))
-        row = table2_row(mcnc_benchmark("bench"))
+        (row,) = table2_rows([mcnc_benchmark("bench")])
         assert data["name"] == "bench"
         assert float(data["cf"]) == pytest.approx(row.cf, abs=1e-4)
         assert float(data["lcf_area_pct"]) == pytest.approx(row.lcf_area, abs=0.01)

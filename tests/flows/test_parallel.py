@@ -12,7 +12,7 @@ from repro.flows.sweep import (
     _run_flow_task,
     fraction_sweep,
     parallel_map,
-    threshold_sweep,
+    run_points,
 )
 from repro.obs import disable_tracing, metrics_snapshot, reset_metrics, tracing
 
@@ -180,23 +180,24 @@ class TestParallelSweeps:
 
     def test_threshold_sweep_parallel_matches_serial(self):
         spec = mcnc_benchmark("fout")
-        thresholds = [0.4, 0.8]
-        serial = threshold_sweep(spec, thresholds, objective="area", jobs=1)
-        parallel = threshold_sweep(spec, thresholds, objective="area", jobs=2)
+        points = [(spec, {"policy": "cfactor", "threshold": threshold})
+                  for threshold in (0.4, 0.8)]
+        serial = run_points(points, objective="area", jobs=1)
+        parallel = run_points(points, objective="area", jobs=2)
         assert serial == parallel
 
     def test_all_policies_parallel_match_serial(self):
         # Bit-identical results across the pool for every assignment
         # policy, not just the ranking sweeps the other tests exercise.
         spec = mcnc_benchmark("fout")
-        tasks = [
-            (spec, "conventional", {"objective": "area"}),
-            (spec, "ranking", {"fraction": 0.5, "objective": "area"}),
-            (spec, "cfactor", {"threshold": 0.55, "objective": "area"}),
-            (spec, "complete", {"objective": "area"}),
+        points = [
+            (spec, {"policy": "conventional"}),
+            (spec, {"policy": "ranking", "fraction": 0.5}),
+            (spec, {"policy": "cfactor", "threshold": 0.55}),
+            (spec, {"policy": "complete"}),
         ]
-        serial = parallel_map(_run_flow_task, tasks, 1)
-        parallel = parallel_map(_run_flow_task, tasks, 2)
+        serial = run_points(points, objective="area", jobs=1)
+        parallel = run_points(points, objective="area", jobs=2)
         assert serial == parallel
         assert [r.policy for r in parallel] == [
             "conventional", "ranking", "cfactor", "complete",

@@ -1,10 +1,12 @@
 """CLI tests for ``repro bench``, ``repro report`` and the info listings."""
 
 import json
+import os
 
 import pytest
 
 from repro.cli import main
+from repro.obs.store import LedgerStore
 from repro.scenarios import Scenario, register_scenario
 
 # Registered once per test process; registration is idempotent.
@@ -45,6 +47,16 @@ class TestBench:
         entry = matrix["scenarios"]["cli-tiny"]
         assert entry["fault_model"] == {"model": "multibit", "k": 2}
         assert len(entry["rows"]) == 1
+
+    def test_ledger_quality_is_scenario_prefixed(self, tmp_path, capsys):
+        assert main(["bench", "cli-tiny", "--out", str(tmp_path / "m.json")]) == 0
+        capsys.readouterr()
+        with LedgerStore(os.environ["REPRO_LEDGER_PATH"]) as store:
+            (record,) = store.runs()
+        (quality,) = record.quality
+        assert quality["benchmark"] == "cli-tiny:bench"
+        assert quality["policy"] == "conventional"
+        assert "error_rate" in quality
 
     def test_run_json_output(self, tmp_path, capsys):
         out = tmp_path / "m.json"

@@ -61,6 +61,35 @@ class TestValidationAtRegistration:
                 fault_model="cosmic_ray",
             ))
 
+    @pytest.mark.parametrize("point, message", [
+        ({"policy": "ranking", "fracton": 0.25}, "takes only 'fraction'"),
+        ({"policy": "cfactor", "fraction": 0.3}, "takes only 'threshold'"),
+    ])
+    def test_knob_of_another_policy(self, point, message):
+        with pytest.raises(ValueError, match=message):
+            register_scenario(Scenario(
+                name="bad-knob", description="", benchmarks=("bench",),
+                policies=(point,),
+            ))
+
+    def test_unknown_benchmark_token(self):
+        with pytest.raises(ValueError, match="unknown benchmark 'nosuch'"):
+            register_scenario(Scenario(
+                name="bad-benchmark", description="", benchmarks=("nosuch",),
+            ))
+
+    @pytest.mark.parametrize("config, message", [
+        ({"name": "g", "inputs": 4, "outputs": 2, "cf": 0.6}, r"lacks \['dc'\]"),
+        ({"name": "g", "inputs": 4, "outputs": 2, "cf": 0.6, "dc": 0.4,
+          "sede": 3}, r"does not take: \['sede'\]"),
+    ])
+    def test_bad_generated_config(self, config, message):
+        with pytest.raises(ValueError, match=message):
+            register_scenario(Scenario(
+                name="bad-generated", description="", generated=(config,),
+            ))
+        assert "bad-generated" not in scenario_names()
+
     def test_no_benchmarks(self):
         with pytest.raises(ValueError, match="no benchmarks"):
             register_scenario(Scenario(

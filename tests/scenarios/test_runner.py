@@ -57,12 +57,6 @@ class TestRunScenario:
         assert point.area == direct.area
         assert point.literals == direct.literals
 
-    def test_quality_dict_is_scenario_prefixed(self, tiny_result):
-        quality = tiny_result.points[0].quality_dict()
-        assert quality["benchmark"] == "tiny-single-bit:bench"
-        assert quality["policy"] == "conventional"
-        assert "error_rate" in quality
-
     def test_node_scope_scenario_runs(self, tiny_result):
         result = run_scenario(TINY_STUCK)
         (point,) = result.points
