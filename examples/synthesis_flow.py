@@ -43,7 +43,7 @@ def main() -> None:
     print(f"[subject]    {len(graph)} INV/NAND2 vertices")
 
     library = generic_70nm_library()
-    netlist = map_graph(graph, library, mode="area")
+    netlist = map_graph(graph, library)
     print(f"[mapping]    {netlist.num_gates} cells, area {netlist.area:.1f}")
     print(f"             cells used: {netlist.cell_histogram()}")
 

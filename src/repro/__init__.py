@@ -38,7 +38,6 @@ from .core import (
     ranking_assignment,
     signal_probability_bounds,
     spec_complexity_factor,
-    spec_error_rate,
 )
 
 __version__ = "1.0.0"
@@ -63,6 +62,5 @@ __all__ = [
     "ranking_assignment",
     "signal_probability_bounds",
     "spec_complexity_factor",
-    "spec_error_rate",
     "__version__",
 ]

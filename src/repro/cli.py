@@ -64,25 +64,41 @@ from dataclasses import asdict
 
 from . import __version__
 from .benchgen import benchmark_names, generate_spec, mcnc_benchmark
+from .core.cfactor import DEFAULT_THRESHOLD
 from .core.complexity import spec_complexity_factor, spec_expected_complexity_factor
 from .core.estimates import estimate_report
 from .core.reliability import exact_error_bounds
 from .core.spec import FunctionSpec
 from .flows.experiment import apply_policy, relative_metrics, run_flow
 from .flows.report import format_table
+from .perf import resolve_jobs
 from .pla import read_pla, write_pla
 
 __all__ = ["main"]
 
 
-def _resolve_jobs_arg(value: str, points: int | None = None) -> int:
-    """Resolve a ``--jobs`` flag value (integer or ``auto``) to a count."""
-    from .perf import resolve_jobs
+def _jobs_arg(value: str) -> str:
+    """``--jobs`` / ``--dc-jobs``: an integer or ``auto``.
 
+    Only checked here: each command resolves it with
+    :func:`repro.perf.resolve_jobs`, capped by its own point count.
+    """
     try:
-        return resolve_jobs(value, points=points)
+        resolve_jobs(value)
     except ValueError as error:
-        raise SystemExit(f"--jobs: {error}") from None
+        raise argparse.ArgumentTypeError(str(error)) from None
+    return value
+
+
+def _unit_interval(value: str) -> float:
+    """``--fraction``, ``--threshold``, ``--cf`` and ``--dc``: a number in [0, 1]."""
+    try:
+        number = float(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {value!r}") from None
+    if not 0.0 <= number <= 1.0:
+        raise argparse.ArgumentTypeError(f"must lie in [0, 1], got {value}")
+    return number
 
 
 def _sweep_points(value: str) -> int:
@@ -95,7 +111,7 @@ def _sweep_points(value: str) -> int:
 
 def _add_jobs_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--jobs", default="1", metavar="N|auto",
+        "--jobs", type=_jobs_arg, default="1", metavar="N|auto",
         help="worker processes for the sweep points; 'auto' resolves to "
              "the CPU count, capped by the point count (see "
              "'repro info --json' for the resolved executor config)",
@@ -245,7 +261,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
     spec = _load_spec(args.benchmark)
     fractions = [i / (args.points - 1) for i in range(args.points)]
-    jobs = _resolve_jobs_arg(args.jobs, points=len(fractions))
+    jobs = resolve_jobs(args.jobs, points=len(fractions))
     session = getattr(args, "_obs_session", None)
     progress = (
         session.progress_reporter(total=len(fractions), label="sweep")
@@ -308,7 +324,7 @@ def _cmd_nodal(args: argparse.Namespace) -> int:
             policy=args.policy,
             threshold=args.threshold,
             window_levels=args.dc_window,
-            jobs=_resolve_jobs_arg(args.jobs),
+            jobs=resolve_jobs(args.jobs),
             progress=progress,
         )
         rows += [
@@ -343,7 +359,7 @@ def _cmd_export(args: argparse.Namespace) -> int:
 
     paths = export_all(
         args.directory, names=args.benchmarks,
-        jobs=_resolve_jobs_arg(args.jobs),
+        jobs=resolve_jobs(args.jobs),
     )
     for path in paths:
         print(f"wrote {path}")
@@ -393,7 +409,7 @@ def _cmd_pipeline_run(args: argparse.Namespace) -> int:
         )
     if getattr(args, "complete_dc", False):
         config = _with_complete_dc_stage(config)
-    dc_jobs = _resolve_jobs_arg(getattr(args, "dc_jobs", "1"))
+    dc_jobs = resolve_jobs(args.dc_jobs)
     if dc_jobs != 1:
         config = {
             **config,
@@ -403,6 +419,12 @@ def _cmd_pipeline_run(args: argparse.Namespace) -> int:
         CheckpointStore(args.checkpoint_dir) if args.checkpoint_dir else None
     )
     pipe = Pipeline.from_config(config, checkpoint=checkpoint)
+    stage_names = [stage.name for stage in pipe.stages]
+    if args.stop_after is not None and args.stop_after not in stage_names:
+        args._parser.error(
+            f"argument --stop-after: {args.stop_after!r} is not a stage of "
+            f"this pipeline; choose from {stage_names}"
+        )
     ran_before = obs_metrics.counter("pipeline.stages_run").value
     skipped_before = obs_metrics.counter("pipeline.stages_skipped").value
     ctx = pipe.run(spec=spec, stop_after=args.stop_after)
@@ -697,7 +719,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     session = getattr(args, "_obs_session", None)
     results = []
     for scenario in scenarios:
-        jobs = _resolve_jobs_arg(args.jobs, points=scenario.num_points())
+        jobs = resolve_jobs(args.jobs, points=scenario.num_points())
         progress = (
             session.progress_reporter(
                 total=scenario.num_points(), label=scenario.name
@@ -835,9 +857,10 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_policy_args(p: argparse.ArgumentParser) -> None:
         p.add_argument("--policy", default="conventional",
                        choices=["conventional", "ranking", "cfactor", "complete"])
-        p.add_argument("--fraction", type=float, default=1.0,
+        p.add_argument("--fraction", type=_unit_interval, default=1.0,
                        help="ranking fraction (policy=ranking)")
-        p.add_argument("--threshold", type=float, default=0.55,
+        p.add_argument("--threshold", type=_unit_interval,
+                       default=DEFAULT_THRESHOLD,
                        help="LC^f threshold (policy=cfactor)")
 
     p_info = add_parser("info", help="benchmark properties")
@@ -901,14 +924,15 @@ def _build_parser() -> argparse.ArgumentParser:
                             dest="complete_dc",
                             help="insert the SAT-complete don't-care stage "
                                  "after optimize (primary outputs preserved)")
-    p_pipe_run.add_argument("--dc-jobs", default="1", dest="dc_jobs",
+    p_pipe_run.add_argument("--dc-jobs", type=_jobs_arg, default="1",
+                            dest="dc_jobs",
                             metavar="N|auto",
                             help="worker processes for the complete-DC "
                                  "stage's SAT confirmation (results are "
                                  "bit-identical to serial)")
     p_pipe_run.add_argument("--json", action="store_true",
                             help="machine-readable result + pipeline summary")
-    p_pipe_run.set_defaults(func=_cmd_pipeline_run)
+    p_pipe_run.set_defaults(func=_cmd_pipeline_run, _parser=p_pipe_run)
     p_pipe_stages = pipe_sub.add_parser(
         "stages", parents=[obs_parent],
         help="list the registered pipeline stages",
@@ -997,7 +1021,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--policy", default="cfactor",
         choices=["conventional", "ranking", "cfactor", "complete"],
     )
-    p_nodal.add_argument("--threshold", type=float, default=1.0)
+    p_nodal.add_argument("--threshold", type=_unit_interval, default=1.0)
     p_nodal.add_argument("--renode", action="store_true",
                          help="repartition into k-feasible nodes first")
     p_nodal.add_argument("--k", type=int, default=6, help="renode fanin bound")
@@ -1060,8 +1084,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--name", default="synthetic")
     p_gen.add_argument("--inputs", type=int, required=True)
     p_gen.add_argument("--outputs", type=int, required=True)
-    p_gen.add_argument("--cf", type=float, required=True)
-    p_gen.add_argument("--dc", type=float, required=True)
+    p_gen.add_argument("--cf", type=_unit_interval, required=True)
+    p_gen.add_argument("--dc", type=_unit_interval, required=True)
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("-o", "--output", help="write generated PLA here")
     p_gen.set_defaults(func=_cmd_gen)

@@ -23,7 +23,7 @@ from .estimates import (
     estimate_report,
     signal_probability_bounds,
 )
-from .hamming import flip_bit, hamming_distance, neighbor_phase_counts, neighbors
+from .hamming import neighbor_phase_counts
 from .montecarlo import MonteCarloEstimate, estimate_error_rate
 from .ranking import complete_assignment, rank_dc_minterms, ranking_assignment
 from .reliability import (
@@ -34,8 +34,6 @@ from .reliability import (
     exact_error_bounds,
     max_dc_error_count,
     min_dc_error_count,
-    spec_error_rate,
-    weighted_error_rate,
 )
 from .spec import FunctionSpec
 from .truthtable import DC, OFF, ON
@@ -56,10 +54,7 @@ __all__ = [
     "border_counts",
     "estimate_report",
     "signal_probability_bounds",
-    "flip_bit",
-    "hamming_distance",
     "neighbor_phase_counts",
-    "neighbors",
     "MonteCarloEstimate",
     "estimate_error_rate",
     "complete_assignment",
@@ -72,8 +67,6 @@ __all__ = [
     "exact_error_bounds",
     "max_dc_error_count",
     "min_dc_error_count",
-    "weighted_error_rate",
-    "spec_error_rate",
     "FunctionSpec",
     "DC",
     "OFF",

@@ -12,27 +12,9 @@ import numpy as np
 from .truthtable import DC, OFF, ON, neighbor_view, num_inputs_of
 
 __all__ = [
-    "flip_bit",
-    "neighbors",
-    "hamming_distance",
     "neighbor_phase_counts",
     "same_phase_neighbor_counts",
 ]
-
-
-def flip_bit(minterm: int, bit: int) -> int:
-    """Return *minterm* with input *bit* complemented."""
-    return minterm ^ (1 << bit)
-
-
-def neighbors(minterm: int, num_inputs: int) -> list[int]:
-    """All ``num_inputs`` minterms at Hamming distance 1 from *minterm*."""
-    return [minterm ^ (1 << bit) for bit in range(num_inputs)]
-
-
-def hamming_distance(a: int, b: int) -> int:
-    """Number of input positions on which minterms *a* and *b* differ."""
-    return (a ^ b).bit_count()
 
 
 def neighbor_phase_counts(phases: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -49,8 +49,6 @@ __all__ = [
     "exact_error_bounds",
     "error_events",
     "error_rate",
-    "weighted_error_rate",
-    "spec_error_rate",
     "ErrorBounds",
 ]
 
@@ -189,54 +187,3 @@ def error_rate(
     source = (spec or impl).care_mask()
     events = np.atleast_1d(error_events(impl.phases, source_mask=source))
     return float(np.mean(events / (impl.num_inputs * impl.num_minterms)))
-
-
-def weighted_error_rate(
-    impl: FunctionSpec,
-    weights,
-    *,
-    spec: FunctionSpec | None = None,
-) -> float:
-    """Error rate under non-uniform per-input error probabilities.
-
-    The paper assumes every input pin fails with the same probability; this
-    generalisation weights input *j*'s failures by ``weights[j]`` (e.g.
-    derived from upstream logic's derating).  With uniform weights it
-    reduces to :func:`error_rate`.
-
-    Args:
-        impl: the implemented function.
-        weights: one non-negative weight per input (need not be
-            normalised).
-        spec: original specification providing the error-source care set.
-
-    Raises:
-        ValueError: on a wrong-length or all-zero weight vector.
-    """
-    weights = np.asarray(list(weights), dtype=np.float64)
-    n = impl.num_inputs
-    if weights.shape != (n,):
-        raise ValueError(f"expected {n} weights, got {weights.shape}")
-    total = float(weights.sum())
-    if total <= 0 or np.any(weights < 0):
-        raise ValueError("weights must be non-negative and not all zero")
-    source = (spec or impl).care_mask()
-    phases = impl.phases
-    accumulated = 0.0
-    for bit in range(n):
-        nb = neighbor_view(phases, bit)
-        flips = ((phases == ON) & (nb == OFF)) | ((phases == OFF) & (nb == ON))
-        count = np.count_nonzero(flips & source, axis=-1)
-        accumulated += float(weights[bit]) * float(np.mean(count))
-    return accumulated / (total * impl.num_minterms)
-
-
-def spec_error_rate(spec: FunctionSpec) -> float:
-    """Error rate of a (possibly partial) specification itself.
-
-    Counts only care→care opposite-phase events; DC minterms contribute
-    nothing.  For a fully specified function this equals
-    :func:`error_rate`; for a partial assignment it is the floor that any
-    completion will add to.
-    """
-    return error_rate(spec, spec=spec)

@@ -18,7 +18,6 @@ from .truthtable import (
     ON,
     care_mask,
     num_inputs_of,
-    phase_fractions,
     validate_phases,
 )
 
@@ -151,10 +150,6 @@ class FunctionSpec:
         """Sorted minterm indices of the on-set of *output*."""
         return np.flatnonzero(self.phases[output] == ON)
 
-    def off_set(self, output: int) -> np.ndarray:
-        """Sorted minterm indices of the off-set of *output*."""
-        return np.flatnonzero(self.phases[output] == OFF)
-
     def dc_set(self, output: int) -> np.ndarray:
         """Sorted minterm indices of the don't-care set of *output*."""
         return np.flatnonzero(self.phases[output] == DC)
@@ -162,10 +157,6 @@ class FunctionSpec:
     def care_mask(self) -> np.ndarray:
         """Boolean array, True where the output is specified (per output)."""
         return care_mask(self.phases)
-
-    def signal_probabilities(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per-output ``(f0, f1, fDC)`` signal probabilities."""
-        return phase_fractions(self.phases)
 
     def dc_fraction(self) -> float:
         """Overall fraction of (output, minterm) entries that are DC.

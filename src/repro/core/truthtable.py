@@ -33,7 +33,6 @@ __all__ = [
     "care_mask",
     "phase_fractions",
     "phase_counts",
-    "random_phases",
 ]
 
 OFF: int = 0
@@ -130,31 +129,3 @@ def phase_fractions(phases: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
     size = phases.shape[-1]
     n_off, n_on, n_dc = phase_counts(phases)
     return n_off / size, n_on / size, n_dc / size
-
-
-def random_phases(
-    num_inputs: int,
-    num_outputs: int,
-    probabilities: tuple[float, float, float],
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Draw an i.i.d. random phase array ("three-sided coin" of Sec. 2.2).
-
-    Args:
-        num_inputs: number of function inputs ``n``.
-        num_outputs: number of outputs (rows of the result).
-        probabilities: ``(p_off, p_on, p_dc)``; must sum to 1.
-        rng: numpy random generator to draw from.
-
-    Returns:
-        ``uint8`` array of shape ``(num_outputs, 2**num_inputs)``.
-    """
-    p_off, p_on, p_dc = probabilities
-    total = p_off + p_on + p_dc
-    if not np.isclose(total, 1.0):
-        raise ValueError(f"phase probabilities sum to {total}, expected 1")
-    return rng.choice(
-        np.array([OFF, ON, DC], dtype=np.uint8),
-        size=(num_outputs, 1 << num_inputs),
-        p=[p_off, p_on, p_dc],
-    )

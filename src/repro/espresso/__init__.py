@@ -12,7 +12,6 @@ from .cube import (
     V1,
     Cover,
     cube_contains,
-    cube_intersection,
     cube_tables,
     cubes_intersect,
     pack_cubes,
@@ -22,7 +21,6 @@ from .cube import (
 from .expand import expand
 from .irredundant import irredundant
 from .minimize import MinimizedFunction, espresso, minimize_spec
-from .multi import MultiOutputCover, minimize_multi_output
 from .qm import prime_implicants, quine_mccluskey
 from .reduce_ import reduce_cover
 from .unate import complement, cover_contains_cube, covers_cover, is_tautology
@@ -33,7 +31,6 @@ __all__ = [
     "V1",
     "Cover",
     "cube_contains",
-    "cube_intersection",
     "cube_tables",
     "cubes_intersect",
     "pack_cubes",
@@ -44,8 +41,6 @@ __all__ = [
     "MinimizedFunction",
     "espresso",
     "minimize_spec",
-    "MultiOutputCover",
-    "minimize_multi_output",
     "prime_implicants",
     "quine_mccluskey",
     "reduce_cover",

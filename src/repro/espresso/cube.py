@@ -42,7 +42,6 @@ __all__ = [
     "FREE",
     "Cover",
     "cube_contains",
-    "cube_intersection",
     "cubes_intersect",
     "cube_string",
     "pack_cubes",
@@ -174,13 +173,6 @@ def cubes_intersect(a: np.ndarray, b: np.ndarray) -> bool:
     a_mask, a_value = _pack_cube(a)
     b_mask, b_value = _pack_cube(b)
     return not np.any((a_value ^ b_value) & a_mask & b_mask)
-
-
-def cube_intersection(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
-    """The cube ``a AND b``, or None when the cubes are disjoint."""
-    if not cubes_intersect(a, b):
-        return None
-    return np.where(a == FREE, b, a).astype(np.uint8)
 
 
 def supercube(cubes: np.ndarray) -> np.ndarray:
@@ -391,10 +383,6 @@ class Cover:
             raise ValueError("covers over different input counts")
         return Cover(np.vstack([self.cubes, other.cubes]), self.num_inputs)
 
-    def without_cube(self, index: int) -> "Cover":
-        """Cover with cube *index* removed."""
-        return Cover(np.delete(self.cubes, index, axis=0), self.num_inputs)
-
     def cofactor(self, cube: np.ndarray) -> "Cover":
         """The cofactor of this cover with respect to *cube*.
 
@@ -412,12 +400,6 @@ class Cover:
         rows = self.cubes[keep].copy()
         rows[:, cube != FREE] = FREE
         return Cover(rows, self.num_inputs)
-
-    def var_cofactor(self, var: int, value: int) -> "Cover":
-        """Shannon cofactor with respect to a single variable."""
-        cube = np.full(self.num_inputs, FREE, dtype=np.uint8)
-        cube[var] = value
-        return self.cofactor(cube)
 
     def evaluate(self) -> np.ndarray:
         """Dense boolean truth table (length ``2**num_inputs``) of the cover."""

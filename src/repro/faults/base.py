@@ -99,37 +99,6 @@ class FaultModel:
         """
         raise NotImplementedError(f"{self.name} does not enumerate patterns")
 
-    def error_events(
-        self,
-        impl_phases: np.ndarray,
-        *,
-        source_mask: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """Directed error-event counts per output under this model.
-
-        An event is an (admissible source minterm, error pattern) pair
-        whose implementation value changes.  Mirrors
-        :func:`repro.core.reliability.error_events` for arbitrary
-        pattern sets.
-        """
-        self._require_scope("input")
-        from ..core.truthtable import DC, num_inputs_of
-
-        n = num_inputs_of(impl_phases)
-        if source_mask is None:
-            source_mask = impl_phases != DC
-        if source_mask.shape != impl_phases.shape:
-            raise ValueError("source mask shape mismatch")
-        idx = np.arange(impl_phases.shape[-1])
-        count = np.zeros(impl_phases.shape[:-1], dtype=np.int64)
-        for error in self.patterns(n):
-            nb = impl_phases[..., idx ^ error]
-            flips = ((impl_phases == ON) & (nb == OFF)) | (
-                (impl_phases == OFF) & (nb == ON)
-            )
-            count += np.count_nonzero(flips & source_mask, axis=-1)
-        return count if count.ndim else int(count)
-
     def error_rate(
         self,
         impl: FunctionSpec,

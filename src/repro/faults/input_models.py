@@ -27,10 +27,10 @@ class SingleBitInput(FaultModel):
 
     The default model of every flow.  Exact numbers delegate to
     :mod:`repro.core.reliability` (the neighbour-view implementation)
-    and the Monte-Carlo mask generator reproduces the historical draw
-    sequence of :func:`repro.core.montecarlo.estimate_error_rate`
-    verbatim, so results through this class are bit-identical to the
-    pre-refactor code path.
+    and the Monte-Carlo mask generator consumes the random generator
+    exactly as the inline single-bit draw of
+    :func:`repro.core.montecarlo.estimate_error_rate`, so a seeded
+    estimate is the same with or without this model.
     """
 
     name = "single_bit"
@@ -39,16 +39,6 @@ class SingleBitInput(FaultModel):
 
     def patterns(self, num_inputs: int) -> list[int]:
         return [1 << bit for bit in range(num_inputs)]
-
-    def error_events(
-        self,
-        impl_phases: np.ndarray,
-        *,
-        source_mask: np.ndarray | None = None,
-    ) -> np.ndarray:
-        from ..core.reliability import error_events
-
-        return error_events(impl_phases, source_mask=source_mask)
 
     def error_rate(
         self,
@@ -63,8 +53,8 @@ class SingleBitInput(FaultModel):
     def corruption_words(
         self, rng: np.random.Generator, num_inputs: int, count: int
     ) -> np.ndarray:
-        # Draw order and dtype must stay exactly as the historical
-        # estimator's inline code: one pin index per vector.
+        # Draw order and dtype must match estimate_error_rate's inline
+        # single-bit draw: one pin index per vector.
         pins = rng.integers(num_inputs, size=count)
         onehot = np.zeros((count, num_inputs), dtype=bool)
         onehot[np.arange(count), pins] = True

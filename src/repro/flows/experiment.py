@@ -7,14 +7,14 @@ multi-level optimisation, mapping, objective tuning) and measure area,
 delay, power, gate count and the input-error rate against the original
 care set.
 
-Since the stage-graph refactor ``run_flow`` is a thin driver over
-:mod:`repro.pipeline`: it assembles the default ``assign`` → ``espresso``
-→ ``optimize`` → ``map`` → ``tune`` → ``measure`` pipeline, runs it, and
-packages the context into a :class:`FlowResult`.  Pass ``checkpoint_dir``
-(or a prebuilt :class:`~repro.pipeline.checkpoint.CheckpointStore` via
-``checkpoint``) to persist per-stage outputs so an interrupted or
-re-parameterised run resumes from the last valid stage instead of
-recomputing the whole flow — see ``docs/pipeline.md``.
+``run_flow`` is a thin driver over :mod:`repro.pipeline`: it assembles
+the default ``assign`` → ``espresso`` → ``optimize`` → ``map`` →
+``tune`` → ``measure`` pipeline, runs it, and packages the context into
+a :class:`FlowResult`.  Pass ``checkpoint_dir`` (or a prebuilt
+:class:`~repro.pipeline.checkpoint.CheckpointStore` via ``checkpoint``)
+to persist per-stage outputs so an interrupted or re-parameterised run
+resumes from the last valid stage instead of recomputing the whole flow
+— see ``docs/pipeline.md``.
 """
 
 from __future__ import annotations

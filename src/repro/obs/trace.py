@@ -43,7 +43,7 @@ import json
 import os
 import threading
 import time
-from typing import Any, Iterator
+from typing import Any
 
 __all__ = [
     "NULL_SPAN",
@@ -149,10 +149,6 @@ class Tracer:
         self._counter += 1
         # Disambiguate span ids across processes without coordination.
         return (self.pid << 32) | self._counter
-
-    def start_span(self, name: str, attrs: dict[str, Any]) -> Span:
-        """A new (not yet entered) span bound to this tracer."""
-        return Span(self, name, attrs)
 
     def __len__(self) -> int:
         return len(self.records)
@@ -287,12 +283,3 @@ class tracing:
         global _active
         _active = self._previous
         return False
-
-
-def iter_jsonl(path: str | os.PathLike) -> Iterator[dict[str, Any]]:
-    """Yield the event objects of a JSONL trace file."""
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                yield json.loads(line)

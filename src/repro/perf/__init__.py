@@ -11,9 +11,7 @@ the parallel SAT confirmation of
 """
 
 from .cache import (
-    CacheStats,
     MinimizationCache,
-    cache_stats,
     configure_cache,
     cover_key,
     digest_parts,
@@ -36,13 +34,11 @@ from .pool import (
 )
 
 __all__ = [
-    "CacheStats",
     "MinimizationCache",
     "WarmPool",
     "WorkerHealth",
     "WorkerTaskError",
     "available_cpus",
-    "cache_stats",
     "configure_cache",
     "cover_key",
     "digest_parts",

@@ -24,33 +24,28 @@ activity therefore never races the parent's — it is reported back
 explicitly as a metrics delta with each result and merged by the parent
 (see :mod:`repro.obs.metrics`), which is why ``--metrics-out`` and
 ``repro sweep --cache-stats`` show cache traffic from every process
-while :func:`cache_stats` here only ever sees one.  If you embed the
-cache in a threaded host, wrap access in your own lock; the methods do
-not lock internally.
+while :data:`global_cache`'s own counters only ever see one.  If you
+embed the cache in a threaded host, wrap access in your own lock; the
+methods do not lock internally.
 
-Observability: :func:`cache_stats` returns a typed :class:`CacheStats`
-snapshot (dict-style access kept for compatibility), the counters are
-exported to the process-wide metrics registry under ``cache.*`` via a
-collector, :func:`reset_cache` clears both entries and counters, and
-:func:`configure_cache` turns the memo off or bounds its size.
+Observability: the counters are exported to the process-wide metrics
+registry under ``cache.*`` via a collector, :func:`reset_cache` clears
+both entries and counters, and :func:`configure_cache` turns the memo
+off.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Any, Iterator
+from typing import Any
 
 import numpy as np
 
 from ..obs import metrics as obs_metrics
 
 __all__ = [
-    "CacheStats",
     "MinimizationCache",
-    "cache_stats",
     "configure_cache",
     "cover_key",
     "digest_parts",
@@ -133,45 +128,6 @@ def spec_key(phases: np.ndarray, options: tuple = ()) -> str:
     )
 
 
-@dataclass(frozen=True)
-class CacheStats:
-    """One point-in-time snapshot of a cache's counters.
-
-    Supports both attribute access (``stats.hits``) and, for
-    compatibility with the original bare-dict API, dict-style access
-    (``stats["hits"]``, ``"hits" in stats``); :meth:`asdict` returns the
-    plain-dict form used by the ``--cache-stats`` output.
-    """
-
-    enabled: bool
-    entries: int
-    maxsize: int
-    hits: int
-    misses: int
-    evictions: int
-    hit_rate: float
-
-    def asdict(self) -> dict[str, Any]:
-        """The snapshot as a plain dict (the legacy ``stats()`` shape)."""
-        return dataclasses.asdict(self)
-
-    def __getitem__(self, key: str) -> Any:
-        try:
-            return getattr(self, key)
-        except AttributeError:
-            raise KeyError(key) from None
-
-    def __contains__(self, key: object) -> bool:
-        return isinstance(key, str) and hasattr(self, key)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.asdict())
-
-    def keys(self) -> Iterator[str]:
-        # Makes ``dict(stats)`` and ``{**stats}`` work like the old dict.
-        return iter(self.asdict())
-
-
 class MinimizationCache:
     """A bounded LRU memo with hit/miss counters.
 
@@ -221,27 +177,9 @@ class MinimizationCache:
         self.misses = 0
         self.evictions = 0
 
-    def stats(self) -> CacheStats:
-        """Hit/miss/eviction counters plus the current size and hit rate."""
-        total = self.hits + self.misses
-        return CacheStats(
-            enabled=self.enabled,
-            entries=len(self._store),
-            maxsize=self.maxsize,
-            hits=self.hits,
-            misses=self.misses,
-            evictions=self.evictions,
-            hit_rate=self.hits / total if total else 0.0,
-        )
-
 
 global_cache = MinimizationCache()
 """The process-wide memo consulted by ``espresso`` and ``minimize_spec``."""
-
-
-def cache_stats() -> CacheStats:
-    """Counters of the process-wide minimisation cache."""
-    return global_cache.stats()
 
 
 def reset_cache() -> None:
@@ -249,17 +187,9 @@ def reset_cache() -> None:
     global_cache.clear()
 
 
-def configure_cache(*, enabled: bool | None = None, maxsize: int | None = None) -> None:
-    """Enable/disable the process-wide cache or change its capacity."""
-    if enabled is not None:
-        global_cache.enabled = enabled
-    if maxsize is not None:
-        if maxsize < 1:
-            raise ValueError("maxsize must be positive")
-        global_cache.maxsize = maxsize
-        while len(global_cache._store) > maxsize:
-            global_cache._store.popitem(last=False)
-            global_cache.evictions += 1
+def configure_cache(*, enabled: bool) -> None:
+    """Enable or disable the process-wide cache."""
+    global_cache.enabled = enabled
 
 
 def _collect_cache_metrics() -> dict[str, dict[str, Any]]:
@@ -269,13 +199,16 @@ def _collect_cache_metrics() -> dict[str, dict[str, Any]]:
     integer counters while every snapshot still absorbs them under the
     ``cache.*`` namespace.
     """
-    stats = global_cache.stats()
+    hits, misses = global_cache.hits, global_cache.misses
     return {
-        "cache.hits": {"type": "counter", "value": stats.hits},
-        "cache.misses": {"type": "counter", "value": stats.misses},
-        "cache.evictions": {"type": "counter", "value": stats.evictions},
-        "cache.entries": {"type": "gauge", "value": stats.entries},
-        "cache.hit_rate": {"type": "gauge", "value": stats.hit_rate},
+        "cache.hits": {"type": "counter", "value": hits},
+        "cache.misses": {"type": "counter", "value": misses},
+        "cache.evictions": {"type": "counter", "value": global_cache.evictions},
+        "cache.entries": {"type": "gauge", "value": len(global_cache)},
+        "cache.hit_rate": {
+            "type": "gauge",
+            "value": hits / (hits + misses) if hits + misses else 0.0,
+        },
     }
 
 

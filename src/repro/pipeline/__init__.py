@@ -9,8 +9,7 @@ measurement — into composable, checkpointable passes:
   ``map``, ``tune``, ``measure``);
 * :mod:`repro.pipeline.context` — :class:`FlowContext`, the typed
   artefact store stages read from and write to;
-* :mod:`repro.pipeline.stages` — the built-in stages, extracted from
-  the former ``run_flow`` / ``compile_spec`` monolith;
+* :mod:`repro.pipeline.stages` — the built-in stages;
 * :mod:`repro.pipeline.pipeline` — :class:`Pipeline`: wiring
   validation, execution with per-stage spans/metrics, declarative
   (JSON) configs;

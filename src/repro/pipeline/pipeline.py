@@ -45,7 +45,7 @@ from ..obs import span
 from ..perf.cache import stage_key
 from .checkpoint import CheckpointStore
 from .context import FlowContext
-from .stage import Stage, describe_stage, get_stage, params_fingerprint
+from .stage import Stage, get_stage, params_fingerprint
 
 __all__ = [
     "DEFAULT_STAGES",
@@ -268,13 +268,6 @@ class Pipeline:
             return params_fingerprint(stage, ctx)
         finally:
             ctx.params = saved
-
-    # ------------------------------------------------------------ describe
-
-    def describe(self) -> list[dict[str, Any]]:
-        """One dict per stage (name, inputs, outputs, params, version,
-        summary)."""
-        return [describe_stage(stage) for stage in self.stages]
 
 
 def default_config(

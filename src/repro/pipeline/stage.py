@@ -116,12 +116,10 @@ def describe_stage(stage: Stage) -> dict[str, Any]:
 
     Carries the declared interface (name, inputs, outputs, params,
     version) plus ``summary`` — the first line of the stage class's
-    docstring — so registry listings (``repro pipeline stages``,
-    ``Pipeline.describe``) are self-documenting.  Parameter overlays are
-    unwrapped to the underlying stage for the docstring.
+    docstring — so registry listings (``repro pipeline stages``) are
+    self-documenting.
     """
-    target = getattr(stage, "_stage", stage)
-    doc = (type(target).__doc__ or "").strip()
+    doc = (type(stage).__doc__ or "").strip()
     summary = doc.splitlines()[0].strip() if doc else ""
     return {
         "name": stage.name,

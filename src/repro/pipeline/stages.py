@@ -1,7 +1,6 @@
 """The built-in stages of the paper's evaluation flow.
 
-Six stages reproduce the fixed recipe that used to be hard-coded across
-``flows/experiment.py`` and ``synth/compile_.py``:
+Six stages make up the paper's evaluation flow, plus one opt-in stage:
 
 ``assign``
     Apply a DC-assignment policy (``conventional`` / ``ranking`` /
@@ -16,7 +15,7 @@ Six stages reproduce the fixed recipe that used to be hard-coded across
 ``complete_dc`` (opt-in; not part of the default recipe)
     SAT-complete internal don't-care reassignment of the network —
     simulation proposes per-node DC candidates, shared-solver SAT
-    queries confirm them exactly, and the chosen policy re-decides the
+    queries confirm them exactly, and the cfactor policy re-decides the
     confirmed flexibility (see
     :func:`repro.synth.flexibility.reassign_complete_dcs`).  Inserted
     between ``optimize`` and ``map``; primary outputs are verified
@@ -192,14 +191,16 @@ class CompleteDcStage:
     it by listing ``complete_dc`` between ``optimize`` and ``map`` in a
     pipeline config (or ``repro pipeline run --complete-dc``).  Per node
     it proposes DC candidates from random simulation, confirms them
-    exactly with batched shared-solver SAT queries, applies the
-    ``dc_policy`` assignment and rebuilds the cover; nodes exhausting the
-    query or conflict budget fall back to the window-limited extractor.
-    With ``dc_jobs`` > 1 independent nodes are confirmed in parallel on
-    the warm worker pool — results stay bit-identical to serial.  Primary
-    outputs are verified unchanged (packed compare per rewrite plus a
-    final SAT miter), so every downstream artefact stays functionally
-    identical and the stage can be toggled without invalidating results.
+    exactly with batched shared-solver SAT queries, applies the cfactor
+    assignment and rebuilds the cover; nodes exhausting the query or
+    conflict budget fall back to the window-limited extractor of depth
+    ``dc_window``.  The engine's other settings are the defaults of
+    :func:`~repro.synth.flexibility.reassign_complete_dcs`, with the
+    simulation seeded by 0.  With ``dc_jobs`` > 1 independent nodes are
+    confirmed in parallel on the warm worker pool — results stay
+    bit-identical to serial.  Primary outputs are verified unchanged
+    (packed compare per rewrite plus a final SAT miter), so every
+    downstream artefact stays functionally identical.
 
     Emits ``sat.*`` / ``complete_dc.*`` counters (queries,
     confirmations, refutations, fallbacks, per-stage DC deltas against
@@ -209,18 +210,7 @@ class CompleteDcStage:
     name = "complete_dc"
     inputs = ("network",)
     outputs = ("network", "complete_dc_report")
-    params = (
-        "complete_dc",
-        "dc_policy",
-        "dc_threshold",
-        "dc_fraction",
-        "dc_max_fanins",
-        "dc_vectors",
-        "dc_query_budget",
-        "dc_conflict_budget",
-        "dc_window",
-        "dc_seed",
-    )
+    params = ("dc_window",)
     # dc_jobs is read but deliberately NOT declared above: it is an
     # execution knob whose results are bit-identical to the serial run,
     # so it must not change the checkpoint fingerprint (a jobs=4 resume
@@ -228,28 +218,14 @@ class CompleteDcStage:
     version = "1"
 
     def run(self, ctx: FlowContext) -> None:
-        from ..synth.flexibility import CompleteDcReport, reassign_complete_dcs
+        from ..synth.flexibility import reassign_complete_dcs
 
         network = ctx.require("network")
-        if not ctx.param("complete_dc", True):
-            ctx.set("network", network)
-            ctx.set(
-                "complete_dc_report",
-                CompleteDcReport(0, 0, 0, 0, 0, 0, 0, float("nan"), float("nan")),
-            )
-            return
         with span("pipeline.complete_dc", nodes=len(network.nodes)):
             report = reassign_complete_dcs(
                 network,
-                policy=ctx.param("dc_policy", "cfactor"),
-                threshold=ctx.param("dc_threshold", DEFAULT_THRESHOLD),
-                fraction=ctx.param("dc_fraction", 1.0),
-                max_fanins=ctx.param("dc_max_fanins", 10),
-                simulation_vectors=ctx.param("dc_vectors", 256),
-                query_budget=ctx.param("dc_query_budget", 256),
-                conflict_budget=ctx.param("dc_conflict_budget", 10_000),
                 window_levels=ctx.param("dc_window", 2),
-                rng=np.random.default_rng(ctx.param("dc_seed", 0)),
+                rng=np.random.default_rng(0),
                 jobs=ctx.param("dc_jobs", 1),
             )
         ctx.set("network", network)
@@ -279,7 +255,7 @@ class MapStage:
         with span("synth.subject_graph"):
             graph = build_subject_graph(network)
         with span("synth.map"):
-            netlist = map_graph(graph, library, mode="area")
+            netlist = map_graph(graph, library)
         ctx.set("netlist", netlist)
 
 
@@ -318,8 +294,7 @@ class MeasureStage:
     truth table against the source care set; node-scope models (e.g.
     ``stuck_at``) measure the optimised logic network instead, where
     internal signals exist.  The default ``single_bit`` model delegates
-    to :func:`repro.core.reliability.error_rate` and is bit-identical
-    to the historical hard-wired measurement.
+    to :func:`repro.core.reliability.error_rate`.
     """
 
     name = "measure"

@@ -5,12 +5,11 @@ The SAT half of the simulation+SAT flexibility machinery the paper cites
 equivalence checking next to the dense-truth-table checks.
 """
 
-from .encode import CnfBuilder, encode_aig, encode_network, networks_equivalent
+from .encode import CnfBuilder, encode_network, networks_equivalent
 from .solver import SatSolver
 
 __all__ = [
     "CnfBuilder",
-    "encode_aig",
     "encode_network",
     "networks_equivalent",
     "SatSolver",

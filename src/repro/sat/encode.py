@@ -1,4 +1,4 @@
-"""Tseitin CNF encodings of networks and AIGs, and miter equivalence.
+"""Tseitin CNF encodings of networks, and miter equivalence.
 
 Together with :mod:`repro.sat.solver` this is the satisfiability half of
 the simulation+SAT flexibility machinery the paper cites ([16]): circuits
@@ -14,10 +14,9 @@ from ..espresso.cube import FREE, Cover
 from .solver import SatSolver
 
 if TYPE_CHECKING:  # imported lazily at runtime to avoid a package cycle
-    from ..synth.aig import Aig
     from ..synth.network import LogicNetwork
 
-__all__ = ["CnfBuilder", "encode_network", "encode_aig", "networks_equivalent"]
+__all__ = ["CnfBuilder", "encode_network", "networks_equivalent"]
 
 
 class CnfBuilder:
@@ -39,11 +38,6 @@ class CnfBuilder:
     def add_clause(self, literals) -> None:
         """Forward to the underlying solver."""
         self.solver.add_clause(literals)
-
-    def constrain_constant(self, name: str, value: bool) -> None:
-        """Force a signal to a constant."""
-        variable = self.var(name)
-        self.add_clause([variable if value else -variable])
 
     def encode_sop(self, output: str, fanins: list[str], cover: Cover) -> None:
         """Tseitin-encode ``output = cover(fanins)``.
@@ -135,45 +129,6 @@ def encode_network(builder: CnfBuilder, network: LogicNetwork, prefix: str = "")
         builder.encode_sop(
             name_of(node_name), [name_of(f) for f in node.fanins], node.cover
         )
-
-
-def encode_aig(builder: CnfBuilder, aig: Aig, prefix: str = "") -> dict[str, int]:
-    """Encode an AIG; returns the CNF literal of every output.
-
-    Output values are returned as *variables whose truth equals the output*
-    (an extra variable is introduced for complemented outputs).
-    """
-    node_var: dict[int, int] = {}
-    zero = builder.var(prefix + "__const0")
-    builder.add_clause([-zero])
-    node_var[0] = zero
-    for index, name in enumerate(aig.pi_names):
-        node_var[index + 1] = builder.var(name)
-
-    def literal(lit: int) -> int:
-        variable = node_var[aig.lit_node(lit)]
-        return -variable if aig.lit_phase(lit) else variable
-
-    for node in sorted(aig.fanins):
-        a, b = aig.fanins[node]
-        out = builder.var(f"{prefix}__and{node}")
-        node_var[node] = out
-        builder.add_clause([-out, literal(a)])
-        builder.add_clause([-out, literal(b)])
-        builder.add_clause([out, -literal(a), -literal(b)])
-
-    outputs: dict[str, int] = {}
-    for out_name, lit in aig.outputs.items():
-        raw = literal(lit)
-        if raw > 0:
-            outputs[out_name] = raw
-        else:
-            # Alias variable for a complemented output: alias <-> not(v).
-            alias = builder.var(prefix + "__out_" + out_name)
-            builder.add_clause([alias, -raw])
-            builder.add_clause([-alias, raw])
-            outputs[out_name] = alias
-    return outputs
 
 
 def networks_equivalent(left: LogicNetwork, right: LogicNetwork) -> bool:

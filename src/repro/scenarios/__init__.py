@@ -12,7 +12,6 @@ from .registry import (
     describe_scenarios,
     get_scenario,
     register_scenario,
-    registered_scenarios,
     scenario_names,
     scenario_specs,
 )
@@ -33,7 +32,6 @@ __all__ = [
     "describe_scenarios",
     "get_scenario",
     "register_scenario",
-    "registered_scenarios",
     "run_scenario",
     "scenario_names",
     "scenario_specs",

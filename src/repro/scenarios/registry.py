@@ -27,7 +27,6 @@ __all__ = [
     "describe_scenarios",
     "get_scenario",
     "register_scenario",
-    "registered_scenarios",
     "scenario_names",
     "scenario_specs",
 ]
@@ -190,11 +189,6 @@ def get_scenario(name: str) -> Scenario:
             f"unknown scenario {name!r}; registered scenarios: "
             f"{scenario_names()}"
         ) from None
-
-
-def registered_scenarios() -> dict[str, Scenario]:
-    """Name-to-scenario view of the registry (registration order)."""
-    return dict(_REGISTRY)
 
 
 def scenario_names() -> list[str]:

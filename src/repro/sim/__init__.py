@@ -26,7 +26,6 @@ from .engine import (
     netlist_values,
     network_output_words,
     network_values,
-    packed_aig_evaluator,
     packed_netlist_evaluator,
     packed_network_evaluator,
 )
@@ -62,7 +61,6 @@ __all__ = [
     "num_words",
     "pack_bool",
     "pack_matrix",
-    "packed_aig_evaluator",
     "packed_netlist_evaluator",
     "packed_network_evaluator",
     "pattern_masks",

@@ -35,7 +35,6 @@ __all__ = [
     "aig_output_words",
     "packed_network_evaluator",
     "packed_netlist_evaluator",
-    "packed_aig_evaluator",
 ]
 
 _TABLE_WIDTH_LIMIT = 12
@@ -176,15 +175,5 @@ def packed_netlist_evaluator(netlist):
     def evaluate(pi_words: np.ndarray, num_vectors: int) -> np.ndarray:
         values = netlist_values(netlist, pi_words, num_vectors)
         return np.array([values[signal] for signal in netlist.outputs.values()])
-
-    return evaluate
-
-
-def packed_aig_evaluator(aig):
-    """Packed Monte-Carlo evaluator for an AIG."""
-
-    def evaluate(pi_words: np.ndarray, num_vectors: int) -> np.ndarray:
-        tables = aig_output_words(aig, pi_words, num_vectors)
-        return np.array(list(tables.values()))
 
     return evaluate

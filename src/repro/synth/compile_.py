@@ -6,7 +6,7 @@ DCs), multi-level optimisation, technology mapping to the generic 70 nm
 library, objective-specific tuning, and measurement.  The objectives mirror
 the paper's scripts:
 
-* ``"delay"`` — maps for arrival time and sizes the critical path
+* ``"delay"`` — maps for area, then sizes the critical path
   (``set_max_delay -to [all_outputs] 0``);
 * ``"power"`` / ``"area"`` — maps for area with X1 cells (the paper notes
   ``compile -area_effort high`` and the power-optimised runs produce very
@@ -16,11 +16,11 @@ Every compile ends with an equivalence self-check of the mapped netlist
 against the input spec's care set, so a miscompare anywhere in the stack
 fails loudly instead of skewing experiment data.
 
-Since the stage-graph refactor both entry points are thin drivers over
-:mod:`repro.pipeline`: ``compile_spec`` assembles the ``espresso`` →
-``optimize`` → ``map`` → ``tune`` → ``measure`` stages and
-``compile_network`` the suffix starting at ``optimize`` — the stage
-bodies in :mod:`repro.pipeline.stages` are the canonical implementation.
+Both entry points are thin drivers over :mod:`repro.pipeline`:
+``compile_spec`` assembles the ``espresso`` → ``optimize`` → ``map`` →
+``tune`` → ``measure`` stages and ``compile_network`` the suffix
+starting at ``optimize`` — the stage bodies in
+:mod:`repro.pipeline.stages` are the canonical implementation.
 """
 
 from __future__ import annotations

@@ -7,11 +7,11 @@ every vertex.  Matches are found by walking cell pattern trees against the
 subject DAG with commutative NAND matching and consistent leaf binding
 (leaf-DAG patterns like XOR bind repeated leaves to the same vertex).
 
-Two cost modes mirror the paper's Design Compiler runs:
-
-* ``"area"`` — minimise total cell area (the power-optimisation proxy;
-  Sec. 3 notes area- and power-optimised implementations are very similar);
-* ``"delay"`` — minimise estimated arrival time, with area as tiebreak.
+The DP minimises total cell area (the power-optimisation proxy; Sec. 3
+notes area- and power-optimised implementations are very similar), with
+estimated arrival time as the tiebreak.  The delay objective sizes the
+critical path of this covering afterwards (see
+:func:`repro.synth.timing.upsize_critical`).
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .subject import SubjectGraph
 __all__ = ["map_graph", "find_matches"]
 
 _EST_LOAD = 2.0
-"""Load estimate used inside the delay DP (actual loads need the mapping)."""
+"""Load estimate behind the arrival tiebreak (actual loads need the mapping)."""
 
 
 def _match_pattern(
@@ -98,28 +98,20 @@ class _Choice:
     binding: dict[str, int]
 
 
-def map_graph(
-    graph: SubjectGraph,
-    library: Library,
-    *,
-    mode: str = "area",
-) -> MappedNetlist:
-    """Cover the subject graph with library cells.
+def map_graph(graph: SubjectGraph, library: Library) -> MappedNetlist:
+    """Cover the subject graph with library cells at minimum area.
 
     Args:
         graph: the INV/NAND2 subject graph.
         library: the target cell library.
-        mode: ``"area"`` or ``"delay"``.
 
     Returns:
         A topologically ordered :class:`MappedNetlist`.
 
     Raises:
-        ValueError: on an unknown mode or an uncoverable vertex (which
-            would indicate a library without INV/NAND2 base cells).
+        ValueError: on an uncoverable vertex (which would indicate a
+            library without INV/NAND2 base cells).
     """
-    if mode not in ("area", "delay"):
-        raise ValueError(f"unknown mapping mode {mode!r}")
     fanouts = graph.fanout_counts()
     roots = {
         ref
@@ -155,13 +147,7 @@ def map_graph(
             arrival = cell.intrinsic + cell.resistance * _EST_LOAD + max(
                 (leaf_arrival(leaf) for leaf in leaves), default=0.0
             )
-            if mode == "area":
-                key = (cost, arrival)
-                best_key = (best.cost, best.arrival) if best else None
-            else:
-                key = (arrival, cost)
-                best_key = (best.arrival, best.cost) if best else None
-            if best is None or key < best_key:
+            if best is None or (cost, arrival) < (best.cost, best.arrival):
                 best = _Choice(cost, arrival, cell, binding)
         if best is None:
             raise ValueError(f"vertex {ref} has no match in the library")

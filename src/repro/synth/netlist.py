@@ -76,14 +76,6 @@ class MappedNetlist:
         """Map from signal name to the gate driving it."""
         return {gate.output: gate for gate in self.gates}
 
-    def readers_of(self) -> dict[str, list[GateInstance]]:
-        """Map from signal name to the gates reading it."""
-        readers: dict[str, list[GateInstance]] = {}
-        for gate in self.gates:
-            for signal in gate.inputs:
-                readers.setdefault(signal, []).append(gate)
-        return readers
-
     def loads(self) -> dict[str, float]:
         """Capacitive load on every signal (pins + wire + PO pins)."""
         lib = self.library

@@ -305,43 +305,16 @@ class LogicNetwork:
             values[name] = local_table[pattern]
         return values
 
-    def evaluate_vectors(self, inputs: np.ndarray) -> dict[str, np.ndarray]:
-        """Evaluate every signal on explicit input vectors.
+    def evaluate_vectors_reference(self, inputs: np.ndarray) -> dict[str, np.ndarray]:
+        """Evaluate every signal on explicit input vectors, byte per vector.
 
-        Unlike :meth:`evaluate`, this does not enumerate the full input
-        space and therefore scales to arbitrarily wide networks — the
-        entry point for Monte-Carlo reliability estimation.  The vectors
-        are packed 64-per-word, simulated on the packed engine, and the
-        results unpacked.
+        The boolean reference that the packed engine
+        (:func:`repro.sim.engine.network_values`) is tested against.
 
         Args:
             inputs: boolean array of shape ``(num_vectors, num_inputs)``;
                 column ``j`` is input ``j``.
-
-        Returns:
-            Map from signal name to a boolean array of length
-            ``num_vectors``.
         """
-        from ..sim import engine as sim_engine
-        from ..sim import packed as sim_packed
-
-        inputs = np.asarray(inputs, dtype=bool)
-        if inputs.ndim != 2 or inputs.shape[1] != len(self.primary_inputs):
-            raise ValueError(
-                f"expected (*, {len(self.primary_inputs)}) inputs, got {inputs.shape}"
-            )
-        num_vectors = inputs.shape[0]
-        packed = sim_engine.network_values(
-            self, sim_packed.pack_matrix(inputs), num_vectors
-        )
-        return {
-            name: sim_packed.unpack_bool(words, num_vectors)
-            for name, words in packed.items()
-        }
-
-    def evaluate_vectors_reference(self, inputs: np.ndarray) -> dict[str, np.ndarray]:
-        """Byte-per-vector reference implementation of
-        :meth:`evaluate_vectors` (the packed engine's test oracle)."""
         inputs = np.asarray(inputs, dtype=bool)
         if inputs.ndim != 2 or inputs.shape[1] != len(self.primary_inputs):
             raise ValueError(

@@ -3,29 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core.hamming import (
-    flip_bit,
-    hamming_distance,
-    neighbor_phase_counts,
-    neighbors,
-    same_phase_neighbor_counts,
-)
+from repro.core.hamming import neighbor_phase_counts, same_phase_neighbor_counts
 from repro.core.truthtable import DC, OFF, ON
-
-
-class TestScalars:
-    def test_flip_bit(self):
-        assert flip_bit(0b0100, 1) == 0b0110
-        assert flip_bit(0b0110, 1) == 0b0100
-
-    def test_neighbors(self):
-        assert sorted(neighbors(0, 3)) == [1, 2, 4]
-        assert sorted(neighbors(5, 3)) == [1, 4, 7]
-
-    def test_hamming_distance(self):
-        assert hamming_distance(0b1010, 0b1010) == 0
-        assert hamming_distance(0b1010, 0b0101) == 4
-        assert hamming_distance(0, 0b111) == 3
 
 
 class TestNeighborPhaseCounts:

@@ -91,7 +91,7 @@ class TestWideNetwork:
         net.set_output("y", "t")
 
         def evaluate(vectors):
-            values = net.evaluate_vectors(vectors)
+            values = net.evaluate_vectors_reference(vectors)
             return values["t"][None, :]
 
         estimate = estimate_error_rate(

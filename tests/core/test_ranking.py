@@ -80,8 +80,6 @@ class TestRankingProperties:
     def test_spec_error_monotone_in_fraction(self, seed):
         """Assigning more DCs for reliability only adds minority-side events,
         so the spec-level error floor grows monotonically with fraction."""
-        from repro.core.reliability import spec_error_rate
-
         spec = random_spec(seed, num_inputs=5, num_outputs=1, dc_fraction=0.5)
         rates = []
         for fraction in (0.0, 0.25, 0.5, 0.75, 1.0):

@@ -15,7 +15,6 @@ from repro.core.reliability import (
     exact_error_bounds,
     max_dc_error_count,
     min_dc_error_count,
-    spec_error_rate,
 )
 from repro.core.spec import FunctionSpec
 from repro.core.truthtable import DC, OFF, ON
@@ -137,7 +136,7 @@ class TestErrorRate:
         assert error_rate(spec) == pytest.approx(0.0)
 
     def test_spec_error_rate_partial(self, motivating_spec):
-        rate = spec_error_rate(motivating_spec)
+        rate = error_rate(motivating_spec, spec=motivating_spec)
         base = base_error_count(motivating_spec.phases)
         assert rate == pytest.approx(int(base[0]) / (4 * 16))
 

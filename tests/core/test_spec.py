@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.spec import FunctionSpec
-from repro.core.truthtable import DC, OFF, ON
+from repro.core.truthtable import DC, OFF, ON, phase_fractions
 
 
 class TestConstruction:
@@ -14,7 +14,7 @@ class TestConstruction:
         assert spec.num_outputs == 1
         assert list(spec.on_set(0)) == [1, 2]
         assert list(spec.dc_set(0)) == [7]
-        assert list(spec.off_set(0)) == [0, 3, 4, 5, 6]
+        assert list(np.flatnonzero(spec.phases[0] == OFF)) == [0, 3, 4, 5, 6]
 
     def test_from_sets_overlap_rejected(self):
         with pytest.raises(ValueError, match="both"):
@@ -51,7 +51,7 @@ class TestQueries:
 
     def test_signal_probabilities(self):
         spec = FunctionSpec.from_sets(2, on_sets=[[0]], dc_sets=[[1, 2]])
-        f0, f1, fdc = spec.signal_probabilities()
+        f0, f1, fdc = phase_fractions(spec.phases)
         assert float(f0[0]) == pytest.approx(0.25)
         assert float(f1[0]) == pytest.approx(0.25)
         assert float(fdc[0]) == pytest.approx(0.5)

@@ -14,7 +14,6 @@ from repro.core.truthtable import (
     num_inputs_of,
     phase_counts,
     phase_fractions,
-    random_phases,
     validate_phases,
 )
 
@@ -103,22 +102,3 @@ class TestStatistics:
     def test_care_mask(self):
         arr = np.array([OFF, ON, DC, ON], dtype=np.uint8)
         np.testing.assert_array_equal(care_mask(arr), [True, True, False, True])
-
-
-class TestRandomPhases:
-    def test_shape_and_codes(self):
-        rng = np.random.default_rng(1)
-        arr = random_phases(5, 3, (0.3, 0.3, 0.4), rng)
-        assert arr.shape == (3, 32)
-        assert set(np.unique(arr)) <= {OFF, ON, DC}
-
-    def test_respects_probabilities(self):
-        rng = np.random.default_rng(2)
-        arr = random_phases(12, 1, (0.2, 0.2, 0.6), rng)
-        _, _, fdc = phase_fractions(arr)
-        assert abs(float(fdc[0]) - 0.6) < 0.05
-
-    def test_rejects_bad_probabilities(self):
-        rng = np.random.default_rng(3)
-        with pytest.raises(ValueError, match="sum"):
-            random_phases(4, 1, (0.5, 0.5, 0.5), rng)

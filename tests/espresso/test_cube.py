@@ -4,12 +4,8 @@ import numpy as np
 import pytest
 
 from repro.espresso.cube import (
-    FREE,
-    V0,
-    V1,
     Cover,
     cube_contains,
-    cube_intersection,
     cube_string,
     cubes_intersect,
     supercube,
@@ -29,11 +25,6 @@ class TestCubeOps:
         assert cube_contains(cube("01-"), cube("011"))
         assert not cube_contains(cube("01-"), cube("-1-"))
         assert cube_contains(cube("---"), cube("000"))
-
-    def test_intersection(self):
-        result = cube_intersection(cube("0--"), cube("-1-"))
-        assert cube_string(result) == "01-"
-        assert cube_intersection(cube("0--"), cube("1--")) is None
 
     def test_intersects(self):
         assert cubes_intersect(cube("0--"), cube("--1"))
@@ -113,16 +104,7 @@ class TestCoverOps:
         result = cover.cofactor(c)
         assert result.cube_strings() == ["-1-", "-0-"]
 
-    def test_var_cofactor(self):
-        cover = Cover.from_strings(["1-1"])
-        assert cover.var_cofactor(0, V1).cube_strings() == ["--1"]
-        assert cover.var_cofactor(0, V0).num_cubes == 0
-
     def test_single_cube_containment(self):
         cover = Cover.from_strings(["011", "01-", "01-"])
         result = cover.single_cube_containment()
         assert result.cube_strings() == ["01-"]
-
-    def test_without_cube(self):
-        cover = Cover.from_strings(["000", "111"])
-        assert cover.without_cube(0).cube_strings() == ["111"]

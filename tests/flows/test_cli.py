@@ -81,6 +81,47 @@ class TestCli:
         assert "--points: must be at least 2" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("argv, message", [
+        pytest.param(
+            ["synth", "bench", "--policy", "ranking", "--fraction", "1.5"],
+            "--fraction: must lie in [0, 1]", id="fraction"),
+        pytest.param(
+            ["assign", "bench", "--policy", "cfactor", "--threshold", "2"],
+            "--threshold: must lie in [0, 1]", id="threshold"),
+        pytest.param(
+            ["nodal", "bench", "--threshold", "5"],
+            "--threshold: must lie in [0, 1]", id="nodal-threshold"),
+        pytest.param(
+            ["gen", "--inputs", "7", "--outputs", "2", "--cf", "1.5",
+             "--dc", "0.5"],
+            "--cf: must lie in [0, 1]", id="cf"),
+        pytest.param(
+            ["gen", "--inputs", "7", "--outputs", "2", "--cf", "0.5",
+             "--dc", "x"],
+            "--dc: not a number", id="dc"),
+        pytest.param(
+            ["sweep", "bench", "--jobs", "abc"],
+            "--jobs: jobs must be an integer or 'auto'", id="jobs"),
+        pytest.param(
+            ["pipeline", "run", "bench", "--dc-jobs", "abc"],
+            "--dc-jobs: jobs must be an integer or 'auto'", id="dc-jobs"),
+        pytest.param(
+            ["pipeline", "run", "bench", "--stop-after", "teleport"],
+            "--stop-after: 'teleport' is not a stage of this pipeline",
+            id="stop-after-unknown"),
+        pytest.param(
+            ["pipeline", "run", "bench", "--stop-after", "complete_dc"],
+            "--stop-after: 'complete_dc' is not a stage of this pipeline",
+            id="stop-after-absent-stage"),
+    ])
+    def test_bad_flag_value_is_a_usage_error(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert f"argument {message}" in captured.err
+        assert captured.out == ""
+
     def test_gen(self, tmp_path, capsys):
         out_path = str(tmp_path / "gen.pla")
         assert main([

@@ -6,10 +6,9 @@ import pytest
 from repro.core.spec import FunctionSpec
 from repro.espresso.cube import Cover
 from repro.espresso.minimize import espresso, minimize_spec
+from repro.obs import metrics_snapshot
 from repro.perf import (
-    CacheStats,
     MinimizationCache,
-    cache_stats,
     configure_cache,
     cover_key,
     global_cache,
@@ -23,7 +22,7 @@ def fresh_cache():
     reset_cache()
     yield
     reset_cache()
-    configure_cache(enabled=True, maxsize=4096)
+    configure_cache(enabled=True)
 
 
 class TestKeys:
@@ -69,43 +68,21 @@ class TestCacheMechanics:
         cache.put("a", 1)
         assert cache.get("a") is None
         assert len(cache) == 0
-        assert cache.stats()["hits"] == 0
+        assert cache.hits == 0
 
     def test_stats_shape(self):
-        stats = cache_stats()
-        for field in ("enabled", "entries", "hits", "misses", "evictions", "hit_rate"):
-            assert field in stats
-
-    def test_stats_is_typed_dataclass(self):
-        cache = MinimizationCache(maxsize=8)
-        cache.put("a", 1)
-        cache.get("a")
-        cache.get("b")
-        stats = cache.stats()
-        assert isinstance(stats, CacheStats)
-        assert stats.hits == 1
-        assert stats.misses == 1
-        assert stats.entries == 1
-        assert stats.maxsize == 8
-        assert stats.hit_rate == pytest.approx(0.5)
-
-    def test_stats_dict_compat(self):
-        # Pre-existing callers index stats like a dict; both views agree.
-        stats = MinimizationCache().stats()
-        as_dict = stats.asdict()
-        assert as_dict["hits"] == stats.hits == stats["hits"]
-        assert set(as_dict) == {
-            "enabled", "entries", "maxsize", "hits", "misses",
-            "evictions", "hit_rate",
-        }
-        assert dict(stats) == {key: stats[key] for key in as_dict}
-        with pytest.raises(KeyError):
-            stats["nope"]
-        assert "hit_rate" in stats
+        before = metrics_snapshot()
+        global_cache.put("a", 1)
+        global_cache.get("a")
+        global_cache.get("b")
+        after = metrics_snapshot()
+        for name in ("cache.hits", "cache.misses"):
+            assert after[name]["value"] - before[name]["value"] == 1
+        assert after["cache.evictions"]["type"] == "counter"
+        assert after["cache.entries"] == {"type": "gauge", "value": 1}
+        assert after["cache.hit_rate"] == {"type": "gauge", "value": 0.5}
 
     def test_stats_reports_into_global_metrics(self):
-        from repro.obs import metrics_snapshot
-
         on = Cover.from_minterms(4, [1, 2, 3])
         espresso(on)
         espresso(on)
@@ -120,9 +97,9 @@ class TestEspressoMemo:
         on = Cover.from_minterms(5, [1, 3, 7, 12, 19])
         dc = Cover.from_minterms(5, [4, 9])
         first = espresso(on, dc)
-        before = cache_stats()["hits"]
+        before = global_cache.hits
         second = espresso(on, dc)
-        assert cache_stats()["hits"] == before + 1
+        assert global_cache.hits == before + 1
         assert second is first  # shared, read-only result
         assert not second.cubes.flags.writeable
 
@@ -143,9 +120,9 @@ class TestEspressoMemo:
             4, on_sets=[[1, 3], [0, 2]], dc_sets=[[5], []], name="b"
         )
         first = minimize_spec(spec_a)
-        hits_before = cache_stats()["hits"]
+        hits_before = global_cache.hits
         second = minimize_spec(spec_b)
-        assert cache_stats()["hits"] > hits_before
+        assert global_cache.hits > hits_before
         # Memoised covers, but the caller's spec identity is preserved.
         assert second.spec is spec_b
         assert spec_b.equivalent_within_dc(second.completed_spec())
@@ -157,5 +134,5 @@ class TestEspressoMemo:
         result1 = espresso(on)
         result2 = espresso(on)
         assert np.array_equal(result1.cubes, result2.cubes)
-        assert cache_stats()["hits"] == 0
+        assert global_cache.hits == 0
         assert len(global_cache) == 0

@@ -1,24 +1,59 @@
 """Tests for the opt-in ``complete_dc`` pipeline stage.
 
 The stage's contract: it is absent from the default recipe, it never
-changes the network's primary outputs when enabled, it is bit-identical
-to not running it when disabled via the ``complete_dc`` flow parameter,
-and its report artefact survives checkpoint round-trips.
+changes the network's primary outputs, its result is pinned by a golden
+report and cover digest, ``dc_jobs`` > 1 reproduces the serial result
+bit for bit and may resume from a serial checkpoint, and its report
+artefact survives checkpoint round-trips.
 """
 
-import math
+import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
 
 from repro.benchgen.synthetic import generate_spec
-from repro.pipeline import DEFAULT_STAGES, Pipeline, default_config, get_stage
+from repro.obs import metrics as obs_metrics
+from repro.pipeline import (
+    DEFAULT_STAGES,
+    Pipeline,
+    default_config,
+    describe_stage,
+    get_stage,
+)
 from repro.synth.flexibility import CompleteDcReport
+
+GOLDEN_REPORT = {
+    "nodes_considered": 40,
+    "nodes_changed": 28,
+    "dc_entries_assigned": 146,
+    "complete_dc_minterms": 6101,
+    "window_dc_minterms": 6099,
+    "dc_delta": 2,
+    "sat_fallback_nodes": 8,
+    "error_rate_before": 0.23525390625,
+    "error_rate_after": 0.23857421875,
+    "node_groups": 28,
+    "parallel_groups": 0,
+    "recycled_patterns": 63,
+}
+"""The serial report on ``golden_spec`` (cfactor policy, area objective)."""
+
+GOLDEN_COVERS_SHA256 = (
+    "1820ef6b7e20fcd6648f98d838a03c5829277497b5e210ff025f37bac6911c92"
+)
+""":func:`covers_digest` of the network the stage leaves on ``golden_spec``."""
 
 
 @pytest.fixture(scope="module")
 def spec():
     return generate_spec("dcstage", 7, 3, target_cf=0.6, dc_fraction=0.4, seed=11)
+
+
+@pytest.fixture(scope="module")
+def golden_spec():
+    return generate_spec("nodal0", 8, 3, target_cf=0.45, dc_fraction=0.5, seed=60)
 
 
 def _stages_with_complete_dc():
@@ -27,18 +62,36 @@ def _stages_with_complete_dc():
     return stages
 
 
+def _complete_dc_config(dc_jobs=1):
+    config = dict(
+        default_config("cfactor", objective="area"),
+        stages=_stages_with_complete_dc(),
+    )
+    config["params"] = dict(config["params"], dc_jobs=dc_jobs)
+    return config
+
+
+def covers_digest(network):
+    """SHA-256 over every node's name, fanins and cube bytes, in order."""
+    digest = hashlib.sha256()
+    for name, node in network.nodes.items():
+        digest.update(name.encode())
+        digest.update(repr(list(node.fanins)).encode())
+        digest.update(node.cover.cubes.tobytes())
+    return digest.hexdigest()
+
+
 class TestRegistration:
     def test_registered_but_not_default(self):
         stage = get_stage("complete_dc")
         assert stage.inputs == ("network",)
         assert stage.outputs == ("network", "complete_dc_report")
+        assert stage.params == ("dc_window",)
         assert "complete_dc" not in DEFAULT_STAGES
 
     def test_describe_lists_params(self):
-        pipe = Pipeline(_stages_with_complete_dc())
-        entry = next(e for e in pipe.describe() if e["name"] == "complete_dc")
-        assert "dc_policy" in entry["params"]
-        assert "dc_window" in entry["params"]
+        entry = describe_stage(get_stage("complete_dc"))
+        assert entry["params"] == ["dc_window"]
         assert entry["summary"]  # docstring first line survives
 
 
@@ -73,43 +126,23 @@ class TestPrimaryOutputsPreserved:
         )
 
 
-class TestDisabled:
-    def test_param_disables_to_zeroed_report(self, spec):
-        config = dict(
-            default_config("cfactor", objective="area"),
-            stages=_stages_with_complete_dc(),
-        )
-        config["params"] = dict(config["params"], complete_dc=False)
-        ctx = Pipeline.from_config(config).run(spec=spec)
-        report = ctx.require("complete_dc_report")
-        assert report.nodes_considered == 0
-        assert report.nodes_changed == 0
-        assert math.isnan(report.error_rate_before)
+class TestGolden:
+    def test_serial_report_and_covers(self, golden_spec):
+        ctx = Pipeline.from_config(_complete_dc_config()).run(spec=golden_spec)
+        report = dataclasses.asdict(ctx.require("complete_dc_report"))
+        assert report == GOLDEN_REPORT
+        assert covers_digest(ctx.require("network")) == GOLDEN_COVERS_SHA256
 
-    def test_disabled_matches_pipeline_without_stage(self, spec):
-        config = default_config("ranking", fraction=0.5, objective="area")
-        without = Pipeline.from_config(config).run(spec=spec)
-
-        disabled = dict(config, stages=_stages_with_complete_dc())
-        disabled["params"] = dict(disabled["params"], complete_dc=False)
-        with_disabled = Pipeline.from_config(disabled).run(spec=spec)
-
-        assert (
-            with_disabled.require("synthesis").area
-            == without.require("synthesis").area
+    def test_dc_jobs_matches_serial(self, golden_spec):
+        ctx = Pipeline.from_config(_complete_dc_config(dc_jobs=2)).run(
+            spec=golden_spec
         )
-        assert np.array_equal(
-            with_disabled.require("implemented").phases,
-            without.require("implemented").phases,
-        )
-        # The node covers themselves are untouched, not just the POs.
-        left = without.require("network")
-        right = with_disabled.require("network")
-        assert list(left.nodes) == list(right.nodes)
-        for name in left.nodes:
-            assert np.array_equal(
-                left.nodes[name].cover.cubes, right.nodes[name].cover.cubes
-            )
+        report = dataclasses.asdict(ctx.require("complete_dc_report"))
+        assert report.pop("parallel_groups") > 0
+        expected = dict(GOLDEN_REPORT)
+        expected.pop("parallel_groups")
+        assert report == expected
+        assert covers_digest(ctx.require("network")) == GOLDEN_COVERS_SHA256
 
 
 class TestCheckpointRoundTrip:
@@ -129,4 +162,17 @@ class TestCheckpointRoundTrip:
         assert np.array_equal(
             first.require("implemented").phases,
             second.require("implemented").phases,
+        )
+
+    def test_dc_jobs_resumes_serial_checkpoint(self, spec, tmp_path):
+        store = str(tmp_path / "ckpt")
+        Pipeline.from_config(_complete_dc_config(), checkpoint=store).run(spec=spec)
+        run_before = obs_metrics.counter("pipeline.stages_run").value
+        skip_before = obs_metrics.counter("pipeline.stages_skipped").value
+        Pipeline.from_config(_complete_dc_config(dc_jobs=2), checkpoint=store).run(
+            spec=spec
+        )
+        assert obs_metrics.counter("pipeline.stages_run").value == run_before
+        assert obs_metrics.counter("pipeline.stages_skipped").value == (
+            skip_before + len(_stages_with_complete_dc())
         )

@@ -73,7 +73,7 @@ class TestManualRecipeEquivalence:
         )
         optimize_network(network)
         graph = build_subject_graph(network)
-        netlist = map_graph(graph, generic_70nm_library(), mode="area")
+        netlist = map_graph(graph, generic_70nm_library())
         implemented = netlist.to_spec(name=f"{spec.name}/impl")
 
         result = run_flow(spec, "conventional", objective="area")

@@ -6,6 +6,7 @@ from repro.pipeline import (
     DEFAULT_STAGES,
     Pipeline,
     default_config,
+    describe_stage,
     get_stage,
     register_stage,
     registered_stages,
@@ -77,8 +78,7 @@ class TestWiring:
             Pipeline(["assign", "assign"])
 
     def test_describe(self):
-        pipe = Pipeline(DEFAULT_STAGES)
-        described = pipe.describe()
+        described = [describe_stage(get_stage(name)) for name in DEFAULT_STAGES]
         assert [entry["name"] for entry in described] == list(DEFAULT_STAGES)
         assert described[0]["inputs"] == ["spec"]
         assert described[-1]["outputs"] == ["implemented", "synthesis"]

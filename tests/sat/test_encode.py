@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.espresso.cube import Cover
-from repro.sat.encode import CnfBuilder, encode_aig, encode_network, networks_equivalent
-from repro.synth.aig import aig_from_network
+from repro.sat.encode import CnfBuilder, encode_network, networks_equivalent
 from repro.synth.network import LogicNetwork
 from repro.synth.optimize import optimize_network
 from repro.synth.renode import renode
@@ -106,21 +105,3 @@ class TestEquivalence:
         right = random_network(seed + 1, n=4, num_nodes=2)
         dense_equal = bool(np.array_equal(left.output_table(), right.output_table()))
         assert networks_equivalent(left, right) == dense_equal
-
-
-class TestAigEncoding:
-    def test_outputs_match_evaluation(self):
-        net = random_network(4, n=4, num_nodes=2)
-        aig = aig_from_network(net)
-        tables = aig.evaluate()
-        builder = CnfBuilder()
-        outputs = encode_aig(builder, aig)
-        for minterm in range(1 << 4):
-            assumptions = []
-            for pos, name in enumerate(aig.pi_names):
-                variable = builder.var(name)
-                assumptions.append(variable if (minterm >> pos) & 1 else -variable)
-            sat, model = builder.solver.solve(assumptions)
-            assert sat
-            for out_name, out_var in outputs.items():
-                assert model[out_var] == bool(tables[out_name][minterm])

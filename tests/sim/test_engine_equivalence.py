@@ -1,8 +1,8 @@
 """Randomized equivalence: packed engine vs the boolean reference oracles.
 
-The packed simulators replaced the byte-per-vector bodies of
-``LogicNetwork.evaluate``/``evaluate_vectors``, ``MappedNetlist.evaluate``
-and ``Aig.evaluate``; the originals survive as ``*_reference`` methods.
+The packed simulators behind ``LogicNetwork.evaluate``,
+``sim.engine.network_values``, ``MappedNetlist.evaluate`` and
+``Aig.evaluate`` have byte-per-vector ``*_reference`` counterparts.
 These tests pin the packed paths to the references bit for bit, including
 the degenerate shapes (constant nodes, zero-gate netlists, multi-output
 covers) and the Monte-Carlo estimator's two evaluator kinds under a
@@ -56,10 +56,12 @@ class TestNetworkEquivalence:
         net = random_multilevel_network(seed + 50)
         rng = np.random.default_rng(seed)
         vectors = rng.random((137, len(net.primary_inputs))) < 0.5
-        packed = net.evaluate_vectors(vectors)
+        packed = sim_engine.network_values(net, pk.pack_matrix(vectors), 137)
         reference = net.evaluate_vectors_reference(vectors)
         for name in reference:
-            np.testing.assert_array_equal(packed[name], reference[name], err_msg=name)
+            np.testing.assert_array_equal(
+                pk.unpack_bool(packed[name], 137), reference[name], err_msg=name
+            )
 
     def test_constant_nodes(self):
         net = LogicNetwork(["a"])
@@ -87,9 +89,11 @@ class TestNetworkEquivalence:
         net.set_output("y", "t")
         rng = np.random.default_rng(0)
         vectors = rng.random((77, n)) < 0.5
-        packed = net.evaluate_vectors(vectors)
+        packed = sim_engine.network_values(net, pk.pack_matrix(vectors), 77)
         reference = net.evaluate_vectors_reference(vectors)
-        np.testing.assert_array_equal(packed["t"], reference["t"])
+        np.testing.assert_array_equal(
+            pk.unpack_bool(packed["t"], 77), reference["t"]
+        )
 
 
 class TestNetlistEquivalence:

@@ -129,9 +129,8 @@ class TestMatching:
 
 
 class TestMapping:
-    def _map_network(self, net, lib, mode="area"):
-        graph = build_subject_graph(net)
-        return map_graph(graph, lib, mode=mode)
+    def _map_network(self, net, lib):
+        return map_graph(build_subject_graph(net), lib)
 
     def test_maps_and_implements(self, lib):
         net = LogicNetwork(["a", "b", "c"])
@@ -141,16 +140,6 @@ class TestMapping:
         assert netlist.num_gates >= 1
         assert netlist.implements(net.to_spec())
 
-    def test_area_mode_not_worse_than_delay_mode_area(self, lib):
-        net = LogicNetwork(["a", "b", "c", "d"])
-        net.add_node(
-            "t", ["a", "b", "c", "d"], Cover.from_strings(["11--", "--11", "1--1"])
-        )
-        net.set_output("y", "t")
-        area_mapped = self._map_network(net, lib, "area")
-        delay_mapped = self._map_network(net, lib, "delay")
-        assert area_mapped.area <= delay_mapped.area + 1e-9
-
     def test_constant_outputs(self, lib):
         net = LogicNetwork(["a"])
         net.add_node("zero", ["a"], Cover.empty(1))
@@ -159,14 +148,6 @@ class TestMapping:
         assert netlist.num_gates == 0
         signal = netlist.outputs["y"]
         assert netlist.constants[signal] is False
-
-    def test_unknown_mode(self, lib):
-        net = LogicNetwork(["a"])
-        net.add_node("t", ["a"], Cover.from_strings(["0"]))
-        net.set_output("y", "t")
-        graph = build_subject_graph(net)
-        with pytest.raises(ValueError, match="unknown mapping mode"):
-            map_graph(graph, lib, mode="turbo")
 
     @given(st.integers(0, 10**9))
     @settings(max_examples=25, deadline=None)

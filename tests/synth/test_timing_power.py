@@ -116,7 +116,7 @@ class TestPower:
         net = LogicNetwork(["a", "b"])
         net.add_node("t", ["a", "b"], Cover.from_strings(["11"]))
         net.set_output("y", "t")
-        netlist = map_graph(build_subject_graph(net), lib, mode="area")
+        netlist = map_graph(build_subject_graph(net), lib)
         report = power_analysis(netlist)
         out_signal = netlist.outputs["y"]
         assert report.activities[out_signal] == pytest.approx(2 * 0.25 * 0.75)

@@ -69,13 +69,13 @@ class TestEvaluateVectors:
         dense = net.evaluate()["t"]
         idx = np.arange(8)
         vectors = np.stack([(idx >> j) & 1 for j in range(3)], axis=1).astype(bool)
-        sampled = net.evaluate_vectors(vectors)["t"]
+        sampled = net.evaluate_vectors_reference(vectors)["t"]
         np.testing.assert_array_equal(sampled, dense)
 
     def test_shape_validation(self):
         net = LogicNetwork(["a", "b"])
         with pytest.raises(ValueError, match="inputs"):
-            net.evaluate_vectors(np.zeros((4, 3), dtype=bool))
+            net.evaluate_vectors_reference(np.zeros((4, 3), dtype=bool))
 
 
 class TestAigDepthProperties:

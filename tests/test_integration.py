@@ -1,5 +1,8 @@
 """Cross-module integration tests: the full pipeline, end to end."""
 
+import importlib
+import pkgutil
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,6 +26,19 @@ class TestPublicApi:
     def test_top_level_exports(self):
         for name in repro.__all__:
             assert hasattr(repro, name), name
+
+    def test_module_exports(self):
+        """Every ``__all__`` entry of every ``repro.*`` module resolves, so
+        ``from repro.x import *`` never trips over a stale name."""
+        stale = []
+        for info in pkgutil.walk_packages(repro.__path__, "repro."):
+            module = importlib.import_module(info.name)
+            stale += [
+                f"{info.name}.{name}"
+                for name in getattr(module, "__all__", ())
+                if not hasattr(module, name)
+            ]
+        assert stale == []
 
     def test_version(self):
         assert repro.__version__
