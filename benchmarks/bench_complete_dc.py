@@ -7,14 +7,10 @@ extractor at depth 1.  The claims under test: the complete extractor
 confirms **strictly more** DC minterms than the windowed one, and the
 reassignment never changes a primary output.
 
-A second experiment times the flexibility engine serially and at four
-jobs on a SAT-bound subject: a disjoint union of four independent cones,
-which also gives the wave scheduler four-wide groups to fan out across
-worker processes.  The serial DC counts must equal the values recorded
-before the engine's unbatched query plan was removed, the parallel run
-must be bit-identical to the serial one, and the parallel confirmation
-phase must be >= 3x serial at four jobs (timing asserted only when the
-machine actually has the CPUs).
+A second experiment times the flexibility engine on a SAT-bound
+subject, a disjoint union of four independent cones.  Its DC counts must
+equal the values recorded before the engine's unbatched query plan was
+removed, and two runs must rewrite the network identically.
 
 Results (DC counts, deltas, per-circuit wall/solver seconds and the
 ``sat.*`` query counters) persist to ``BENCH_complete_dc.json`` at the
@@ -26,13 +22,11 @@ import time
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from repro.benchgen.synthetic import generate_spec
 from repro.espresso.minimize import minimize_spec
 from repro.flows import format_table
 from repro.obs import metrics as obs_metrics
-from repro.perf.pool import available_cpus
 from repro.synth.flexibility import reassign_complete_dcs
 from repro.synth.network import LogicNetwork
 from repro.synth.optimize import optimize_network
@@ -47,20 +41,13 @@ complete extractor must dominate it on every circuit."""
 
 SAT_COUNTERS = (
     "sat.queries", "sat.confirmations", "sat.refutations", "sat.fallbacks",
-    "sat.cex_recycled", "sat.cone_cache_hits",
+    "sat.cex_recycled",
 )
 
 PERF_GOLDEN_COUNTS = (7205, 0, 56, 7008)
-"""Serial ``_counts`` on the perf subject, recorded from the batched
-engine and checked equal to the unbatched one-query-per-solve plan
-before that plan was removed."""
-
-PARALLEL_CONFIRM_FLOOR = 3.0
-"""Minimum confirmation-phase speedup at 4 jobs.  The apply phase
-(ESPRESSO cover rebuilds) is inherently sequential, so the parallel
-claim is pinned on the phase the workers actually execute."""
-
-PERF_JOBS = 4
+"""``_counts`` on the perf subject, recorded from the batched engine and
+checked equal to the unbatched one-query-per-solve plan before that plan
+was removed."""
 
 
 def _subjects():
@@ -166,9 +153,7 @@ def _perf_subject():
     """Disjoint union of four independent 8-PI cones.
 
     32 PIs total, so the stage runs in its wide-network mode (sampled
-    simulation + final SAT miter), and the four cones share no signals,
-    so the wave scheduler emits four-wide groups — the parallel path's
-    best case and the serial path's representative SAT-bound load.
+    simulation + final SAT miter): a representative SAT-bound load.
     """
     cones = [
         _build_network(
@@ -194,7 +179,7 @@ def _perf_subject():
     return union
 
 
-def _perf_run(jobs=1):
+def _perf_run():
     """One reassignment over the perf subject; timing + identity data.
 
     ``simulation_vectors=64`` leaves real work for SAT (256 proposes
@@ -203,20 +188,17 @@ def _perf_run(jobs=1):
     """
     network = _perf_subject()
     solver_before = obs_metrics.counter("sat.solve_seconds").value
-    confirm_before = obs_metrics.counter("complete_dc.confirm_seconds").value
     started = time.perf_counter()
     report = reassign_complete_dcs(
         network, policy="cfactor", threshold=1.0,
         window_levels=WINDOW_LEVELS, simulation_vectors=64,
-        query_budget=4096, rng=np.random.default_rng(7), jobs=jobs,
+        query_budget=4096, rng=np.random.default_rng(7),
     )
     wall = time.perf_counter() - started
     return {
         "wall": wall,
         "solver": obs_metrics.counter("sat.solve_seconds").value
         - solver_before,
-        "confirm": obs_metrics.counter("complete_dc.confirm_seconds").value
-        - confirm_before,
         "report": report,
         "snapshot": {
             name: (tuple(node.fanins), node.cover.cubes.tobytes())
@@ -247,50 +229,8 @@ def test_complete_dc_engine_speedup(benchmark):
 
     perf = {
         "subject": "4x disjoint 8-PI cones",
-        "jobs": PERF_JOBS,
         "engine_wall_seconds": round(engine["wall"], 3),
         "engine_solver_seconds": round(engine["solver"], 3),
-        "parallel_confirm_floor": PARALLEL_CONFIRM_FLOOR,
-        "parallel_confirm_speedup": None,
-        "parallel_wall_seconds": None,
     }
-
-    parallel = _perf_run(jobs=PERF_JOBS)
-    # Parallel output is bit-identical to serial, always — even on
-    # a single CPU, where only the timing claim is vacuous.
-    assert _counts(parallel["report"]) == _counts(engine["report"])
-    assert parallel["snapshot"] == engine["snapshot"]
-    assert parallel["report"].parallel_groups > 0
-    perf["parallel_wall_seconds"] = round(parallel["wall"], 3)
-    confirm_speedup = (
-        engine["confirm"] / parallel["confirm"]
-        if parallel["confirm"] else None
-    )
-    perf["parallel_confirm_speedup"] = (
-        round(confirm_speedup, 2) if confirm_speedup else None
-    )
-    if available_cpus() >= PERF_JOBS:
-        assert confirm_speedup >= PARALLEL_CONFIRM_FLOOR, perf
-
-    emit("flexibility engine, serial vs parallel", json.dumps(perf, indent=2))
+    emit("flexibility engine", json.dumps(perf, indent=2))
     _update_bench_file(perf=perf)
-
-
-@pytest.mark.skipif(
-    available_cpus() < PERF_JOBS, reason=f"needs {PERF_JOBS} CPUs"
-)
-def test_complete_dc_speedup_floor():
-    """CI gate: parallel confirmation at 4 jobs is at least 2x serial.
-
-    A deliberately lower floor than the benchmark's 3x — CI runners
-    are shared and slow, and this test exists to catch the parallel
-    path silently serialising, not to certify peak speedup.
-    """
-    serial = _perf_run()
-    parallel = _perf_run(jobs=PERF_JOBS)
-    assert _counts(parallel["report"]) == _counts(serial["report"])
-    assert parallel["snapshot"] == serial["snapshot"]
-    assert parallel["report"].parallel_groups > 0
-    assert serial["confirm"] >= 2.0 * parallel["confirm"], (
-        serial["confirm"], parallel["confirm"]
-    )

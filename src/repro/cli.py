@@ -78,7 +78,7 @@ __all__ = ["main"]
 
 
 def _jobs_arg(value: str) -> str:
-    """``--jobs`` / ``--dc-jobs``: an integer or ``auto``.
+    """``--jobs``: an integer or ``auto``.
 
     Only checked here: each command resolves it with
     :func:`repro.perf.resolve_jobs`, capped by its own point count.
@@ -101,12 +101,27 @@ def _unit_interval(value: str) -> float:
     return number
 
 
-def _sweep_points(value: str) -> int:
-    """``--points``: a sweep needs its fraction-0 baseline and fraction 1."""
-    points = int(value)
-    if points < 2:
-        raise argparse.ArgumentTypeError(f"must be at least 2, got {points}")
-    return points
+def _int_at_least(minimum: int):
+    """An argparse type: an integer no smaller than *minimum*.
+
+    ``--points`` needs 2 (a sweep's fraction-0 baseline and fraction 1),
+    ``nodal --k`` 2 and ``nodal --dc-window`` 1 (the smallest cut width
+    and window depth the extractors accept).
+    """
+    def parse(value: str) -> int:
+        try:
+            number = int(value)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"not an integer: {value!r}"
+            ) from None
+        if number < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {minimum}, got {number}"
+            )
+        return number
+
+    return parse
 
 
 def _add_jobs_arg(parser: argparse.ArgumentParser) -> None:
@@ -324,12 +339,9 @@ def _cmd_nodal(args: argparse.Namespace) -> int:
             policy=args.policy,
             threshold=args.threshold,
             window_levels=args.dc_window,
-            jobs=resolve_jobs(args.jobs),
             progress=progress,
         )
         rows += [
-            ["node groups (parallel)",
-             f"{report.node_groups} ({report.parallel_groups})"],
             ["recycled counterexamples", report.recycled_patterns],
             ["nodes rewritten", report.nodes_changed],
             ["internal DCs assigned", report.dc_entries_assigned],
@@ -409,12 +421,6 @@ def _cmd_pipeline_run(args: argparse.Namespace) -> int:
         )
     if getattr(args, "complete_dc", False):
         config = _with_complete_dc_stage(config)
-    dc_jobs = resolve_jobs(args.dc_jobs)
-    if dc_jobs != 1:
-        config = {
-            **config,
-            "params": {**config.get("params", {}), "dc_jobs": dc_jobs},
-        }
     checkpoint = (
         CheckpointStore(args.checkpoint_dir) if args.checkpoint_dir else None
     )
@@ -891,7 +897,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("benchmark")
     p_sweep.add_argument("--objective", default="power",
                          choices=["delay", "power", "area"])
-    p_sweep.add_argument("--points", type=_sweep_points, default=5,
+    p_sweep.add_argument("--points", type=_int_at_least(2), default=5,
                          help="evenly spaced fractions from 0 to 1 (>= 2)")
     _add_jobs_arg(p_sweep)
     p_sweep.add_argument("--cache-stats", action="store_true",
@@ -924,12 +930,6 @@ def _build_parser() -> argparse.ArgumentParser:
                             dest="complete_dc",
                             help="insert the SAT-complete don't-care stage "
                                  "after optimize (primary outputs preserved)")
-    p_pipe_run.add_argument("--dc-jobs", type=_jobs_arg, default="1",
-                            dest="dc_jobs",
-                            metavar="N|auto",
-                            help="worker processes for the complete-DC "
-                                 "stage's SAT confirmation (results are "
-                                 "bit-identical to serial)")
     p_pipe_run.add_argument("--json", action="store_true",
                             help="machine-readable result + pipeline summary")
     p_pipe_run.set_defaults(func=_cmd_pipeline_run, _parser=p_pipe_run)
@@ -1024,14 +1024,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p_nodal.add_argument("--threshold", type=_unit_interval, default=1.0)
     p_nodal.add_argument("--renode", action="store_true",
                          help="repartition into k-feasible nodes first")
-    p_nodal.add_argument("--k", type=int, default=6, help="renode fanin bound")
+    p_nodal.add_argument("--k", type=_int_at_least(2), default=6,
+                         help="renode fanin bound")
     p_nodal.add_argument("--sat", action="store_true",
                          help="use the SAT-complete extractor "
                               "(simulation-propose / SAT-confirm)")
-    p_nodal.add_argument("--dc-window", type=int, default=2, dest="dc_window",
+    p_nodal.add_argument("--dc-window", type=_int_at_least(1), default=2,
+                         dest="dc_window",
                          help="window depth for the window-limited "
                               "baseline/fallback extractor")
-    _add_jobs_arg(p_nodal)
     p_nodal.set_defaults(func=_cmd_nodal)
 
     p_export = add_parser("export", help="write figure/table data as CSV")

@@ -4,9 +4,7 @@ See :mod:`repro.perf.cache` for the content-addressed memo consulted by
 :func:`repro.espresso.minimize.espresso` and
 :func:`repro.espresso.minimize.minimize_spec` (one per process: pool
 workers start with an empty memo), :mod:`repro.perf.pool` for the
-persistent executor behind :func:`repro.flows.sweep.run_points` and
-the parallel SAT confirmation of
-:func:`repro.synth.flexibility.reassign_complete_dcs`, and
+persistent executor behind :func:`repro.flows.sweep.run_points`, and
 :doc:`docs/performance.md </docs/performance>` for the design notes.
 """
 

@@ -1,14 +1,11 @@
 """Warm worker pool: the process-wide executor behind parallel sweeps.
 
-The pool carries two kinds of work: the paper's evaluation points (the
-sweep drivers of :mod:`repro.flows.sweep`, each point one independent
-flow run of 50 ms to a few seconds) and the per-node SAT confirmations
-of the complete-DC stage (:mod:`repro.synth.flexibility`, which sends
-one network snapshot as ``shared`` context with every group).  A cold
-``ProcessPoolExecutor`` per sweep loses to serial on anything but long
-sweeps, because every call pays process spawn and a full import of
-numpy + this package per worker.  This module keeps one **warm pool**
-per process instead:
+The pool carries the paper's evaluation points: the point sets of
+:mod:`repro.flows.sweep`, each point one independent flow run of 50 ms
+to a few seconds.  A cold ``ProcessPoolExecutor`` per sweep loses to
+serial on anything but long sweeps, because every call pays process
+spawn and a full import of numpy + this package per worker.  This
+module keeps one **warm pool** per process instead:
 
 * **Persistent workers.**  Workers are started once and live across
   successive :meth:`WarmPool.map` calls.  They start with forkserver
@@ -43,7 +40,7 @@ come back in input order, worker exceptions surface as
 with the remaining queued work cancelled, and each task's observability
 delta (metrics + tracing spans + profiler stack samples) is merged into
 the parent as the task completes.  See ``docs/performance.md`` for the
-architecture notes and the measured traffic of both callers.
+architecture notes and the measured traffic.
 """
 
 from __future__ import annotations
@@ -219,15 +216,12 @@ def _worker_main(task_queue: Any, result_queue: Any) -> None:
         target=_heartbeat_loop, args=(result_queue, state, heartbeat_stop),
         name="repro-pool-heartbeat", daemon=True,
     ).start()
-    shared_epoch: int | None = None
-    shared_obj: Any = None
     while True:
         message = task_queue.get()
         if message is None:
             heartbeat_stop.set()
             break
-        (_, epoch, index, func_bytes, shared_bytes, task_bytes,
-         traced, profiled) = message
+        _, epoch, index, func_bytes, task_bytes, traced, profiled = message
         tracer = obs_trace.enable_tracing() if traced else None
         sampler = obs_profile.StackSampler().start() if profiled else None
         state.current_index = index
@@ -236,19 +230,9 @@ def _worker_main(task_queue: Any, result_queue: Any) -> None:
             with obs_metrics.delta_capture() as delta:
                 try:
                     func = pickle.loads(func_bytes)
-                    if shared_bytes is not None and shared_epoch != epoch:
-                        # One decode per map() call: later tasks of the
-                        # same epoch reuse the object (e.g. a network
-                        # snapshot an oracle was built from).
-                        shared_obj = pickle.loads(shared_bytes)
-                        shared_epoch = epoch
-                        obs_metrics.counter("pool.shared_decodes").inc()
                     task = pickle.loads(task_bytes)
                     with span("sweep.point", index=index):
-                        if shared_bytes is not None:
-                            outcome = ("ok", func(shared_obj, task))
-                        else:
-                            outcome = ("ok", func(task))
+                        outcome = ("ok", func(task))
                 except Exception as exc:  # noqa: BLE001 - to the parent
                     outcome = (
                         "error",
@@ -397,7 +381,6 @@ class WarmPool:
         jobs: int | None = None,
         *,
         progress: Callable[[int, int], None] | None = None,
-        shared: Any = None,
     ) -> list[Any]:
         """Map *func* over *tasks* on the pool; results in input order.
 
@@ -406,22 +389,14 @@ class WarmPool:
         The *progress* callback fires with a monotonically increasing
         ``done`` count as tasks complete, regardless of completion order.
 
-        When *shared* is given it is pickled **once** for the whole call,
-        shipped with every task, decoded **once per worker** (cached by
-        epoch), and passed as the first argument: ``func(shared, task)``.
-        Use it for a large context common to all tasks — a network
-        snapshot, a pattern matrix — that workers should not re-decode
-        per task.
-
         Raises:
             WorkerTaskError: a task raised in a worker; queued tasks are
                 cancelled first (in-flight ones finish and are discarded
                 as stale by the next call).
             RuntimeError: a worker process died; the pool is shut down so
                 the next :func:`get_pool` starts fresh.
-            pickle.PicklingError / AttributeError / TypeError: a task,
-                *func* or *shared* cannot be pickled; the pool stays
-                usable.
+            pickle.PicklingError / AttributeError / TypeError: a task or
+                *func* cannot be pickled; the pool stays usable.
         """
         total = len(tasks)
         if total == 0:
@@ -433,10 +408,6 @@ class WarmPool:
         traced = obs_trace.is_enabled()
         profiled = obs_profile.is_profiling()
         func_bytes = pickle.dumps(func, protocol=pickle.HIGHEST_PROTOCOL)
-        shared_bytes = (
-            None if shared is None
-            else pickle.dumps(shared, protocol=pickle.HIGHEST_PROTOCOL)
-        )
         window = max(2, WINDOW_TASKS_PER_WORKER * jobs)
         results: list[Any] = [None] * total
         pending: set[int] = set()
@@ -454,8 +425,8 @@ class WarmPool:
                     tasks[index], protocol=pickle.HIGHEST_PROTOCOL
                 )
                 self._tasks.put(
-                    ("task", epoch, index, func_bytes, shared_bytes,
-                     task_bytes, traced, profiled)
+                    ("task", epoch, index, func_bytes, task_bytes, traced,
+                     profiled)
                 )
                 pending.add(index)
                 next_index += 1

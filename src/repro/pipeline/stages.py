@@ -14,9 +14,9 @@ Six stages make up the paper's evaluation flow, plus one opt-in stage:
     ``optimize=False`` flow parameter).
 ``complete_dc`` (opt-in; not part of the default recipe)
     SAT-complete internal don't-care reassignment of the network —
-    simulation proposes per-node DC candidates, shared-solver SAT
-    queries confirm them exactly, and the cfactor policy re-decides the
-    confirmed flexibility (see
+    simulation proposes per-node DC candidates, SAT queries on each
+    node's cone confirm them exactly, and the cfactor policy re-decides
+    the confirmed flexibility (see
     :func:`repro.synth.flexibility.reassign_complete_dcs`).  Inserted
     between ``optimize`` and ``map``; primary outputs are verified
     unchanged, so downstream results stay functionally identical.
@@ -189,16 +189,15 @@ class CompleteDcStage:
 
     Not part of :data:`~repro.pipeline.pipeline.DEFAULT_STAGES` — enable
     it by listing ``complete_dc`` between ``optimize`` and ``map`` in a
-    pipeline config (or ``repro pipeline run --complete-dc``).  Per node
-    it proposes DC candidates from random simulation, confirms them
-    exactly with batched shared-solver SAT queries, applies the cfactor
-    assignment and rebuilds the cover; nodes exhausting the query or
-    conflict budget fall back to the window-limited extractor of depth
-    ``dc_window``.  The engine's other settings are the defaults of
+    pipeline config (or ``repro pipeline run --complete-dc``).  Node by
+    node, in topological order, it proposes DC candidates from random
+    simulation, confirms them exactly with batched SAT queries on the
+    node's cone, applies the cfactor assignment and rebuilds the cover;
+    nodes exhausting the query or conflict budget fall back to the
+    window-limited extractor of depth ``dc_window``.  The engine's other
+    settings are the defaults of
     :func:`~repro.synth.flexibility.reassign_complete_dcs`, with the
-    simulation seeded by 0.  With ``dc_jobs`` > 1 independent nodes are
-    confirmed in parallel on the warm worker pool — results stay
-    bit-identical to serial.  Primary outputs are verified unchanged
+    simulation seeded by 0.  Primary outputs are verified unchanged
     (packed compare per rewrite plus a final SAT miter), so every
     downstream artefact stays functionally identical.
 
@@ -211,11 +210,7 @@ class CompleteDcStage:
     inputs = ("network",)
     outputs = ("network", "complete_dc_report")
     params = ("dc_window",)
-    # dc_jobs is read but deliberately NOT declared above: it is an
-    # execution knob whose results are bit-identical to the serial run,
-    # so it must not change the checkpoint fingerprint (a jobs=4 resume
-    # reuses a jobs=1 checkpoint).
-    version = "1"
+    version = "2"
 
     def run(self, ctx: FlowContext) -> None:
         from ..synth.flexibility import reassign_complete_dcs
@@ -226,7 +221,6 @@ class CompleteDcStage:
                 network,
                 window_levels=ctx.param("dc_window", 2),
                 rng=np.random.default_rng(0),
-                jobs=ctx.param("dc_jobs", 1),
             )
         ctx.set("network", network)
         ctx.set("complete_dc_report", report)

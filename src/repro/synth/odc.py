@@ -61,8 +61,7 @@ Every extractor materialises the node's ``2^k`` local pattern space (the
 ``phases`` array of the returned :class:`FunctionSpec`), so a wide node
 would silently allocate gigabytes before failing.  Extraction raises a
 :class:`ValueError` above this cap instead; callers that sweep whole
-networks (:func:`reassign_internal_dcs`) route or skip such nodes
-explicitly (``wide_nodes=``).
+networks (:func:`reassign_internal_dcs`) skip such nodes explicitly.
 """
 
 
@@ -290,6 +289,40 @@ class NodalReport:
     error_rate_after: float
 
 
+def _check_policy(policy: str) -> None:
+    """Reject policies the nodal passes do not know."""
+    if policy not in ("conventional", "ranking", "cfactor", "complete"):
+        raise ValueError(f"unknown policy {policy!r}")
+
+
+def _rewrite_node(
+    node, local: FunctionSpec, policy: str, *, threshold: float,
+    fraction: float,
+) -> int:
+    """Assign *local*'s DCs under *policy* and rebuild *node*'s cover.
+
+    The rewrite step both nodal passes share: the policy decides some DC
+    entries of the node's local flexibility, and ESPRESSO rebuilds the
+    cover from the ON set with the remaining DCs.  Returns the number of
+    DC entries the policy assigned.
+    """
+    if policy == "cfactor":
+        assignment = cfactor_assignment(local, threshold)
+    elif policy == "ranking":
+        assignment = ranking_assignment(local, fraction)
+    elif policy == "complete":
+        assignment = complete_assignment(local)
+    else:  # conventional: leave the DCs to ESPRESSO
+        assignment = Assignment()
+    assigned = assignment.apply(local) if len(assignment) else local
+    width = len(node.fanins)
+    node.cover = espresso(
+        Cover.from_minterms(width, assigned.on_set(0)),
+        Cover.from_minterms(width, assigned.dc_set(0)),
+    )
+    return len(assignment)
+
+
 def reassign_internal_dcs(
     network: LogicNetwork,
     *,
@@ -297,8 +330,6 @@ def reassign_internal_dcs(
     threshold: float = DEFAULT_THRESHOLD,
     fraction: float = 1.0,
     max_fanins: int = 10,
-    wide_nodes: str = "skip",
-    fault_model=None,
 ) -> NodalReport:
     """Reassign every node's internal DCs for reliability (in place).
 
@@ -311,8 +342,8 @@ def reassign_internal_dcs(
 
     One packed simulator is shared across the whole pass: flexibility
     extraction, the per-rewrite output self-check, and both error-rate
-    measurements reuse its signal values, and every rewrite refreshes
-    only the rewritten node's cone.
+    measurements (node flip) reuse its signal values, and every rewrite
+    refreshes only the rewritten node's cone.
 
     Args:
         network: network to rewrite (mutated).
@@ -321,68 +352,37 @@ def reassign_internal_dcs(
             ``"conventional"`` (leave the DCs to ESPRESSO).
         threshold: LC^f threshold for the cfactor policy.
         fraction: fraction of the ranked list for the ranking policy.
-        max_fanins: fanin budget for the exhaustive extractor.
-        wide_nodes: what to do with nodes above *max_fanins*:
-            ``"skip"`` (default) leaves them untouched and counts them in
-            ``odc.wide_nodes_skipped``; ``"sat"`` routes those still
-            within :data:`MAX_EXHAUSTIVE_FANINS` through the
-            simulation+SAT extractor (and skips, with the counter, only
-            the ones beyond the hard cap).
-        fault_model: node-scope fault model (or declarative spec) used
-            for the report's before/after error rates (default: the
-            node flip, the historical metric).
+        max_fanins: fanin budget for the exhaustive extractor; wider
+            nodes are left untouched and counted in
+            ``odc.wide_nodes_skipped``.
 
     Raises:
-        ValueError: on unknown policies or *wide_nodes* modes, or if a
-            rewrite changes the primary outputs (which would indicate an
-            ODC bug).
+        ValueError: on unknown policies, or if a rewrite changes the
+            primary outputs (which would indicate an ODC bug).
     """
-    if policy not in ("conventional", "ranking", "cfactor", "complete"):
-        raise ValueError(f"unknown policy {policy!r}")
-    if wide_nodes not in ("skip", "sat"):
-        raise ValueError(f"unknown wide_nodes mode {wide_nodes!r}")
+    _check_policy(policy)
     with span("odc.reassign", nodes=len(network.nodes), policy=policy):
         sim = IncrementalNetworkSim(network)
         reference = sim.output_words().copy()
-        before = internal_error_rate(network, sim=sim, fault_model=fault_model)
+        before = internal_error_rate(network, sim=sim)
         changed = 0
         assigned_total = 0
         for name in list(network.topological_order()):
             node = network.nodes[name]
             if len(node.fanins) > max_fanins:
-                if (
-                    wide_nodes == "sat"
-                    and len(node.fanins) <= MAX_EXHAUSTIVE_FANINS
-                ):
-                    # Imported lazily: flexibility builds on this module.
-                    from .flexibility import node_flexibility_sat
-
-                    local = node_flexibility_sat(network, name)
-                else:
-                    obs_metrics.counter("odc.wide_nodes_skipped").inc()
-                    continue
-            else:
-                local = node_flexibility(network, name, sim=sim)
+                obs_metrics.counter("odc.wide_nodes_skipped").inc()
+                continue
+            local = node_flexibility(network, name, sim=sim)
             if not int(np.count_nonzero(local.phases == DC)):
                 continue
-            if policy == "cfactor":
-                assignment = cfactor_assignment(local, threshold)
-            elif policy == "ranking":
-                assignment = ranking_assignment(local, fraction)
-            elif policy == "complete":
-                assignment = complete_assignment(local)
-            else:  # conventional: leave the DCs to ESPRESSO
-                assignment = Assignment()
-            assigned = assignment.apply(local) if len(assignment) else local
-            on_cover = Cover.from_minterms(len(node.fanins), assigned.on_set(0))
-            dc_cover = Cover.from_minterms(len(node.fanins), assigned.dc_set(0))
-            node.cover = espresso(on_cover, dc_cover)
+            assigned_total += _rewrite_node(
+                node, local, policy, threshold=threshold, fraction=fraction
+            )
             changed += 1
-            assigned_total += len(assignment)
             sim.recompute(name)
             if not bool(np.array_equal(sim.output_words(), reference)):
                 raise ValueError(
                     f"rewriting node {name!r} changed the primary outputs"
                 )
-        after = internal_error_rate(network, sim=sim, fault_model=fault_model)
+        after = internal_error_rate(network, sim=sim)
     return NodalReport(changed, assigned_total, before, after)

@@ -103,9 +103,6 @@ class TestCli:
             ["sweep", "bench", "--jobs", "abc"],
             "--jobs: jobs must be an integer or 'auto'", id="jobs"),
         pytest.param(
-            ["pipeline", "run", "bench", "--dc-jobs", "abc"],
-            "--dc-jobs: jobs must be an integer or 'auto'", id="dc-jobs"),
-        pytest.param(
             ["pipeline", "run", "bench", "--stop-after", "teleport"],
             "--stop-after: 'teleport' is not a stage of this pipeline",
             id="stop-after-unknown"),
@@ -113,6 +110,18 @@ class TestCli:
             ["pipeline", "run", "bench", "--stop-after", "complete_dc"],
             "--stop-after: 'complete_dc' is not a stage of this pipeline",
             id="stop-after-absent-stage"),
+        pytest.param(
+            ["nodal", "fout", "--sat", "--dc-window", "0"],
+            "--dc-window: must be at least 1", id="nodal-dc-window-0"),
+        pytest.param(
+            ["nodal", "fout", "--dc-window", "-3"],
+            "--dc-window: must be at least 1", id="nodal-dc-window-negative"),
+        pytest.param(
+            ["nodal", "fout", "--renode", "--k", "0"],
+            "--k: must be at least 2", id="nodal-k-0"),
+        pytest.param(
+            ["nodal", "fout", "--renode", "--k", "1"],
+            "--k: must be at least 2", id="nodal-k-1"),
     ])
     def test_bad_flag_value_is_a_usage_error(self, argv, message, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -139,8 +139,6 @@ class TestExecutorConfig:
 
 
 _LARGE_PAYLOAD_SCRIPT = """
-import operator
-
 import numpy as np
 
 from repro.perf import get_pool
@@ -149,15 +147,14 @@ array = np.arange(8192, dtype=np.float64)  # 64 KiB
 pool = get_pool(2)
 total = float(array.sum())
 assert pool.map(np.sum, [array, array + 1.0], 2) == [total, total + 8192]
-assert pool.map(operator.getitem, [0, 8191], 2, shared=array) == [0.0, 8191.0]
 """
 
 
 class TestCleanExit:
     def test_large_payloads_round_trip_and_exit_silently(self):
-        # A 64 KiB array as a task and as shared context: both results
-        # are right, and neither the parent nor a worker prints an
-        # ignored exception or a traceback at interpreter exit.
+        # A 64 KiB array as a task: the results are right, and neither
+        # the parent nor a worker prints an ignored exception or a
+        # traceback at interpreter exit.
         env = dict(os.environ)
         src = str(Path(repro.__file__).resolve().parents[1])
         env["PYTHONPATH"] = os.pathsep.join(

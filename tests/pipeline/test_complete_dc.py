@@ -2,9 +2,8 @@
 
 The stage's contract: it is absent from the default recipe, it never
 changes the network's primary outputs, its result is pinned by a golden
-report and cover digest, ``dc_jobs`` > 1 reproduces the serial result
-bit for bit and may resume from a serial checkpoint, and its report
-artefact survives checkpoint round-trips.
+report and cover digest, and its report artefact survives checkpoint
+round-trips.
 """
 
 import dataclasses
@@ -14,7 +13,6 @@ import numpy as np
 import pytest
 
 from repro.benchgen.synthetic import generate_spec
-from repro.obs import metrics as obs_metrics
 from repro.pipeline import (
     DEFAULT_STAGES,
     Pipeline,
@@ -34,11 +32,9 @@ GOLDEN_REPORT = {
     "sat_fallback_nodes": 8,
     "error_rate_before": 0.23525390625,
     "error_rate_after": 0.23857421875,
-    "node_groups": 28,
-    "parallel_groups": 0,
-    "recycled_patterns": 63,
+    "recycled_patterns": 64,
 }
-"""The serial report on ``golden_spec`` (cfactor policy, area objective)."""
+"""The report on ``golden_spec`` (cfactor policy, area objective)."""
 
 GOLDEN_COVERS_SHA256 = (
     "1820ef6b7e20fcd6648f98d838a03c5829277497b5e210ff025f37bac6911c92"
@@ -62,13 +58,11 @@ def _stages_with_complete_dc():
     return stages
 
 
-def _complete_dc_config(dc_jobs=1):
-    config = dict(
+def _complete_dc_config():
+    return dict(
         default_config("cfactor", objective="area"),
         stages=_stages_with_complete_dc(),
     )
-    config["params"] = dict(config["params"], dc_jobs=dc_jobs)
-    return config
 
 
 def covers_digest(network):
@@ -87,6 +81,7 @@ class TestRegistration:
         assert stage.inputs == ("network",)
         assert stage.outputs == ("network", "complete_dc_report")
         assert stage.params == ("dc_window",)
+        assert stage.version == "2"
         assert "complete_dc" not in DEFAULT_STAGES
 
     def test_describe_lists_params(self):
@@ -133,17 +128,6 @@ class TestGolden:
         assert report == GOLDEN_REPORT
         assert covers_digest(ctx.require("network")) == GOLDEN_COVERS_SHA256
 
-    def test_dc_jobs_matches_serial(self, golden_spec):
-        ctx = Pipeline.from_config(_complete_dc_config(dc_jobs=2)).run(
-            spec=golden_spec
-        )
-        report = dataclasses.asdict(ctx.require("complete_dc_report"))
-        assert report.pop("parallel_groups") > 0
-        expected = dict(GOLDEN_REPORT)
-        expected.pop("parallel_groups")
-        assert report == expected
-        assert covers_digest(ctx.require("network")) == GOLDEN_COVERS_SHA256
-
 
 class TestCheckpointRoundTrip:
     def test_report_survives_resume(self, spec, tmp_path):
@@ -162,17 +146,4 @@ class TestCheckpointRoundTrip:
         assert np.array_equal(
             first.require("implemented").phases,
             second.require("implemented").phases,
-        )
-
-    def test_dc_jobs_resumes_serial_checkpoint(self, spec, tmp_path):
-        store = str(tmp_path / "ckpt")
-        Pipeline.from_config(_complete_dc_config(), checkpoint=store).run(spec=spec)
-        run_before = obs_metrics.counter("pipeline.stages_run").value
-        skip_before = obs_metrics.counter("pipeline.stages_skipped").value
-        Pipeline.from_config(_complete_dc_config(dc_jobs=2), checkpoint=store).run(
-            spec=spec
-        )
-        assert obs_metrics.counter("pipeline.stages_run").value == run_before
-        assert obs_metrics.counter("pipeline.stages_skipped").value == (
-            skip_before + len(_stages_with_complete_dc())
         )

@@ -12,7 +12,6 @@ from repro.core.truthtable import DC
 from repro.espresso.cube import Cover
 from repro.espresso.minimize import minimize_spec
 from repro.obs import metrics as obs_metrics
-from repro.perf import get_pool
 from repro.synth.flexibility import (
     CompleteFlexibilityOracle,
     node_flexibility_sat,
@@ -102,22 +101,6 @@ class TestOracle:
         # With a zero conflict budget any non-trivial query gives up.
         assert None in results
 
-    def test_notify_rewrite_resynchronises(self):
-        """After a cover rewrite the oracle must answer for the *new*
-        network, not the stale encoding."""
-        net = LogicNetwork(["a", "b", "c"])
-        net.add_node("g", ["c"], Cover.from_strings(["1"]))
-        net.add_node("t", ["a", "b"], Cover.from_strings(["11"]))
-        net.add_node("y", ["t", "g"], Cover.from_strings(["11"]))
-        net.set_output("out", "y")
-        oracle = CompleteFlexibilityOracle(net, simulation_vectors=16)
-        assert oracle.node_flexibility("t").dc_set(0).size == 0
-        # Kill the AND gate: g becomes constant 0, masking t entirely.
-        net.nodes["g"].cover = Cover.empty(1)
-        net.invalidate_structure_caches()
-        oracle.notify_rewrite("g")
-        assert list(oracle.node_flexibility("t").dc_set(0)) == [0, 1, 2, 3]
-
     def test_wide_node_raises(self):
         width = MAX_EXHAUSTIVE_FANINS + 1
         names = [f"x{i}" for i in range(width)]
@@ -128,8 +111,11 @@ class TestOracle:
             node_flexibility_sat(net, "wide")
 
 
+POLICIES = ["cfactor", "ranking", "conventional", "complete"]
+
+
 class TestReassignComplete:
-    @pytest.mark.parametrize("policy", ["cfactor", "ranking"])
+    @pytest.mark.parametrize("policy", POLICIES)
     @pytest.mark.parametrize("seed", [0, 1, 5, 9])
     def test_preserves_outputs(self, policy, seed):
         net = random_multilevel(seed)
@@ -140,7 +126,7 @@ class TestReassignComplete:
         assert report.dc_delta >= 0
         assert report.sat_fallback_nodes == 0
 
-    @pytest.mark.parametrize("policy", ["cfactor", "ranking"])
+    @pytest.mark.parametrize("policy", POLICIES)
     def test_total_dcs_match_exhaustive_reassign(self, policy):
         """Processed in the same order with the same policy, the SAT
         pass must confirm exactly the DC minterms the exhaustive pass
@@ -175,6 +161,15 @@ class TestReassignComplete:
         net = random_multilevel(6)
         with pytest.raises(ValueError, match="unknown policy"):
             reassign_complete_dcs(net, policy="magic")
+
+    @pytest.mark.parametrize("wide", [False, True])
+    def test_window_levels_checked_before_any_work(self, wide):
+        """Also above 20 PIs, where no window extraction ever runs."""
+        net = _wide_subject() if wide else random_multilevel(4)
+        queries = obs_metrics.counter("sat.queries").value
+        with pytest.raises(ValueError, match="window_levels must be >= 1"):
+            reassign_complete_dcs(net, window_levels=0, simulation_vectors=2)
+        assert obs_metrics.counter("sat.queries").value == queries
 
     def test_counters_recorded(self):
         net = random_multilevel(8)
@@ -253,8 +248,7 @@ WIDE_GOLDEN_DIGEST = (
 
 
 class TestWideGolden:
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_wide_mode_matches_golden(self, jobs):
+    def test_wide_mode_matches_golden(self):
         """Above 20 PIs the pass runs on sampled simulation plus the
         final SAT miter, where no exhaustive reference exists: pin its
         DC counts and rewritten network."""
@@ -263,10 +257,8 @@ class TestWideGolden:
         report = reassign_complete_dcs(
             net, policy="cfactor", threshold=1.0, window_levels=1,
             simulation_vectors=64, query_budget=4096,
-            rng=np.random.default_rng(7), jobs=jobs,
+            rng=np.random.default_rng(7),
         )
-        if jobs > 1:
-            assert report.parallel_groups > 0
         assert (
             report.complete_dc_minterms,
             report.window_dc_minterms,
@@ -278,94 +270,7 @@ class TestWideGolden:
         assert digest.hexdigest() == WIDE_GOLDEN_DIGEST
 
 
-def _ballasted_network() -> LogicNetwork:
-    """g,t,y,u plus a large ballast SOP.
-
-    The ballast keeps the fresh encoding big enough that one extra flip
-    copy stays under the compaction threshold, so the flip-cone cache's
-    hit/evict behaviour is observable instead of being reset by GC.
-    """
-    net = LogicNetwork(["a", "b", "c", "d", "e"])
-    net.add_node("g", ["c"], Cover.from_strings(["1"]))
-    net.add_node("t", ["a", "b"], Cover.from_strings(["11"]))
-    net.add_node("y", ["t", "g"], Cover.from_strings(["11"]))
-    net.add_node("u", ["d", "e"], Cover.from_strings(["11"]))
-    rng = np.random.default_rng(0)
-    rows = rng.choice([0, 1, 2], size=(48, 4), p=[0.4, 0.4, 0.2])
-    net.add_node("ballast", ["a", "b", "c", "d"],
-                 Cover(rows.astype(np.uint8), 4))
-    net.set_output("out", "y")
-    net.set_output("aux", "u")
-    net.set_output("bal", "ballast")
-    return net
-
-
-class TestConeCache:
-    def test_rewrite_evicts_only_dirty_cones(self):
-        """notify_rewrite must invalidate the cached flip-cone encodings
-        of the rewritten node's fanout cone — and nothing else."""
-        net = _ballasted_network()
-        oracle = CompleteFlexibilityOracle(net, simulation_vectors=2)
-        misses = obs_metrics.counter("sat.cone_cache_misses").value
-        for name in ("t", "u"):
-            oracle.node_flexibility(name)
-        assert obs_metrics.counter("sat.cone_cache_misses").value > misses
-        evictions = obs_metrics.counter("sat.cone_cache_evictions").value
-        hits = obs_metrics.counter("sat.cone_cache_hits").value
-        net.nodes["g"].cover = Cover.empty(1)
-        net.invalidate_structure_caches()
-        oracle.notify_rewrite("g")
-        # t's flip cone reads g (through y) — evicted; u's does not.
-        assert obs_metrics.counter("sat.cone_cache_evictions").value > evictions
-        assert list(oracle.node_flexibility("t").dc_set(0)) == [0, 1, 2, 3]
-        oracle.node_flexibility("u")
-        assert obs_metrics.counter("sat.cone_cache_hits").value > hits
-
-    def test_cache_hit_on_repeat_query(self):
-        net = _ballasted_network()
-        oracle = CompleteFlexibilityOracle(net, simulation_vectors=2)
-        misses = obs_metrics.counter("sat.cone_cache_misses").value
-        first = oracle.node_flexibility("t")
-        assert obs_metrics.counter("sat.cone_cache_misses").value > misses
-        hits = obs_metrics.counter("sat.cone_cache_hits").value
-        again = oracle.node_flexibility("t")
-        assert obs_metrics.counter("sat.cone_cache_hits").value > hits
-        np.testing.assert_array_equal(first.phases, again.phases)
-
-
 class TestParallelReassign:
-    @pytest.mark.parametrize(
-        "policy", ["conventional", "ranking", "cfactor", "complete"]
-    )
-    def test_parallel_bit_identical_to_serial(self, policy):
-        """jobs=2 must produce byte-for-byte the networks (and counts)
-        of the serial pass, for every assignment policy."""
-        serial_net = random_multilevel(21)
-        parallel_net = random_multilevel(21)
-        serial = reassign_complete_dcs(
-            serial_net, policy=policy, rng=np.random.default_rng(7)
-        )
-        decodes = obs_metrics.counter("pool.shared_decodes").value
-        parallel = reassign_complete_dcs(
-            parallel_net, policy=policy, rng=np.random.default_rng(7), jobs=2
-        )
-        # The group's network snapshot is decoded once per worker per
-        # group, never once per task.
-        decodes = obs_metrics.counter("pool.shared_decodes").value - decodes
-        assert decodes <= get_pool(2).size * parallel.parallel_groups
-        assert _network_snapshot(serial_net) == _network_snapshot(parallel_net)
-        assert (
-            serial.complete_dc_minterms,
-            serial.window_dc_minterms,
-            serial.nodes_changed,
-            serial.dc_entries_assigned,
-        ) == (
-            parallel.complete_dc_minterms,
-            parallel.window_dc_minterms,
-            parallel.nodes_changed,
-            parallel.dc_entries_assigned,
-        )
-
     def test_progress_callback_reports_completion(self):
         net = random_multilevel(22)
         calls: list[tuple[int, int]] = []

@@ -93,26 +93,6 @@ class TestFaninGuard:
         np.testing.assert_array_equal(net.output_table(), reference)
         assert report.nodes_changed >= 0
 
-    def test_reassign_routes_wide_nodes_to_sat(self):
-        net = self._random_multilevel_with_wide(seed=4)
-        reference = net.output_table().copy()
-        before = obs_metrics.counter("odc.wide_nodes_skipped").value
-        reassign_internal_dcs(net, max_fanins=2, wide_nodes="sat")
-        # Both wide nodes fit under the hard cap -> SAT path, no skips.
-        assert obs_metrics.counter("odc.wide_nodes_skipped").value == before
-        np.testing.assert_array_equal(net.output_table(), reference)
-
-    def test_sat_route_still_skips_beyond_hard_cap(self):
-        net = self._wide_network(MAX_EXHAUSTIVE_FANINS + 1)
-        before = obs_metrics.counter("odc.wide_nodes_skipped").value
-        reassign_internal_dcs(net, wide_nodes="sat")
-        assert obs_metrics.counter("odc.wide_nodes_skipped").value == before + 1
-
-    def test_unknown_wide_nodes_mode(self):
-        net = self._wide_network(3)
-        with pytest.raises(ValueError, match="wide_nodes"):
-            reassign_internal_dcs(net, wide_nodes="explode")
-
     def _random_multilevel_with_wide(self, seed: int) -> LogicNetwork:
         """5 PIs; two 3-fanin nodes (wide when max_fanins=2)."""
         rng = np.random.default_rng(seed)
