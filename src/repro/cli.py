@@ -601,7 +601,6 @@ def _cmd_obs_show(args: argparse.Namespace) -> int:
         ["quality points", len(record.quality)],
         ["stages timed", len(record.stage_timings)],
         ["profiled", record.profile is not None],
-        ["worker health", record.worker_health is not None],
     ]
     print(format_table(["field", "value"], rows))
     if record.quality:

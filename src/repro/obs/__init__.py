@@ -16,7 +16,7 @@ The package makes the substrate introspectable end to end:
 * :mod:`repro.obs.progress` — the ``--progress`` ETA reporter.
 * :mod:`repro.obs.store` — the telemetry ledger: an append-only SQLite
   record of every run (manifest, metrics, stage timings, quality
-  figures, profile, worker health), queried by ``repro obs``.
+  figures, profile), queried by ``repro obs``.
 * :mod:`repro.obs.profile` — the ``--profile`` sampling stack profiler
   (flamegraph-ready collapsed stacks, merged from pool workers).
 * :mod:`repro.obs.regress` — cross-run comparison and the regression

@@ -56,14 +56,12 @@ class ProgressReporter:
         self._start = time.perf_counter()
         self._last_draw = 0.0
         self._finished = False
-        self._done = 0
-        self.note: str | None = None
+        self._last_len = 0
 
     def __call__(self, done: int, total: int | None = None) -> None:
         """Record that *done* of *total* items have completed and redraw."""
         if total is not None:
             self.total = total
-        self._done = done
         now = time.perf_counter()
         complete = self.total is not None and done >= self.total
         if not complete and now - self._last_draw < self.min_interval:
@@ -72,18 +70,6 @@ class ProgressReporter:
         self._draw(done, now - self._start)
         if complete:
             self.finish()
-
-    def set_note(self, note: str | None) -> None:
-        """Attach (or clear) a warning note shown after the status line.
-
-        The warm-pool stall detector uses this to surface a stuck worker
-        on the live progress line without interleaving extra output.
-        The redraw is immediate — a health warning must not wait for the
-        next completed item.
-        """
-        self.note = note
-        if not self._finished:
-            self._draw(self._done, time.perf_counter() - self._start)
 
     def _draw(self, done: int, elapsed: float) -> None:
         total = self.total
@@ -105,11 +91,9 @@ class ProgressReporter:
                 f"{self.label} {done} done  {rate_text}  "
                 f"elapsed {format_duration(elapsed)}"
             )
-        if self.note:
-            line += f"  !! {self.note}"
-        # Pad over any residue from a previously longer line (e.g. a
-        # note that has just been cleared).
-        pad = max(0, getattr(self, "_last_len", 0) - len(line))
+        # Pad over any residue from a previously longer line (the ETA
+        # text varies in length).
+        pad = max(0, self._last_len - len(line))
         self._last_len = len(line)
         self.stream.write("\r" + line + " " * pad)
         self.stream.flush()

@@ -263,14 +263,6 @@ class ObsSession:
             payload["folded_path"] = str(self.profile_path)
         return payload
 
-    def _worker_health_payload(self) -> dict[str, Any] | None:
-        try:
-            from ..perf.pool import health_snapshot
-
-            return health_snapshot()
-        except Exception:  # noqa: BLE001 - telemetry must not fail the run
-            return None
-
     def _record_ledger(self, *, interrupted: bool) -> None:
         """Append (or finalise) this run's ledger row; never raises."""
         if not self.ledger_enabled:
@@ -289,7 +281,6 @@ class ObsSession:
                     ),
                     quality=self.quality,
                     profile=self._profile_payload(),
-                    worker_health=self._worker_health_payload(),
                     extra=self.extra,
                     duration_seconds=self.manifest.duration_seconds,
                     exit_status=self.exit_status,

@@ -6,17 +6,19 @@ but thrown away the moment the next one starts.  The ledger makes runs
 comparable across time: every CLI command, sweep, pipeline and benchmark
 invocation appends one row (via :class:`~repro.obs.session.ObsSession`)
 holding its manifest, final metrics snapshot, per-stage timings, result
-quality figures (error rate / area / literal count per policy point),
-profiler summary and worker-health record.  ``repro obs runs/show/
-compare/regressions`` query it; CI gates on it.
+quality figures (error rate / area / literal count per policy point) and
+profiler summary.  ``repro obs runs/show/compare/regressions`` query it;
+CI gates on it.
 
 Storage is a single SQLite file (stdlib ``sqlite3``, append-only usage:
 rows are inserted, never updated) with JSON columns for the structured
 payloads, plus a line-per-run JSONL export for archiving or shipping
-elsewhere.  The default location is ``.repro/ledger.sqlite`` under the
-current directory — a per-repo store — overridable with
-``REPRO_LEDGER_PATH`` and disabled entirely with
-``REPRO_LEDGER_DISABLE=1``.
+elsewhere.  Every read and insert names its columns, so a ledger that
+an older release created with extra columns still opens, reads and
+appends; new rows leave those columns NULL.  The default location is
+``.repro/ledger.sqlite`` under the current directory — a per-repo
+store — overridable with ``REPRO_LEDGER_PATH`` and disabled entirely
+with ``REPRO_LEDGER_DISABLE=1``.
 
 Corruption is handled the way the checkpoint store handles it: a file
 that SQLite cannot open is moved aside (``<path>.corrupt-<pid>``) and a
@@ -72,7 +74,6 @@ CREATE TABLE IF NOT EXISTS runs (
     stage_timings TEXT,
     quality TEXT,
     profile TEXT,
-    worker_health TEXT,
     extra TEXT
 )
 """
@@ -80,12 +81,11 @@ CREATE TABLE IF NOT EXISTS runs (
 _COLUMNS = (
     "id", "created_at", "command", "git_rev", "duration_seconds",
     "exit_status", "interrupted", "schema_version", "manifest", "metrics",
-    "stage_timings", "quality", "profile", "worker_health", "extra",
+    "stage_timings", "quality", "profile", "extra",
 )
 
 _JSON_COLUMNS = (
-    "manifest", "metrics", "stage_timings", "quality", "profile",
-    "worker_health", "extra",
+    "manifest", "metrics", "stage_timings", "quality", "profile", "extra",
 )
 
 
@@ -133,7 +133,6 @@ class RunRecord:
             literals, ...), the figures the paper's tables compare.
         profile: sampling-profiler summary (sample counts, top
             functions, folded output path) when ``--profile`` was given.
-        worker_health: per-worker heartbeat/stall record from the pool.
         extra: free-form payload (benchmarks store their numbers here).
     """
 
@@ -150,7 +149,6 @@ class RunRecord:
     stage_timings: dict[str, Any] = field(default_factory=dict)
     quality: list[dict[str, Any]] = field(default_factory=list)
     profile: dict[str, Any] | None = None
-    worker_health: dict[str, Any] | None = None
     extra: dict[str, Any] | None = None
 
     def to_dict(self) -> dict[str, Any]:
@@ -230,7 +228,6 @@ class LedgerStore:
         stage_timings: dict[str, Any] | None = None,
         quality: list[dict[str, Any]] | None = None,
         profile: dict[str, Any] | None = None,
-        worker_health: dict[str, Any] | None = None,
         extra: dict[str, Any] | None = None,
         duration_seconds: float | None = None,
         exit_status: int | None = None,
@@ -263,8 +260,6 @@ class LedgerStore:
             json.dumps(quality or [], sort_keys=True, default=str),
             None if profile is None
             else json.dumps(profile, sort_keys=True, default=str),
-            None if worker_health is None
-            else json.dumps(worker_health, sort_keys=True, default=str),
             None if extra is None
             else json.dumps(extra, sort_keys=True, default=str),
         )
@@ -303,7 +298,6 @@ class LedgerStore:
             stage_timings=decoded["stage_timings"] or {},
             quality=decoded["quality"] or [],
             profile=decoded["profile"],
-            worker_health=decoded["worker_health"],
             extra=decoded["extra"],
         )
 

@@ -89,17 +89,20 @@ def validate_trace_jsonl(path: str | Path) -> list[str]:
     return problems
 
 
+# The pool no longer writes ``pool.workers_stalled`` or the per-worker
+# ``pool.worker.<pid>.*`` gauges; their rules stay so that ledgers and
+# metrics documents written by earlier releases still validate.
 _POOL_GAUGES = {"pool.workers", "pool.workers_stalled"}
 """``pool.*`` instruments that must be gauges (point-in-time values)."""
 
 _POOL_WORKER_SUFFIXES = {"rss_bytes", "tasks_done", "last_seen"}
-"""The per-worker health gauges: ``pool.worker.<pid>.<suffix>``."""
+"""The per-worker gauges: ``pool.worker.<pid>.<suffix>``."""
 
 
 def validate_pool_metrics(metrics: Any, source: str = "metrics") -> list[str]:
     """Check the ``pool.*`` / ``pool.worker.*`` metric name schema.
 
-    Per-worker health gauges must be ``pool.worker.<pid>.<suffix>``
+    Per-worker gauges must be ``pool.worker.<pid>.<suffix>``
     with a numeric pid and a known suffix; the fleet-level gauges are
     enumerated in :data:`_POOL_GAUGES`; every other ``pool.*``
     instrument is a counter or histogram.

@@ -20,21 +20,17 @@ from .cache import (
 )
 from .pool import (
     WarmPool,
-    WorkerHealth,
     WorkerTaskError,
     available_cpus,
     executor_config,
     get_pool,
-    health_snapshot,
     resolve_jobs,
     shutdown_pool,
-    stall_threshold_seconds,
 )
 
 __all__ = [
     "MinimizationCache",
     "WarmPool",
-    "WorkerHealth",
     "WorkerTaskError",
     "available_cpus",
     "configure_cache",
@@ -43,11 +39,9 @@ __all__ = [
     "executor_config",
     "get_pool",
     "global_cache",
-    "health_snapshot",
     "reset_cache",
     "resolve_jobs",
     "shutdown_pool",
     "spec_key",
     "stage_key",
-    "stall_threshold_seconds",
 ]

@@ -26,21 +26,15 @@ module keeps one **warm pool** per process instead:
   results return, so a thousand-point sweep never holds every task
   payload resident in the queue at once.
 
-* **Worker health.**  Every worker runs a heartbeat thread while it is
-  executing a task, shipping ``(rss, tasks done, busy-since)`` beats
-  over the result queue; the parent folds them into ``pool.worker.*``
-  gauges and a stall detector flags any worker stuck on one task past
-  :func:`stall_threshold_seconds` — surfaced on the progress line and
-  in the telemetry ledger (see :func:`health_snapshot`) instead of
-  silently hanging the sweep.
-
 The pool preserves the ordering/error contract callers rely on: results
 come back in input order, worker exceptions surface as
 :class:`WorkerTaskError` (index + message + formatted worker traceback)
-with the remaining queued work cancelled, and each task's observability
-delta (metrics + tracing spans + profiler stack samples) is merged into
-the parent as the task completes.  See ``docs/performance.md`` for the
-architecture notes and the measured traffic.
+with the remaining queued work cancelled, a worker process that dies is
+noticed within about a second and shuts the pool down with a
+:class:`RuntimeError`, and each task's observability delta (metrics +
+tracing spans + profiler stack samples) is merged into the parent as
+the task completes.  See ``docs/performance.md`` for the architecture
+notes and the measured traffic.
 """
 
 from __future__ import annotations
@@ -49,11 +43,9 @@ import atexit
 import os
 import pickle
 import queue as queue_module
-import threading
 import time
 import traceback as _traceback
 from contextlib import suppress
-from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 import multiprocessing as mp
@@ -70,15 +62,12 @@ from ..obs import trace as obs_trace
 
 __all__ = [
     "WarmPool",
-    "WorkerHealth",
     "WorkerTaskError",
     "available_cpus",
     "executor_config",
     "get_pool",
-    "health_snapshot",
     "resolve_jobs",
     "shutdown_pool",
-    "stall_threshold_seconds",
 ]
 
 _PRELOAD_MODULES = ("repro.flows.sweep",)
@@ -87,25 +76,6 @@ espresso passes, the sim engine and the flow drivers exactly once."""
 
 WINDOW_TASKS_PER_WORKER = 2
 """In-flight task window per requested worker (bounded-memory feed)."""
-
-HEARTBEAT_INTERVAL_SECONDS = 0.25
-"""How often a busy worker ships a heartbeat over the result queue.
-Beats only flow while a task is executing, so idle workers never
-flood the queue between maps."""
-
-DEFAULT_STALL_SECONDS = 5.0
-"""A worker busy on one task longer than this is flagged as stalled
-(override with ``REPRO_POOL_STALL_SECONDS``)."""
-
-
-def stall_threshold_seconds() -> float:
-    """The stall-detection threshold, honouring the env override."""
-    raw = os.environ.get("REPRO_POOL_STALL_SECONDS", "")
-    try:
-        value = float(raw)
-    except ValueError:
-        return DEFAULT_STALL_SECONDS
-    return value if value > 0 else DEFAULT_STALL_SECONDS
 
 
 # --------------------------------------------------------------- job sizing
@@ -162,47 +132,6 @@ def _warm_imports() -> None:
             __import__(name)
 
 
-def _rss_bytes() -> int:
-    """This process's resident set size, best effort (0 when unknown)."""
-    try:
-        with open("/proc/self/statm", "r", encoding="ascii") as handle:
-            pages = int(handle.read().split()[1])
-        return pages * (os.sysconf("SC_PAGESIZE") or 4096)
-    except (OSError, ValueError, IndexError):
-        pass
-    try:  # pragma: no cover - non-/proc platforms
-        import resource
-
-        return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
-    except Exception:  # pragma: no cover
-        return 0
-
-
-class _WorkerState:
-    """Shared (GIL-guarded) task progress read by the heartbeat thread."""
-
-    __slots__ = ("tasks_done", "busy_since", "current_index")
-
-    def __init__(self) -> None:
-        self.tasks_done = 0
-        self.busy_since: float | None = None
-        self.current_index: int | None = None
-
-
-def _heartbeat_loop(result_queue: Any, state: _WorkerState,
-                    stop: threading.Event) -> None:
-    """Ship ``("hb", ...)`` beats while the worker is executing a task."""
-    pid = os.getpid()
-    while not stop.wait(HEARTBEAT_INTERVAL_SECONDS):
-        if state.busy_since is None:
-            continue
-        with suppress(Exception):
-            result_queue.put((
-                "hb", pid, time.time(), _rss_bytes(), state.tasks_done,
-                state.busy_since, state.current_index,
-            ))
-
-
 def _worker_main(task_queue: Any, result_queue: Any) -> None:
     """Worker loop: pull one task per message, ship its obs delta back."""
     with suppress(Exception):
@@ -210,22 +139,13 @@ def _worker_main(task_queue: Any, result_queue: Any) -> None:
 
         signal.signal(signal.SIGINT, signal.SIG_IGN)
     _warm_imports()
-    state = _WorkerState()
-    heartbeat_stop = threading.Event()
-    threading.Thread(
-        target=_heartbeat_loop, args=(result_queue, state, heartbeat_stop),
-        name="repro-pool-heartbeat", daemon=True,
-    ).start()
     while True:
         message = task_queue.get()
         if message is None:
-            heartbeat_stop.set()
             break
-        _, epoch, index, func_bytes, task_bytes, traced, profiled = message
+        epoch, index, func_bytes, task_bytes, traced, profiled = message
         tracer = obs_trace.enable_tracing() if traced else None
         sampler = obs_profile.StackSampler().start() if profiled else None
-        state.current_index = index
-        state.busy_since = time.time()
         try:
             with obs_metrics.delta_capture() as delta:
                 try:
@@ -240,17 +160,11 @@ def _worker_main(task_queue: Any, result_queue: Any) -> None:
                         _traceback.format_exc(),
                     )
         finally:
-            state.busy_since = None
-            state.current_index = None
-            state.tasks_done += 1
             if traced:
                 obs_trace.disable_tracing()
         records = tracer.snapshot(clear=True) if tracer is not None else []
         samples = sampler.stop() if sampler is not None else None
-        result_queue.put((
-            "done", epoch, index, outcome, delta, records, samples,
-            (os.getpid(), _rss_bytes(), state.tasks_done),
-        ))
+        result_queue.put((epoch, index, outcome, delta, records, samples))
 
 
 # -------------------------------------------------------------------- parent
@@ -272,41 +186,6 @@ class WorkerTaskError(RuntimeError):
         super().__init__(f"task {index} failed in pool worker: {message}")
 
 
-@dataclass
-class WorkerHealth:
-    """Last-known health of one pool worker, parent-side.
-
-    Attributes:
-        pid: the worker process id.
-        last_seen: parent wall-clock time of the latest beat or result.
-        rss_bytes / tasks_done: the worker's latest self-report.
-        busy_since: worker wall-clock start of the task it is running
-            (None while idle between tasks).
-        current_index: the task index it is running, when busy.
-        stalled: True while the stall detector has the worker flagged.
-        stall_count: how many times this worker has been flagged.
-    """
-
-    pid: int
-    last_seen: float = 0.0
-    rss_bytes: int = 0
-    tasks_done: int = 0
-    busy_since: float | None = None
-    current_index: int | None = None
-    stalled: bool = False
-    stall_count: int = 0
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "pid": self.pid,
-            "last_seen": self.last_seen,
-            "rss_bytes": self.rss_bytes,
-            "tasks_done": self.tasks_done,
-            "stalled": self.stalled,
-            "stall_count": self.stall_count,
-        }
-
-
 class WarmPool:
     """Persistent worker processes draining one shared task queue."""
 
@@ -322,8 +201,6 @@ class WarmPool:
         self._epoch = 0
         self.closed = False
         self.last_max_in_flight = 0
-        self.health: dict[int, WorkerHealth] = {}
-        self.stall_events: list[dict[str, Any]] = []
         self._last_liveness_check = 0.0
         self._spawn(max(1, workers))
 
@@ -425,8 +302,7 @@ class WarmPool:
                     tasks[index], protocol=pickle.HIGHEST_PROTOCOL
                 )
                 self._tasks.put(
-                    ("task", epoch, index, func_bytes, task_bytes, traced,
-                     profiled)
+                    (epoch, index, func_bytes, task_bytes, traced, profiled)
                 )
                 pending.add(index)
                 next_index += 1
@@ -437,9 +313,8 @@ class WarmPool:
 
         feed()
         while pending:
-            message = self._next_result(progress)
-            _, msg_epoch, index, outcome, delta, records, samples, health \
-                = message
+            msg_epoch, index, outcome, delta, records, samples = \
+                self._next_result()
             obs_metrics.merge_snapshot(delta)
             tracer = obs_trace.current_tracer()
             if tracer is not None and records:
@@ -447,7 +322,6 @@ class WarmPool:
             sampler = obs_profile.current_sampler()
             if sampler is not None and samples:
                 sampler.merge(samples)
-            self._note_result_health(health)
             if msg_epoch != epoch:
                 obs_metrics.counter("pool.stale_results").inc()
                 continue
@@ -463,28 +337,22 @@ class WarmPool:
             feed()
         return results
 
-    def _next_result(self, progress: Any = None) -> tuple:
-        """The next task result, absorbing heartbeats along the way.
+    def _next_result(self) -> tuple:
+        """The next task result, checking worker liveness on the way.
 
-        Liveness (dead workers) and stalls are checked about once a
-        second regardless of message traffic — heartbeats from healthy
-        workers must not starve the detector that notices an unhealthy
-        one.
+        Dead workers are checked about once a second whatever the result
+        traffic: checking only when the queue goes idle would report a
+        death only after the survivors had drained the sweep.
         """
         while True:
             now = time.monotonic()
             if now - self._last_liveness_check >= 1.0:
                 self._last_liveness_check = now
                 self._check_dead()
-                self._check_stalls(progress)
             try:
-                message = self._results.get(timeout=0.5)
+                return self._results.get(timeout=0.5)
             except queue_module.Empty:
                 continue
-            if message[0] == "hb":
-                self._note_heartbeat(message)
-                continue
-            return message
 
     def _check_dead(self) -> None:
         dead = [p for p in self._workers if not p.is_alive()]
@@ -495,109 +363,6 @@ class WarmPool:
                 f"{len(dead)} warm-pool worker(s) died unexpectedly; "
                 "pool has been shut down"
             )
-
-    # ------------------------------------------------------------ health
-
-    def _health_entry(self, pid: int) -> WorkerHealth:
-        entry = self.health.get(pid)
-        if entry is None:
-            entry = WorkerHealth(pid=pid)
-            self.health[pid] = entry
-        return entry
-
-    def _note_heartbeat(self, message: tuple) -> None:
-        _, pid, _worker_now, rss, tasks_done, busy_since, index = message
-        entry = self._health_entry(pid)
-        entry.last_seen = time.time()
-        entry.rss_bytes = rss
-        entry.tasks_done = tasks_done
-        entry.busy_since = busy_since
-        entry.current_index = index
-        self._publish_health(entry)
-
-    def _note_result_health(self, health: tuple | None) -> None:
-        if not health:
-            return
-        pid, rss, tasks_done = health
-        entry = self._health_entry(pid)
-        entry.last_seen = time.time()
-        entry.rss_bytes = rss
-        entry.tasks_done = tasks_done
-        entry.busy_since = None
-        entry.current_index = None
-        if entry.stalled:
-            entry.stalled = False
-            self._publish_stalled_count()
-        self._publish_health(entry)
-
-    def _publish_health(self, entry: WorkerHealth) -> None:
-        prefix = f"pool.worker.{entry.pid}"
-        obs_metrics.gauge(f"{prefix}.rss_bytes").set(entry.rss_bytes)
-        obs_metrics.gauge(f"{prefix}.tasks_done").set(entry.tasks_done)
-        obs_metrics.gauge(f"{prefix}.last_seen").set(entry.last_seen)
-
-    def _publish_stalled_count(self) -> None:
-        stalled = sum(1 for entry in self.health.values() if entry.stalled)
-        obs_metrics.gauge("pool.workers_stalled").set(stalled)
-
-    def _check_stalls(self, progress: Any = None) -> None:
-        """Flag workers stuck on one task past the stall threshold.
-
-        Detection relies on the heartbeat's ``busy_since``: the beat
-        thread keeps running even while the task blocks (sleep, lock,
-        native call), so a stalled worker keeps reporting how long it
-        has been stuck.  Flagging never interrupts the task — the sweep
-        keeps draining other workers' results, and a recovered worker
-        (its task finally completes) is unflagged.
-        """
-        threshold = stall_threshold_seconds()
-        now = time.time()
-        changed = False
-        for entry in self.health.values():
-            busy_for = (now - entry.busy_since) if entry.busy_since else 0.0
-            is_stalled = entry.busy_since is not None and busy_for > threshold
-            if is_stalled and not entry.stalled:
-                entry.stalled = True
-                entry.stall_count += 1
-                changed = True
-                obs_metrics.counter("pool.worker_stalls").inc()
-                self.stall_events.append({
-                    "pid": entry.pid,
-                    "task_index": entry.current_index,
-                    "busy_seconds": busy_for,
-                    "threshold_seconds": threshold,
-                    "detected_at": now,
-                })
-            elif not is_stalled and entry.stalled:
-                entry.stalled = False
-                changed = True
-        if changed:
-            self._publish_stalled_count()
-            set_note = getattr(progress, "set_note", None)
-            if set_note is not None:
-                stalled = [e for e in self.health.values() if e.stalled]
-                if stalled:
-                    worst = max(
-                        stalled,
-                        key=lambda e: now - (e.busy_since or now),
-                    )
-                    set_note(
-                        f"{len(stalled)} worker(s) stalled: pid {worst.pid} "
-                        f"on task {worst.current_index} for "
-                        f"{now - (worst.busy_since or now):.0f}s"
-                    )
-                else:
-                    set_note(None)
-
-    def health_report(self) -> dict[str, Any]:
-        """Worker health + stall events, ledger-ready."""
-        return {
-            "workers": [
-                entry.to_dict()
-                for entry in sorted(self.health.values(), key=lambda e: e.pid)
-            ],
-            "stall_events": list(self.stall_events),
-        }
 
     def _cancel_queued(self) -> None:
         """Drop every not-yet-claimed task from the shared queue."""
@@ -611,11 +376,8 @@ class WarmPool:
         with suppress(queue_module.Empty):
             while True:
                 message = self._results.get_nowait()
-                if message and message[0] == "hb":
-                    self._note_heartbeat(message)
-                    continue
                 with suppress(Exception):
-                    obs_metrics.merge_snapshot(message[4])
+                    obs_metrics.merge_snapshot(message[3])
                 obs_metrics.counter("pool.stale_results").inc()
 
 
@@ -640,18 +402,6 @@ def shutdown_pool() -> None:
     if _pool is not None:
         _pool.shutdown()
         _pool = None
-
-
-def health_snapshot() -> dict[str, Any] | None:
-    """Worker health + stall events of the live pool, or None.
-
-    Consumed by :class:`repro.obs.session.ObsSession` when finalising a
-    ledger row, so a sweep's worker fleet (and any stalls it hit) is
-    recorded alongside the run's metrics.
-    """
-    if _pool is None or not _pool.health:
-        return None
-    return _pool.health_report()
 
 
 atexit.register(shutdown_pool)

@@ -5,6 +5,7 @@ import sqlite3
 
 import pytest
 
+from repro.cli import main
 from repro.obs.store import (
     LEDGER_SCHEMA_VERSION,
     LedgerStore,
@@ -12,6 +13,7 @@ from repro.obs.store import (
     ledger_enabled,
     open_ledger,
 )
+from repro.obs.validate import validate_ledger, validate_pool_metrics
 
 
 @pytest.fixture
@@ -141,6 +143,83 @@ class TestRecovery:
         store._conn.commit()
         survivors = store.runs()
         assert [r.run_id for r in survivors] == [good]
+
+
+# The ``runs`` table of ledgers written while the warm pool still shipped
+# per-worker health: one more JSON column, ``worker_health``, which every
+# ``--jobs 2`` row filled.
+_OLD_TABLE_SQL = """
+CREATE TABLE runs (
+    id TEXT PRIMARY KEY,
+    created_at TEXT NOT NULL,
+    command TEXT NOT NULL,
+    git_rev TEXT,
+    duration_seconds REAL,
+    exit_status INTEGER,
+    interrupted INTEGER NOT NULL DEFAULT 0,
+    schema_version INTEGER NOT NULL,
+    manifest TEXT NOT NULL,
+    metrics TEXT NOT NULL,
+    stage_timings TEXT,
+    quality TEXT,
+    profile TEXT,
+    worker_health TEXT,
+    extra TEXT
+)
+"""
+
+
+class TestOlderLedger:
+    def test_worker_health_ledger_reads_appends_and_validates(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        path = tmp_path / "old.sqlite"
+        old_id = "20260101T000000-aaaa0001"
+        metrics = {
+            "pool.completed_tasks": {"type": "counter", "value": 4},
+            "pool.workers": {"type": "gauge", "value": 2},
+            "pool.workers_stalled": {"type": "gauge", "value": 0},
+            "pool.worker.4242.rss_bytes": {"type": "gauge", "value": 9e7},
+            "pool.worker.4242.tasks_done": {"type": "gauge", "value": 4},
+            "pool.worker.4242.last_seen": {"type": "gauge", "value": 1.7e9},
+        }
+        health = {
+            "workers": [{"pid": 4242, "rss_bytes": 90000000,
+                         "tasks_done": 4, "last_seen": 1.7e9,
+                         "stalled": False, "stall_count": 0}],
+            "stall_events": [],
+        }
+        conn = sqlite3.connect(path)
+        conn.execute(_OLD_TABLE_SQL)
+        conn.execute(
+            "INSERT INTO runs VALUES "
+            "(?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
+            (old_id, "2026-01-01T00:00:00Z", "sweep", "abc123def456", 2.5,
+             0, 0, 1, json.dumps({"command": "sweep"}), json.dumps(metrics),
+             "{}", "[]", None, json.dumps(health), None),
+        )
+        conn.commit()
+        conn.close()
+
+        with LedgerStore(path) as store:
+            record = store.get(old_id)
+            assert record is not None
+            assert record.command == "sweep"
+            assert record.metrics == metrics
+            assert [r.run_id for r in store.runs()] == [old_id]
+            new_id = _record(store)
+            assert {r.run_id for r in store.runs()} == {old_id, new_id}
+        assert validate_ledger(path) == []
+        monkeypatch.setenv("REPRO_LEDGER_PATH", str(path))
+        assert main(["obs", "show", old_id]) == 0
+        assert old_id in capsys.readouterr().out
+
+        assert validate_pool_metrics(
+            {"pool.workers": {"type": "counter", "value": 2}}
+        )
+        assert validate_pool_metrics(
+            {"pool.worker.abc.rss_bytes": {"type": "gauge", "value": 1}}
+        )
 
 
 class TestEnvironment:

@@ -4,11 +4,14 @@ import os
 import pickle
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import repro
+from repro.obs import metrics as obs_metrics
+from repro.obs import profile as obs_profile
 from repro.perf import get_pool, shutdown_pool
 from repro.perf.pool import (
     WorkerTaskError,
@@ -20,10 +23,12 @@ from repro.perf.pool import (
 
 @pytest.fixture(autouse=True)
 def _fresh_pool():
-    """Pool lifecycle is under test here: isolate every test from pools
-    other tests (or other modules) left warm."""
+    """Pool lifecycle and profile shipping are under test here: isolate
+    every test from pools (and a sampler) other tests or modules left."""
     shutdown_pool()
+    obs_profile.disable_profiling()
     yield
+    obs_profile.disable_profiling()
     shutdown_pool()
 
 
@@ -42,6 +47,23 @@ def _boom_at_three(x: int) -> int:
 
 def _identity(x: int) -> int:
     return x
+
+
+def _exit_or_sleep(task) -> int:
+    """Task 0 kills its worker process; every other task sleeps."""
+    index, seconds = task
+    if index == 0:
+        os._exit(1)
+    time.sleep(seconds)
+    return index
+
+
+def _spin(seconds: float) -> int:
+    total = 0
+    deadline = time.perf_counter() + seconds
+    while time.perf_counter() < deadline:
+        total += sum(range(100))
+    return total
 
 
 class TestResolveJobs:
@@ -117,11 +139,49 @@ class TestErrorHandling:
         assert not pool.closed
 
 
+class TestWorkerDeath:
+    def test_dead_worker_raises_before_survivor_drains(self):
+        # Task 0 kills its worker, and the survivor alone would need 12 s
+        # for the rest.  Its results arrive faster than the 0.5 s queue
+        # timeout, so the queue never goes idle: only a liveness check
+        # that runs about once a second whatever the result traffic
+        # reports the death long before the survivor has drained.
+        pool = get_pool(2)
+        assert pool.map(_identity, [0, 1], 2) == [0, 1]
+        deaths = obs_metrics.counter("pool.worker_deaths").value
+        tasks = [(0, 0.0)] + [(index, 0.25) for index in range(1, 49)]
+        start = time.perf_counter()
+        with pytest.raises(RuntimeError, match="died unexpectedly"):
+            pool.map(_exit_or_sleep, tasks, 2)
+        assert time.perf_counter() - start < 6.0
+        assert obs_metrics.counter("pool.worker_deaths").value == deaths + 1
+        assert pool.closed
+        fresh = get_pool(2)
+        assert fresh is not pool
+        assert fresh.map(_identity, list(range(10)), 2) == list(range(10))
+
+
 class TestBoundedWindow:
     def test_in_flight_chunks_stay_within_window(self):
         pool = get_pool(2)
         pool.map(_identity, list(range(300)), 2)
         assert 0 < pool.last_max_in_flight <= max(2, 2 * 2)
+
+
+class TestProfileMerging:
+    def test_worker_samples_merged_into_parent(self):
+        sampler = obs_profile.enable_profiling(interval=0.002)
+        pool = get_pool(2)
+        pool.map(_spin, [0.4, 0.4])
+        counts = obs_profile.disable_profiling()
+        joined = "\n".join(counts)
+        assert "_spin" in joined, "no worker frames in merged profile"
+        assert sampler.samples > 0
+
+    def test_unprofiled_map_ships_no_samples(self):
+        pool = get_pool(2)
+        pool.map(_spin, [0.05, 0.05])
+        assert obs_profile.current_sampler() is None
 
 
 class TestExecutorConfig:
