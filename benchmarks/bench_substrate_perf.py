@@ -215,7 +215,7 @@ def test_mapper_throughput(benchmark):
     optimize_network(network)
     graph = build_subject_graph(network)
     library = generic_70nm_library()
-    netlist = benchmark(map_graph, graph, library, mode="area")
+    netlist = benchmark(map_graph, graph, library)
     assert netlist.num_gates > 0
     mean, _ = _timings(benchmark)
     if mean is not None:

@@ -69,7 +69,7 @@ from .core.complexity import spec_complexity_factor, spec_expected_complexity_fa
 from .core.estimates import estimate_report
 from .core.reliability import exact_error_bounds
 from .core.spec import FunctionSpec
-from .flows.experiment import apply_policy, relative_metrics, run_flow
+from .flows.experiment import apply_policy, relative_metrics
 from .flows.report import format_table
 from .perf import resolve_jobs
 from .pla import read_pla, write_pla
@@ -223,28 +223,26 @@ def _cmd_assign(args: argparse.Namespace) -> int:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
+    from .flows.experiment import flow_result
+    from .pipeline import Pipeline, default_config
+
     spec = _load_spec(args.benchmark)
-    assigned, _ = apply_policy(
-        spec, args.policy, fraction=args.fraction, threshold=args.threshold
-    )
-    result = run_flow(
-        spec,
+    config = default_config(
         args.policy,
         fraction=args.fraction,
         threshold=args.threshold,
         objective=args.objective,
     )
+    ctx = Pipeline.from_config(config).run(spec=spec)
+    result = flow_result(ctx)
     session = getattr(args, "_obs_session", None)
     if session is not None:
         session.record_quality([result])
     if args.verilog:
-        from .synth.compile_ import compile_spec
         from .synth.verilog import write_verilog
 
-        synthesis = compile_spec(
-            assigned, objective=args.objective, source_spec=spec
-        )
-        write_verilog(synthesis.netlist, args.verilog, module_name=spec.name)
+        netlist = ctx.require("synthesis").netlist
+        write_verilog(netlist, args.verilog, module_name=spec.name)
         print(f"wrote {args.verilog}")
     rows = [
         ["area", result.area],

@@ -104,10 +104,8 @@ def estimate_error_rate(
             *source_filter* is active.
         fault_model: an input-scope :class:`~repro.faults.FaultModel`
             (or declarative spec for one) that generates the packed
-            corruption masks; default: the single-bit pin flip, whose
-            mask generation — and therefore RNG consumption — is
-            identical to the historical inline draw, so existing seeded
-            estimates are unchanged.
+            corruption masks; default: the registered ``single_bit``
+            pin flip.
 
     Returns:
         A :class:`MonteCarloEstimate`.  With a source filter so tight that
@@ -124,16 +122,17 @@ def estimate_error_rate(
         raise ValueError("samples must be positive")
     if evaluate is None and packed_evaluate is None:
         raise ValueError("an evaluator is required (evaluate or packed_evaluate)")
-    if fault_model is not None:
-        from ..faults import create_fault_model
+    from ..faults import create_fault_model
 
-        fault_model = create_fault_model(fault_model)
-        if fault_model.scope != "input":
-            raise ValueError(
-                f"fault model {fault_model.name!r} has scope "
-                f"{fault_model.scope!r}; input-vector sampling needs an "
-                f"input-scope model"
-            )
+    fault_model = create_fault_model(
+        "single_bit" if fault_model is None else fault_model
+    )
+    if fault_model.scope != "input":
+        raise ValueError(
+            f"fault model {fault_model.name!r} has scope "
+            f"{fault_model.scope!r}; input-vector sampling needs an "
+            f"input-scope model"
+        )
     rng = rng or np.random.default_rng(0)
     word_max = np.iinfo(np.uint64).max
     disagreements = 0  # differing (output, vector) table entries
@@ -150,15 +149,7 @@ def estimate_error_rate(
             0, word_max, size=(num_inputs, words), dtype=np.uint64, endpoint=True
         )
         pk.zero_tail(vector_words, count)
-        if fault_model is None:
-            # Inline single-bit draw, kept verbatim for seed stability
-            # (SingleBitInput.corruption_words replicates it exactly).
-            pins = rng.integers(num_inputs, size=count)
-            onehot = np.zeros((count, num_inputs), dtype=bool)
-            onehot[np.arange(count), pins] = True
-            masks = pk.pack_matrix(onehot)
-        else:
-            masks = fault_model.corruption_words(rng, num_inputs, count)
+        masks = fault_model.corruption_words(rng, num_inputs, count)
         corrupted_words = vector_words ^ masks
         admissible = None
         if source_filter is not None:

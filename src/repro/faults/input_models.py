@@ -25,12 +25,10 @@ __all__ = ["SingleBitInput", "MultiBitInput", "BurstInput"]
 class SingleBitInput(FaultModel):
     """The paper's fault model: exactly one input pin flips.
 
-    The default model of every flow.  Exact numbers delegate to
-    :mod:`repro.core.reliability` (the neighbour-view implementation)
-    and the Monte-Carlo mask generator consumes the random generator
-    exactly as the inline single-bit draw of
-    :func:`repro.core.montecarlo.estimate_error_rate`, so a seeded
-    estimate is the same with or without this model.
+    The default model of every flow, and of
+    :func:`repro.core.montecarlo.estimate_error_rate`.  Exact numbers
+    delegate to :mod:`repro.core.reliability` (the neighbour-view
+    implementation).
     """
 
     name = "single_bit"
@@ -53,8 +51,8 @@ class SingleBitInput(FaultModel):
     def corruption_words(
         self, rng: np.random.Generator, num_inputs: int, count: int
     ) -> np.ndarray:
-        # Draw order and dtype must match estimate_error_rate's inline
-        # single-bit draw: one pin index per vector.
+        # One pin index per vector.  Keep the draw order: seeded
+        # Monte-Carlo estimates depend on it.
         pins = rng.integers(num_inputs, size=count)
         onehot = np.zeros((count, num_inputs), dtype=bool)
         onehot[np.arange(count), pins] = True

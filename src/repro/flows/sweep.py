@@ -18,8 +18,8 @@ Every point is an independent ``run_flow`` call — itself a thin driver
 over the stage graph of :mod:`repro.pipeline` — so :func:`run_points`
 accepts a ``jobs`` argument (an integer or ``"auto"``) and fans the
 points out over the process-wide warm worker pool of
-:mod:`repro.perf.pool` (see :func:`parallel_map`): persistent preloaded
-workers pulling one pickled point at a time from a shared queue.
+:mod:`repro.perf.pool` (see :func:`parallel_map`): one persistent
+``ProcessPoolExecutor`` with preloaded workers, one future per point.
 Results always come back in input order and synthesis is deterministic
 across processes, so a parallel run is bit-identical to the serial one.
 ``jobs <= 1`` runs in-process, which additionally shares the
@@ -131,9 +131,9 @@ def parallel_map(
     Parallel execution runs on the process-wide warm pool of
     :mod:`repro.perf.pool`: workers persist across successive calls (the
     second sweep in a process pays no spawn or import cost), each task
-    is pickled once and sent as its own message, and a bounded in-flight
-    window means a thousand-point sweep never holds every payload
-    resident at once.
+    is submitted as its own future, and at most ``2 * jobs`` are
+    outstanding, so a thousand-point sweep never holds every payload at
+    once.
 
     Args:
         func: a picklable (module-level) callable.
@@ -150,7 +150,7 @@ def parallel_map(
     Raises:
         SweepPointError: when a worker task raises; the failing task's
             parameters and the worker traceback ride on the exception,
-            and queued-but-unclaimed work is cancelled.
+            and the tasks not yet started are cancelled.
     """
     total = len(tasks)
     jobs = resolve_jobs(jobs, points=total)

@@ -18,7 +18,7 @@ in the worker and ships the counts back with the task's result —
 exactly how metrics deltas and trace records already travel — and the
 parent :meth:`StackSampler.merge`\\ s them.  A ``--profile`` sweep at
 ``--jobs 4`` therefore shows where the *fleet* spent its time, with the
-parent's own stacks (mostly queue waits) alongside worker flow frames.
+parent's own stacks (mostly waits for results) alongside worker flow frames.
 
 The module-level :func:`enable_profiling` / :func:`disable_profiling`
 pair mirrors the tracer's API and is what

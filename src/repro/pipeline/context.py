@@ -31,7 +31,6 @@ def _artifact_types() -> dict[str, type]:
     # Imported lazily so the context module stays importable without
     # dragging the whole synthesis stack in at interpreter start.
     from ..espresso.minimize import MinimizedFunction
-    from ..flows.experiment import FlowResult
     from ..synth.compile_ import SynthesisResult
     from ..synth.flexibility import CompleteDcReport
     from ..synth.netlist import MappedNetlist
@@ -47,7 +46,6 @@ def _artifact_types() -> dict[str, type]:
         "complete_dc_report": CompleteDcReport,
         "implemented": FunctionSpec,
         "synthesis": SynthesisResult,
-        "result": FlowResult,
     }
 
 
@@ -61,7 +59,6 @@ ARTIFACT_KEYS: dict[str, str] = {
     "complete_dc_report": "CompleteDcReport — SAT-complete DC stage metrics",
     "implemented": "FunctionSpec — the function the netlist realises",
     "synthesis": "SynthesisResult — area/delay/power/error measurements",
-    "result": "FlowResult — one experiment data point",
 }
 """Human-readable catalogue of the known context keys (docs + CLI)."""
 

@@ -341,3 +341,18 @@ class TestCliExtensions:
                      "--verilog", out_v]) == 0
         text = open(out_v).read()
         assert "module" in text and "endmodule" in text
+
+    def test_synth_verilog_comes_from_the_one_flow_run(
+        self, pla_file, tmp_path, capsys
+    ):
+        import json
+
+        metrics = tmp_path / "metrics.json"
+        assert main(["synth", pla_file, "--policy", "cfactor",
+                     "--objective", "area", "--verilog",
+                     str(tmp_path / "out.v"), "--metrics-out",
+                     str(metrics)]) == 0
+        capsys.readouterr()
+        document = json.loads(metrics.read_text())["metrics"]
+        assert document["pipeline.runs"]["value"] == 1
+        assert document["synth.networks_compiled"]["value"] == 1

@@ -2,9 +2,13 @@
 
 import os
 import pickle
+import select
+import signal
 import subprocess
 import sys
 import time
+from collections.abc import Sequence
+from contextlib import suppress
 from pathlib import Path
 
 import pytest
@@ -140,20 +144,25 @@ class TestErrorHandling:
 
 
 class TestWorkerDeath:
-    def test_dead_worker_raises_before_survivor_drains(self):
-        # Task 0 kills its worker, and the survivor alone would need 12 s
-        # for the rest.  Its results arrive faster than the 0.5 s queue
-        # timeout, so the queue never goes idle: only a liveness check
-        # that runs about once a second whatever the result traffic
-        # reports the death long before the survivor has drained.
+    @pytest.mark.parametrize("tasks", [
+        # The survivor alone would need 12 s for the rest of the sweep.
+        pytest.param([(0, 0.0)] + [(i, 0.25) for i in range(1, 49)],
+                     id="short-tasks"),
+        # Eight 3 s tasks behind the death: the error must not wait for
+        # the survivor to finish the task it is running.
+        pytest.param([(0, 0.0)] + [(i, 3.0) for i in range(1, 9)],
+                     id="long-tasks"),
+    ])
+    def test_dead_worker_raises_before_survivor_drains(self, tasks):
+        # Task 0 kills its worker: the map raises as soon as the death is
+        # noticed, not after the survivor has drained its queue.
         pool = get_pool(2)
         assert pool.map(_identity, [0, 1], 2) == [0, 1]
         deaths = obs_metrics.counter("pool.worker_deaths").value
-        tasks = [(0, 0.0)] + [(index, 0.25) for index in range(1, 49)]
         start = time.perf_counter()
         with pytest.raises(RuntimeError, match="died unexpectedly"):
             pool.map(_exit_or_sleep, tasks, 2)
-        assert time.perf_counter() - start < 6.0
+        assert time.perf_counter() - start < 2.0
         assert obs_metrics.counter("pool.worker_deaths").value == deaths + 1
         assert pool.closed
         fresh = get_pool(2)
@@ -161,11 +170,36 @@ class TestWorkerDeath:
         assert fresh.map(_identity, list(range(10)), 2) == list(range(10))
 
 
+class _ReadCounter(Sequence):
+    """Tasks ``0 .. count-1`` that record how many the pool has read."""
+
+    def __init__(self, count: int):
+        self.count = count
+        self.read = 0
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __getitem__(self, index: int) -> int:
+        if not 0 <= index < self.count:
+            raise IndexError(index)
+        self.read = max(self.read, index + 1)
+        return index
+
+
 class TestBoundedWindow:
     def test_in_flight_chunks_stay_within_window(self):
+        # At each completion, the tasks read from the sequence minus those
+        # completed before it were in flight; never more than the window.
         pool = get_pool(2)
-        pool.map(_identity, list(range(300)), 2)
-        assert 0 < pool.last_max_in_flight <= max(2, 2 * 2)
+        tasks = _ReadCounter(300)
+        in_flight = []
+        results = pool.map(
+            _identity, tasks, 2,
+            progress=lambda done, _: in_flight.append(tasks.read - done + 1),
+        )
+        assert results == list(range(300))
+        assert 0 < max(in_flight) <= max(2, 2 * 2)
 
 
 class TestProfileMerging:
@@ -227,3 +261,70 @@ class TestCleanExit:
         assert completed.returncode == 0, completed.stderr
         assert "Exception ignored" not in completed.stderr
         assert "Traceback" not in completed.stderr
+
+
+_INTERRUPT_SCRIPT = """
+import time
+
+from repro.perf import get_pool
+
+pool = get_pool(2)
+pool.map(abs, [0] * 4, 2)
+print("mapping", flush=True)
+pool.map(time.sleep, [20] * 4, 2)
+"""
+
+_IMPORT_SCRIPT = """
+import sys
+
+import repro.flows.sweep
+
+assert "concurrent.futures" not in sys.modules
+"""
+
+
+def _child_env() -> dict:
+    env = dict(os.environ)
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")])
+    )
+    return env
+
+
+class TestInterrupt:
+    def test_ctrl_c_terminates_running_tasks(self):
+        # Ctrl-C (SIGINT to the whole process group) during a map of 20 s
+        # tasks: the workers ignore it, and the parent terminates them
+        # instead of waiting for their tasks at exit.  The child runs in
+        # its own session so that the group can be killed afterwards.
+        child = subprocess.Popen(
+            [sys.executable, "-c", _INTERRUPT_SCRIPT], env=_child_env(),
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            start_new_session=True,
+        )
+        try:
+            ready, _, _ = select.select([child.stdout], [], [], 60)
+            assert ready and child.stdout.readline().strip() == "mapping"
+            time.sleep(0.5)  # both workers are inside their sleep
+            start = time.perf_counter()
+            os.killpg(child.pid, signal.SIGINT)
+            child.wait(timeout=30)
+            elapsed = time.perf_counter() - start
+        finally:
+            with suppress(ProcessLookupError):
+                os.killpg(child.pid, signal.SIGKILL)
+            child.communicate(timeout=30)
+        assert child.returncode != 0
+        assert elapsed < 3.0
+
+
+class TestLazyImport:
+    def test_sweep_import_does_not_load_concurrent_futures(self):
+        # A serial run never builds the pool, so it never pays for
+        # importing concurrent.futures.
+        completed = subprocess.run(
+            [sys.executable, "-c", _IMPORT_SCRIPT], env=_child_env(),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert completed.returncode == 0, completed.stderr
