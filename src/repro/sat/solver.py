@@ -38,11 +38,31 @@ An earlier revision enqueued assumptions at level 0, which made
 under one assumption set could then make a later call with contradictory
 assumptions wrongly UNSAT (see ``tests/sat/test_solver.py::
 TestAssumptionSoundness`` for the minimal reproduction).
+
+State layout and search order
+-----------------------------
+
+Per-variable and per-literal state lives in flat lists, the way MiniSat
+keeps it in arrays.  Truth values are one list indexed by literal: with
+``n`` variables it holds ``2n + 1`` entries, ``vals[v]`` is literal ``v``
+and ``vals[-v]`` literal ``-v`` (Python indexes a negative position from
+the end), each ``True``, ``False`` or ``None`` for unassigned.  Watch
+lists use the same literal indexing and hold the clause lists
+themselves.  Decision level, reason clause, activity and saved phase are
+lists indexed by variable, and the trail is a list of literals.
+
+The search order is part of the solver's contract: the complete-DC
+stage turns each model into a refuting simulation vector, so its
+goldens pin the models, and ``tests/sat/test_solver.py::TestSearchGolden``
+pins a digest of every outcome of a fixed solve stream.  A faster solver
+must keep the watch-list order and watch swaps, the learned clauses and
+their literal order, the decision order (highest activity, then lowest
+variable), the Luby restarts and phase saving, and hence every model.
 """
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
 
 __all__ = ["SatSolver", "Satisfiable", "Unsatisfiable", "Unknown", "luby"]
 
@@ -78,9 +98,12 @@ class SatSolver:
         self.num_vars = 0
         self.clauses: list[list[int]] = []
         self._units: list[int] = []
-        self._watches: dict[int, list[int]] = {}
-        self._activity: dict[int, float] = {}
-        self._saved_phase: dict[int, bool] = {}
+        # The clauses watching each literal, indexed by literal (see the
+        # module docstring); room for ``_watch_capacity`` variables.
+        self._watches: list[list[list[int]]] = [[]]
+        self._watch_capacity = 0
+        self._activity: list[float] = [0.0]  # indexed by variable
+        self._saved_phase: list[bool] = [True]  # indexed by variable
         # Lazy max-heap over (-activity, var) for decision picking; stale
         # entries are skipped on pop.  Persistent across solve() calls so
         # incremental use stays O(new vars), not O(all vars), per call.
@@ -103,22 +126,38 @@ class SatSolver:
         Raises:
             ValueError: on empty clauses or zero literals.
         """
-        clause = list(dict.fromkeys(int(l) for l in literals))
+        clause = list(dict.fromkeys(map(int, literals)))
         if not clause:
             raise ValueError("empty clause (formula is trivially UNSAT)")
-        if any(l == 0 for l in clause):
+        present = set(clause)
+        if 0 in present:
             raise ValueError("literal 0 is not allowed")
-        for literal in clause:
-            self.num_vars = max(self.num_vars, abs(literal))
-        if any(-l in clause for l in clause):
+        top = max(map(abs, clause))
+        if top > self.num_vars:
+            self.num_vars = top
+        if not present.isdisjoint([-l for l in clause]):
             return  # tautological clause
         if len(clause) == 1:
             self._units.append(clause[0])
             return
-        index = len(self.clauses)
+        if top > self._watch_capacity:
+            self._reserve_watches(top)
         self.clauses.append(clause)
-        for literal in clause[:2]:
-            self._watches.setdefault(literal, []).append(index)
+        self._watches[clause[0]].append(clause)
+        self._watches[clause[1]].append(clause)
+
+    def _reserve_watches(self, variables: int) -> None:
+        """Grow the watch lists to hold at least *variables* variables.
+
+        The capacity at least doubles, so a stream of fresh variables
+        costs amortised O(1) each.  New slots go in the middle: positive
+        literals keep their indices and negative ones, indexed from the
+        end, keep theirs relative to it.
+        """
+        old = self._watch_capacity
+        new = max(variables, 2 * old)
+        self._watches[old + 1:old + 1] = [[] for _ in range(2 * (new - old))]
+        self._watch_capacity = new
 
     # --------------------------------------------------------------- solving
 
@@ -146,10 +185,22 @@ class SatSolver:
             raise ValueError("literal 0 is not allowed as an assumption")
         for literal in assumption_literals:
             self.num_vars = max(self.num_vars, abs(literal))
+        num_vars = self.num_vars
+        if num_vars > self._watch_capacity:
+            self._reserve_watches(num_vars)
+        activity = self._activity
+        activity.extend([0.0] * (num_vars + 1 - len(activity)))
+        saved_phase = self._saved_phase
+        saved_phase.extend([True] * (num_vars + 1 - len(saved_phase)))
+        clauses = self.clauses
+        watches = self._watches
+        heap = self._heap
 
-        assign: dict[int, bool] = {}
-        trail: list[tuple[int, int | None]] = []  # (literal, reason clause)
-        level_of: dict[int, int] = {}
+        vals: list[bool | None] = [None] * (2 * num_vars + 1)  # by literal
+        level = [0] * (num_vars + 1)  # by variable
+        # The clause that implied each variable (None: decision or unit).
+        reason: list[list[int] | None] = [None] * (num_vars + 1)
+        trail: list[int] = []  # assigned literals, in order
         decisions: list[int] = []  # trail indices at each decision level
         conflicts = 0
         conflicts_since_restart = 0
@@ -160,76 +211,82 @@ class SatSolver:
         self.total_solves += 1
 
         # Seed heap entries for variables allocated since the last call.
-        while self._heap_high_water < self.num_vars:
+        while self._heap_high_water < num_vars:
             self._heap_high_water += 1
             variable = self._heap_high_water
-            heapq.heappush(
-                self._heap, (-self._activity.get(variable, 0.0), variable)
-            )
+            heappush(heap, (-activity[variable], variable))
 
-        def value(literal: int) -> bool | None:
-            polarity = assign.get(abs(literal))
-            if polarity is None:
-                return None
-            return polarity if literal > 0 else not polarity
-
-        def enqueue(literal: int, reason: int | None) -> bool:
-            current = value(literal)
+        def enqueue(literal: int, cause: list[int] | None) -> bool:
+            """Assign *literal* true unless it already has a value;
+            returns its (new) truth value."""
+            current = vals[literal]
             if current is not None:
                 return current
+            vals[literal] = True
+            vals[-literal] = False
             variable = abs(literal)
-            polarity = literal > 0
-            assign[variable] = polarity
-            self._saved_phase[variable] = polarity
-            level_of[variable] = len(decisions)
-            trail.append((literal, reason))
+            saved_phase[variable] = literal > 0
+            level[variable] = len(decisions)
+            reason[variable] = cause
+            trail.append(literal)
             return True
 
-        def propagate() -> int | None:
-            """Run unit propagation; return a conflicting clause index.
+        def propagate() -> list[int] | None:
+            """Run unit propagation; return a conflicting clause.
 
             Resumes from where the previous call stopped (``prop_head``);
             :func:`backtrack` rewinds the head with the trail, so work is
-            linear in enqueued literals rather than quadratic.
+            linear in enqueued literals rather than quadratic.  The
+            assignment of :func:`enqueue` is inlined.
             """
             nonlocal prop_head
-            while prop_head < len(trail):
-                literal, _ = trail[prop_head]
-                prop_head += 1
-                falsified = -literal
-                watchers = self._watches.get(falsified, [])
+            current_level = len(decisions)
+            head = prop_head
+            while head < len(trail):
+                falsified = -trail[head]
+                head += 1
+                watchers = watches[falsified]
                 index = 0
-                while index < len(watchers):
-                    clause_index = watchers[index]
-                    clause = self.clauses[clause_index]
+                end = len(watchers)  # only this loop shrinks ``watchers``
+                while index < end:
+                    clause = watchers[index]
                     # Ensure the falsified literal sits at position 1.
-                    if clause[0] == falsified:
-                        clause[0], clause[1] = clause[1], clause[0]
                     other = clause[0]
-                    if value(other) is True:
+                    if other == falsified:
+                        other = clause[1]
+                        clause[0] = other
+                        clause[1] = falsified
+                    other_value = vals[other]
+                    if other_value is True:
                         index += 1
                         continue
                     # Look for a replacement watch.
-                    moved = False
                     for pos in range(2, len(clause)):
-                        if value(clause[pos]) is not False:
-                            clause[1], clause[pos] = clause[pos], clause[1]
-                            self._watches.setdefault(clause[1], []).append(
-                                clause_index
-                            )
-                            watchers[index] = watchers[-1]
+                        candidate = clause[pos]
+                        if vals[candidate] is not False:
+                            clause[1] = candidate
+                            clause[pos] = falsified
+                            watches[candidate].append(clause)
+                            end -= 1
+                            watchers[index] = watchers[end]
                             watchers.pop()
-                            moved = True
                             break
-                    if moved:
-                        continue
-                    if value(other) is False:
-                        return clause_index  # conflict
-                    enqueue(other, clause_index)
-                    index += 1
+                    else:
+                        if other_value is False:
+                            prop_head = head
+                            return clause  # conflict
+                        vals[other] = True
+                        vals[-other] = False
+                        variable = other if other > 0 else -other
+                        saved_phase[variable] = other > 0
+                        level[variable] = current_level
+                        reason[variable] = clause
+                        trail.append(other)
+                        index += 1
+            prop_head = head
             return None
 
-        def analyze(conflict_index: int) -> tuple[list[int], int]:
+        def analyze(clause: list[int]) -> tuple[list[int], int]:
             """1-UIP conflict analysis -> (learned clause, backjump level).
 
             Level-0 literals are dropped: they are implied by permanent
@@ -241,77 +298,70 @@ class SatSolver:
             seen: set[int] = set()
             learned: list[int] = []
             counter = 0
-            clause = list(self.clauses[conflict_index])
             cursor = len(trail) - 1
-            uip_literal = 0
             while True:
                 for literal in clause:
                     variable = abs(literal)
-                    if variable in seen or value(literal) is not False:
+                    if variable in seen or vals[literal] is not False:
                         continue
                     seen.add(variable)
-                    bumped = self._activity.get(variable, 0.0) + 1.0
-                    self._activity[variable] = bumped
-                    heapq.heappush(self._heap, (-bumped, variable))
-                    if level_of.get(variable, 0) >= current_level:
+                    bumped = activity[variable] + 1.0
+                    activity[variable] = bumped
+                    heappush(heap, (-bumped, variable))
+                    if level[variable] >= current_level:
                         counter += 1
-                    elif level_of.get(variable, 0) > 0:
+                    elif level[variable] > 0:
                         learned.append(literal)
                 while cursor >= 0:
-                    trail_literal, reason = trail[cursor]
-                    if abs(trail_literal) in seen:
+                    if abs(trail[cursor]) in seen:
                         break
                     cursor -= 1
-                trail_literal, reason = trail[cursor]
+                trail_literal = trail[cursor]
                 cursor -= 1
                 counter -= 1
                 if counter == 0:
-                    uip_literal = -trail_literal
                     break
-                clause = list(self.clauses[reason]) if reason is not None else []
-            learned.append(uip_literal)
+                clause = reason[abs(trail_literal)] or ()
+            learned.append(-trail_literal)
             if len(learned) == 1:
                 return learned, 0
-            back_level = max(
-                level_of.get(abs(l), 0) for l in learned if l != uip_literal
-            )
-            return learned, back_level
+            return learned, max(level[abs(l)] for l in learned[:-1])
 
-        def backtrack(level: int) -> None:
+        def backtrack(target: int) -> None:
+            """Undo every decision level above *target*."""
             nonlocal prop_head
-            while decisions and len(decisions) > level:
-                mark = decisions.pop()
-                while len(trail) > mark:
-                    literal, _ = trail.pop()
-                    variable = abs(literal)
-                    del assign[variable]
-                    del level_of[variable]
-                    if variable in consumed:
-                        # Freshly unassigned: restore its decision-heap
-                        # entry at the current activity.
-                        consumed.discard(variable)
-                        heapq.heappush(
-                            self._heap,
-                            (-self._activity.get(variable, 0.0), variable),
-                        )
-            prop_head = min(prop_head, len(trail))
+            if len(decisions) <= target:
+                return
+            mark = decisions[target]
+            del decisions[target:]
+            for literal in trail[mark:]:
+                vals[literal] = None
+                vals[-literal] = None
+                variable = abs(literal)
+                if variable in consumed:
+                    # Freshly unassigned: restore its decision-heap entry
+                    # at the current activity.
+                    consumed.discard(variable)
+                    heappush(heap, (-activity[variable], variable))
+            del trail[mark:]
+            prop_head = min(prop_head, mark)
 
         def decide() -> int:
             """Pop the highest-activity unassigned variable off the heap."""
-            while self._heap:
-                _, variable = heapq.heappop(self._heap)
+            while heap:
+                _, variable = heappop(heap)
                 consumed.add(variable)
-                if variable not in assign:
+                if vals[variable] is None:
                     return variable
             # Defensive: the heap invariant should make this unreachable.
-            for variable in range(1, self.num_vars + 1):
-                if variable not in assign:
+            for variable in range(1, num_vars + 1):
+                if vals[variable] is None:
                     return variable
             raise AssertionError("decide() with a complete assignment")
 
         # Level 0 holds exactly the permanent unit clauses.
         for literal in self._units:
-            if not enqueue(int(literal), None):
+            if not enqueue(literal, None):
                 return Unsatisfiable, {}
         if propagate() is not None:
             return Unsatisfiable, {}
@@ -321,24 +371,22 @@ class SatSolver:
                 if len(decisions) < len(assumption_literals):
                     # Establish the next assumption on its own level.
                     literal = assumption_literals[len(decisions)]
-                    current = value(literal)
+                    current = vals[literal]
                     if current is False:
                         return Unsatisfiable, {}
                     decisions.append(len(trail))
                     if current is None:
                         enqueue(literal, None)
-                elif len(assign) >= self.num_vars:
-                    model = {
-                        v: assign.get(v, False)
-                        for v in range(1, self.num_vars + 1)
-                    }
-                    return Satisfiable, model
+                elif len(trail) >= num_vars:
+                    return Satisfiable, dict(
+                        zip(range(1, num_vars + 1), vals[1:num_vars + 1])
+                    )
                 else:
                     # Decide: highest-activity unassigned variable, set to
                     # its saved phase (last polarity held; default true).
                     decision = decide()
                     decisions.append(len(trail))
-                    if not self._saved_phase.get(decision, True):
+                    if not saved_phase[decision]:
                         decision = -decision
                     enqueue(decision, None)
                 restart = False
@@ -374,24 +422,22 @@ class SatSolver:
                         if not enqueue(learned[0], None):
                             return Unsatisfiable, {}
                     else:
-                        index = len(self.clauses)
-                        # Watch the asserting literal + one at back_level.
-                        asserting = learned[-1]
-                        learned.sort(key=lambda l: l != asserting)
-                        self.clauses.append(learned)
-                        for literal in learned[:2]:
-                            self._watches.setdefault(literal, []).append(index)
+                        # Watch the asserting (UIP) literal, moved to the
+                        # front, and the first literal analysis kept.
+                        asserting = learned.pop()
+                        learned.insert(0, asserting)
+                        clauses.append(learned)
+                        watches[asserting].append(learned)
+                        watches[learned[1]].append(learned)
                         if not restart:
                             # After a restart the clause need not be
                             # asserting at level 0, so it must not force
                             # its literal.
-                            enqueue(asserting, index)
+                            enqueue(asserting, learned)
                     if restart:
                         break
         finally:
             # Restore a heap entry for every variable whose entry was
             # consumed this call, so the next call starts complete.
             for variable in consumed:
-                heapq.heappush(
-                    self._heap, (-self._activity.get(variable, 0.0), variable)
-                )
+                heappush(heap, (-activity[variable], variable))

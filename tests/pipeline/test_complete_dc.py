@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.benchgen.synthetic import generate_spec
+from repro.obs.metrics import delta_capture
 from repro.pipeline import (
     DEFAULT_STAGES,
     Pipeline,
@@ -40,6 +41,16 @@ GOLDEN_COVERS_SHA256 = (
     "1820ef6b7e20fcd6648f98d838a03c5829277497b5e210ff025f37bac6911c92"
 )
 """:func:`covers_digest` of the network the stage leaves on ``golden_spec``."""
+
+GOLDEN_SAT_COUNTERS = {
+    "sat.queries": 135,
+    "sat.confirmations": 775,
+    "sat.refutations": 64,
+    "sat.fallbacks": 8,
+    "sat.cex_recycled": 64,
+}
+"""The stage's ``sat.*`` counter deltas on ``golden_spec``: the solver's
+models pick the refuting vectors, so a change in its search shows here."""
 
 
 @pytest.fixture(scope="module")
@@ -123,10 +134,15 @@ class TestPrimaryOutputsPreserved:
 
 class TestGolden:
     def test_serial_report_and_covers(self, golden_spec):
-        ctx = Pipeline.from_config(_complete_dc_config()).run(spec=golden_spec)
+        with delta_capture() as delta:
+            ctx = Pipeline.from_config(_complete_dc_config()).run(spec=golden_spec)
         report = dataclasses.asdict(ctx.require("complete_dc_report"))
         assert report == GOLDEN_REPORT
         assert covers_digest(ctx.require("network")) == GOLDEN_COVERS_SHA256
+        counters = {
+            name: delta.get(name, {}).get("value", 0) for name in GOLDEN_SAT_COUNTERS
+        }
+        assert counters == GOLDEN_SAT_COUNTERS
 
 
 class TestCheckpointRoundTrip:

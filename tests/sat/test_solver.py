@@ -1,5 +1,7 @@
 """Tests for the CNF SAT solver."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,40 @@ def check_model(clauses, model) -> bool:
     return all(
         any(model[abs(l)] == (l > 0) for l in clause) for clause in clauses
     )
+
+
+def pigeonhole(pigeons, holes) -> SatSolver:
+    """PHP(pigeons -> holes): unsatisfiable whenever pigeons > holes."""
+    solver = SatSolver()
+    def var(p, h):
+        return p * holes + h + 1
+    for p in range(pigeons):
+        solver.add_clause([var(p, h) for h in range(holes)])
+    for h in range(holes):
+        for p1 in range(pigeons):
+            for p2 in range(p1 + 1, pigeons):
+                solver.add_clause([-var(p1, h), -var(p2, h)])
+    return solver
+
+
+def brute_force_sat(clauses, num_vars) -> bool:
+    """Whether any of the ``2**num_vars`` assignments satisfies *clauses*."""
+    rows = np.arange(1 << num_vars)[:, None] >> np.arange(num_vars) & 1
+    rows = rows.astype(bool)
+    satisfied = np.ones(rows.shape[0], dtype=bool)
+    for clause in clauses:
+        hits = np.zeros(rows.shape[0], dtype=bool)
+        for literal in clause:
+            column = rows[:, abs(literal) - 1]
+            hits |= column if literal > 0 else ~column
+        satisfied &= hits
+    return bool(satisfied.any())
+
+
+def random_clause(rng, num_vars, width) -> list[int]:
+    """*width* distinct variables of ``1..num_vars`` with random signs."""
+    variables = rng.choice(num_vars, size=width, replace=False) + 1
+    return [int(v) * (1 if rng.random() < 0.5 else -1) for v in variables]
 
 
 class TestBasics:
@@ -128,16 +164,7 @@ class TestAssumptionSoundness:
 
 class TestConflictBudget:
     def test_budget_exhaustion_returns_unknown(self):
-        solver = SatSolver()
-        # PHP(5 -> 4): small but needs many conflicts.
-        def var(p, h):
-            return p * 4 + h + 1
-        for p in range(5):
-            solver.add_clause([var(p, h) for h in range(4)])
-        for h in range(4):
-            for p1 in range(5):
-                for p2 in range(p1 + 1, 5):
-                    solver.add_clause([-var(p1, h), -var(p2, h)])
+        solver = pigeonhole(5, 4)  # small but needs many conflicts
         sat, model = solver.solve(max_conflicts=1)
         assert sat is None
         assert model == {}
@@ -162,20 +189,8 @@ class TestRestartsAndPhases:
         with pytest.raises(ValueError):
             luby(0)
 
-    def _php(self, pigeons, holes):
-        solver = SatSolver()
-        def var(p, h):
-            return p * holes + h + 1
-        for p in range(pigeons):
-            solver.add_clause([var(p, h) for h in range(holes)])
-        for h in range(holes):
-            for p1 in range(pigeons):
-                for p2 in range(p1 + 1, pigeons):
-                    solver.add_clause([-var(p1, h), -var(p2, h)])
-        return solver
-
     def test_restarts_fire_and_stay_correct(self):
-        solver = self._php(7, 6)
+        solver = pigeonhole(7, 6)
         sat, _ = solver.solve()
         assert sat is False
         # PHP(7 -> 6) needs well over RESTART_BASE conflicts, so at
@@ -185,7 +200,7 @@ class TestRestartsAndPhases:
         assert solver.total_conflicts > 64
 
     def test_restart_preserves_max_conflicts_budget(self):
-        solver = self._php(7, 6)
+        solver = pigeonhole(7, 6)
         sat, model = solver.solve(max_conflicts=70)
         # The budget is a global conflict count, not per-restart: 70
         # conflicts exceed the first restart limit (64) but are nowhere
@@ -210,16 +225,7 @@ class TestRestartsAndPhases:
 class TestPigeonhole:
     def test_php_3_into_2_unsat(self):
         """Three pigeons, two holes: classic small UNSAT instance."""
-        solver = SatSolver()
-        def var(p, h):
-            return p * 2 + h + 1
-        for p in range(3):
-            solver.add_clause([var(p, 0), var(p, 1)])
-        for h in range(2):
-            for p1 in range(3):
-                for p2 in range(p1 + 1, 3):
-                    solver.add_clause([-var(p1, h), -var(p2, h)])
-        sat, _ = solver.solve()
+        sat, _ = pigeonhole(3, 2).solve()
         assert not sat
 
 
@@ -230,24 +236,15 @@ class TestRandomFormulas:
         rng = np.random.default_rng(seed)
         num_vars = int(rng.integers(2, 8))
         num_clauses = int(rng.integers(1, 24))
-        clauses = []
-        for _ in range(num_clauses):
-            width = int(rng.integers(1, min(4, num_vars + 1)))
-            variables = rng.choice(num_vars, size=width, replace=False) + 1
-            clause = [int(v) * (1 if rng.random() < 0.5 else -1) for v in variables]
-            clauses.append(clause)
+        clauses = [
+            random_clause(rng, num_vars, int(rng.integers(1, min(4, num_vars + 1))))
+            for _ in range(num_clauses)
+        ]
         solver = SatSolver()
         for clause in clauses:
             solver.add_clause(clause)
         sat, model = solver.solve()
-        brute = any(
-            all(
-                any(((assignment >> (abs(l) - 1)) & 1) == (l > 0) for l in clause)
-                for clause in clauses
-            )
-            for assignment in range(1 << num_vars)
-        )
-        assert sat == brute
+        assert sat == brute_force_sat(clauses, num_vars)
         if sat:
             assert check_model(clauses, model)
 
@@ -255,37 +252,121 @@ class TestRandomFormulas:
     @settings(max_examples=40, deadline=None)
     def test_incremental_assumption_sequences(self, seed):
         """One solver, many assumption sets: every answer must match
-        brute force over (clauses + assumptions-as-units)."""
+        brute force over (clauses + assumptions-as-units).
+
+        Between calls the formula grows over fresh variables, the way
+        the complete-DC oracle adds guards and selectors: one from
+        :meth:`SatSolver.new_var`, one named first by ``add_clause``
+        and one named only by an assumption.  State sized from
+        ``num_vars`` at an earlier call must grow with them.
+        """
         rng = np.random.default_rng(seed)
         num_vars = int(rng.integers(2, 7))
         num_clauses = int(rng.integers(2, 20))
-        clauses = []
-        for _ in range(num_clauses):
-            width = int(rng.integers(1, min(4, num_vars + 1)))
-            variables = rng.choice(num_vars, size=width, replace=False) + 1
-            clause = [int(v) * (1 if rng.random() < 0.5 else -1) for v in variables]
-            clauses.append(clause)
+        clauses = [
+            random_clause(rng, num_vars, int(rng.integers(1, min(4, num_vars + 1))))
+            for _ in range(num_clauses)
+        ]
         solver = SatSolver()
         for clause in clauses:
             solver.add_clause(clause)
+        # The clauses need not name every variable; declare the rest so
+        # the solver's count matches ours before fresh ones are added.
+        while solver.num_vars < num_vars:
+            solver.new_var()
         for _ in range(int(rng.integers(2, 6))):
-            width = int(rng.integers(0, num_vars + 1))
-            variables = rng.choice(num_vars, size=width, replace=False) + 1
-            assumptions = [
-                int(v) * (1 if rng.random() < 0.5 else -1) for v in variables
-            ]
+            width = int(rng.integers(0, min(num_vars, 6) + 1))
+            assumptions = random_clause(rng, num_vars, width)
+            kind = int(rng.integers(0, 4))
+            if kind == 0:  # a guard: g -> AND(literals)
+                guard = solver.new_var()
+                for literal in random_clause(rng, num_vars, int(rng.integers(1, 3))):
+                    clauses.append([-guard, literal])
+                    solver.add_clause(clauses[-1])
+                if rng.random() < 0.5:
+                    assumptions.append(guard)
+            elif kind == 1:  # a selector over existing variables
+                selector = solver.new_var()
+                clauses.append([-selector, *random_clause(rng, num_vars, 2)])
+                solver.add_clause(clauses[-1])
+                assumptions.append(selector)
+            elif kind == 2:  # a variable first named by add_clause
+                clauses.append([num_vars + 1, *random_clause(rng, num_vars, 1)])
+                solver.add_clause(clauses[-1])
+            else:  # a variable named only by an assumption
+                assumptions.append(-(num_vars + 1))
+            num_vars += 1
             sat, model = solver.solve(assumptions=assumptions)
             extended = clauses + [[l] for l in assumptions]
-            brute = any(
-                all(
-                    any(
-                        ((assignment >> (abs(l) - 1)) & 1) == (l > 0)
-                        for l in clause
-                    )
-                    for clause in extended
-                )
-                for assignment in range(1 << num_vars)
+            assert sat == brute_force_sat(extended, num_vars), (
+                clauses, assumptions,
             )
-            assert sat == brute, (clauses, assumptions)
+            assert solver.num_vars == num_vars
             if sat:
+                assert sorted(model) == list(range(1, num_vars + 1))
                 assert check_model(extended, model)
+
+
+def search_stream():
+    """Yield ``(solver, verdict, model)`` for every solve of a fixed stream.
+
+    PHP(7 -> 6) first under a 70-conflict budget (Unknown), then to
+    completion (UNSAT after several Luby restarts).  Then one incremental
+    solver over a seeded random 3-CNF, solved under random assumption
+    sets; between calls it gains guard and selector clauses over freshly
+    allocated variables, the pattern of the complete-DC oracle.
+    """
+    solver = pigeonhole(7, 6)
+    for budget in (70, None):
+        sat, model = solver.solve(max_conflicts=budget)
+        yield solver, sat, model
+    rng = np.random.default_rng(2024)
+    num_vars = 60
+    solver = SatSolver()
+    for _ in range(200):
+        solver.add_clause(random_clause(rng, num_vars, 3))
+    for _ in range(12):
+        width = int(rng.integers(0, 6))
+        assumptions = random_clause(rng, solver.num_vars, width)
+        sat, model = solver.solve(assumptions)
+        yield solver, sat, model
+        guards = []
+        for _ in range(3):
+            guard = solver.new_var()
+            for literal in random_clause(rng, num_vars, 3):
+                solver.add_clause([-guard, literal])
+            guards.append(guard)
+        selector = solver.new_var()
+        solver.add_clause([-selector, *guards])
+        sat, model = solver.solve([*assumptions[:2], selector])
+        yield solver, sat, model
+
+
+SEARCH_STREAM_SHA256 = (
+    "bfcd1202d6d91ac76a91615c2ea2192727110b8251aa02288b1dbba5d0cc4152"
+)
+"""Digest of :func:`search_stream`'s outcomes, recorded on the dict-based
+solver that the list-indexed one replaced."""
+
+
+class TestSearchGolden:
+    """The search itself is part of the solver's contract.
+
+    The complete-DC goldens pin the stage's refuting vectors, which are
+    the solver's models; a change to propagation order, watch swaps,
+    learned clauses, VSIDS ties, restarts or phase saving moves them.
+    This digest fails first and names the solver as the cause.
+    """
+
+    def test_stream_digest(self):
+        digest = hashlib.sha256()
+        solves = 0
+        for solver, sat, model in search_stream():
+            solves += 1
+            bits = "".join("1" if model[v] else "0" for v in sorted(model))
+            digest.update(repr((
+                sat, len(model), bits, solver.total_conflicts,
+                solver.total_restarts, len(solver.clauses),
+            )).encode())
+        assert solves == 26
+        assert digest.hexdigest() == SEARCH_STREAM_SHA256
