@@ -26,7 +26,7 @@ from repro.core.reliability import error_events
 from repro.espresso.cube import Cover
 from repro.espresso.minimize import espresso
 from repro.flows.sweep import fraction_sweep
-from repro.perf import configure_cache, reset_cache
+from repro.perf import reset_cache
 from repro.synth.library import generic_70nm_library
 from repro.synth.mapping import map_graph
 from repro.synth.network import LogicNetwork
@@ -105,15 +105,12 @@ def random_function():
 
 
 def test_espresso_throughput(benchmark, random_function):
-    """Cold-path ESPRESSO throughput (memoisation disabled while timing)."""
+    """Cold-path ESPRESSO throughput (each timed call starts on an empty memo)."""
     on, dc = random_function
 
     def run_cold():
-        configure_cache(enabled=False)
-        try:
-            return espresso(on, dc)
-        finally:
-            configure_cache(enabled=True)
+        reset_cache()
+        return espresso(on, dc)
 
     cover = benchmark(run_cold)
     assert cover.num_cubes > 0
@@ -275,13 +272,19 @@ def _random_sim_network(seed: int, num_pis: int, num_nodes: int) -> LogicNetwork
     return net
 
 
-def _best_of(repeats: int, run) -> float:
-    """Min wall-clock over *repeats* calls (min tracks kernel cost)."""
-    best = float("inf")
+def _interleaved_best_of(repeats: int, *runs) -> list[float]:
+    """Min wall-clock of each of *runs* over *repeats* rounds.
+
+    Each round calls every run once, so a burst of host load lands on
+    all sides alike rather than on whichever side was being timed (the
+    min tracks kernel cost).
+    """
+    best = [float("inf")] * len(runs)
     for _ in range(repeats):
-        start = time.perf_counter()
-        run()
-        best = min(best, time.perf_counter() - start)
+        for index, run in enumerate(runs):
+            start = time.perf_counter()
+            run()
+            best[index] = min(best[index], time.perf_counter() - start)
     return best
 
 
@@ -300,8 +303,9 @@ def test_sim_packed_vs_bool():
     net.evaluate_reference()  # warm cover caches out of the timed region
     sim_engine.network_values(net)
 
-    bool_seconds = _best_of(repeats, net.evaluate_reference)
-    packed_seconds = _best_of(repeats, lambda: sim_engine.network_values(net))
+    bool_seconds, packed_seconds = _interleaved_best_of(
+        repeats, net.evaluate_reference, lambda: sim_engine.network_values(net)
+    )
 
     # Equivalence while we are here: same signals, same tables.
     from repro.sim import packed as pk
@@ -357,8 +361,9 @@ def test_odc_incremental_vs_full():
         for name in node_names:
             sim.flip_outputs(name)
 
-    full_seconds = _best_of(repeats, full_sweep)
-    incremental_seconds = _best_of(repeats, incremental_sweep)
+    full_seconds, incremental_seconds = _interleaved_best_of(
+        repeats, full_sweep, incremental_sweep
+    )
 
     speedup = full_seconds / incremental_seconds
     _RESULTS["odc_incremental_vs_full"] = {

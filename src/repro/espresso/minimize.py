@@ -139,9 +139,6 @@ def espresso(on: Cover, dc: Cover | None = None) -> Cover:
         sp.set(cubes_out=best.num_cubes, iterations=iterations)
     obs_metrics.counter("espresso.iterations").inc(iterations)
     obs_metrics.counter("espresso.cubes_out").inc(best.num_cubes)
-    obs_metrics.histogram(
-        "espresso.iterations_per_call", bounds=(1, 2, 3, 5, 8, 13, 20)
-    ).observe(iterations)
     best.cubes.setflags(write=False)
     global_cache.put(key, best)
     return best

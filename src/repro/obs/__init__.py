@@ -6,10 +6,9 @@ The package makes the substrate introspectable end to end:
   recording wall time, attributes and parent/child structure into a
   per-run :class:`Tracer`; exportable as JSONL or Chrome
   ``trace_event`` JSON (Perfetto-loadable).
-* :mod:`repro.obs.metrics` — named counters, gauges and fixed-bucket
-  histograms in a process-wide registry, with snapshot / merge / diff
-  operations used to aggregate worker-process deltas after a parallel
-  sweep.
+* :mod:`repro.obs.metrics` — named counters in a process-wide
+  registry, with snapshot / merge / diff operations used to aggregate
+  worker-process deltas after a parallel sweep.
 * :mod:`repro.obs.manifest` — :class:`RunManifest` provenance records
   (args, seed, git rev, versions, timings, metrics) written by the CLI
   and the benchmarks.
@@ -35,18 +34,12 @@ trace.
 from .manifest import RunManifest, collect_manifest, git_revision, validate_manifest
 from .metrics import (
     Counter,
-    Gauge,
-    Histogram,
     MetricsRegistry,
-    configure_metrics,
     counter,
     diff_snapshots,
-    gauge,
     global_registry,
-    histogram,
     merge_snapshot,
     metrics_snapshot,
-    register_collector,
     reset_metrics,
 )
 from .profile import (
@@ -80,8 +73,6 @@ from .trace import (
 
 __all__ = [
     "Counter",
-    "Gauge",
-    "Histogram",
     "LEDGER_SCHEMA_VERSION",
     "LedgerStore",
     "MetricsRegistry",
@@ -93,7 +84,6 @@ __all__ = [
     "StackSampler",
     "Tracer",
     "collect_manifest",
-    "configure_metrics",
     "counter",
     "current_sampler",
     "current_tracer",
@@ -103,17 +93,14 @@ __all__ = [
     "disable_tracing",
     "enable_profiling",
     "enable_tracing",
-    "gauge",
     "git_revision",
     "global_registry",
-    "histogram",
     "is_enabled",
     "is_profiling",
     "ledger_enabled",
     "merge_snapshot",
     "metrics_snapshot",
     "open_ledger",
-    "register_collector",
     "reset_metrics",
     "span",
     "top_functions",

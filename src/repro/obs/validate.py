@@ -89,9 +89,11 @@ def validate_trace_jsonl(path: str | Path) -> list[str]:
     return problems
 
 
-# The pool no longer writes ``pool.workers_stalled`` or the per-worker
-# ``pool.worker.<pid>.*`` gauges; their rules stay so that ledgers and
-# metrics documents written by earlier releases still validate.
+# The program writes counters only: the ``pool.workers`` and
+# ``pool.workers_stalled`` gauges and the per-worker
+# ``pool.worker.<pid>.*`` gauges appear only in ledgers and metrics
+# documents written by earlier releases; their rules stay so that those
+# still validate.
 _POOL_GAUGES = {"pool.workers", "pool.workers_stalled"}
 """``pool.*`` instruments that must be gauges (point-in-time values)."""
 

@@ -10,7 +10,6 @@ persistent executor behind :func:`repro.flows.sweep.run_points`, and
 
 from .cache import (
     MinimizationCache,
-    configure_cache,
     cover_key,
     digest_parts,
     global_cache,
@@ -33,7 +32,6 @@ __all__ = [
     "WarmPool",
     "WorkerTaskError",
     "available_cpus",
-    "configure_cache",
     "cover_key",
     "digest_parts",
     "executor_config",

@@ -23,15 +23,14 @@ gets its own ``global_cache`` at import time.  Worker-process hit/miss
 activity therefore never races the parent's — it is reported back
 explicitly as a metrics delta with each result and merged by the parent
 (see :mod:`repro.obs.metrics`), which is why ``--metrics-out`` and
-``repro sweep --cache-stats`` show cache traffic from every process
-while :data:`global_cache`'s own counters only ever see one.  If you
-embed the cache in a threaded host, wrap access in your own lock; the
-methods do not lock internally.
+``repro sweep --cache-stats`` show cache traffic from every process.
+If you embed the cache in a threaded host, wrap access in your own
+lock; the methods do not lock internally.
 
-Observability: the counters are exported to the process-wide metrics
-registry under ``cache.*`` via a collector, :func:`reset_cache` clears
-both entries and counters, and :func:`configure_cache` turns the memo
-off.
+Observability: the cache counts ``cache.hits``, ``cache.misses`` and
+``cache.evictions`` straight into the process-wide metrics registry and
+keeps no count of its own; :func:`reset_cache` drops the entries and
+leaves those totals alone, so they never decrease.
 """
 
 from __future__ import annotations
@@ -46,7 +45,6 @@ from ..obs import metrics as obs_metrics
 
 __all__ = [
     "MinimizationCache",
-    "configure_cache",
     "cover_key",
     "digest_parts",
     "global_cache",
@@ -129,53 +127,41 @@ def spec_key(phases: np.ndarray, options: tuple = ()) -> str:
 
 
 class MinimizationCache:
-    """A bounded LRU memo with hit/miss counters.
+    """A bounded LRU memo that counts its traffic into the metrics registry.
 
     Not thread-safe by design (see the module docstring): the minimiser
     itself is single-threaded and the parallel sweep executor uses
-    processes, each with its own cache instance whose counters are
-    merged back into the parent's metrics snapshot per task.
+    processes, each with its own cache instance whose counts are merged
+    back into the parent's registry per task.
     """
 
-    def __init__(self, maxsize: int = 4096, enabled: bool = True):
+    def __init__(self, maxsize: int = 4096):
         self.maxsize = maxsize
-        self.enabled = enabled
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
         self._store: OrderedDict[str, Any] = OrderedDict()
-
-    def __len__(self) -> int:
-        return len(self._store)
+        for name in ("cache.hits", "cache.misses", "cache.evictions"):
+            obs_metrics.counter(name)  # listed at 0 before the first lookup
 
     def get(self, key: str) -> Any | None:
         """The cached value for *key*, or None; counts a hit or a miss."""
-        if not self.enabled:
-            return None
         value = self._store.get(key)
         if value is None:
-            self.misses += 1
+            obs_metrics.counter("cache.misses").inc()
             return None
         self._store.move_to_end(key)
-        self.hits += 1
+        obs_metrics.counter("cache.hits").inc()
         return value
 
     def put(self, key: str, value: Any) -> None:
         """Insert *value* under *key*, evicting the oldest entry when full."""
-        if not self.enabled:
-            return
         self._store[key] = value
         self._store.move_to_end(key)
         while len(self._store) > self.maxsize:
             self._store.popitem(last=False)
-            self.evictions += 1
+            obs_metrics.counter("cache.evictions").inc()
 
     def clear(self) -> None:
-        """Drop all entries and reset the counters."""
+        """Drop all entries."""
         self._store.clear()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
 
 
 global_cache = MinimizationCache()
@@ -183,33 +169,8 @@ global_cache = MinimizationCache()
 
 
 def reset_cache() -> None:
-    """Clear the process-wide cache and zero its counters."""
-    global_cache.clear()
+    """Empty the process-wide cache, so the next lookups start cold.
 
-
-def configure_cache(*, enabled: bool) -> None:
-    """Enable or disable the process-wide cache."""
-    global_cache.enabled = enabled
-
-
-def _collect_cache_metrics() -> dict[str, dict[str, Any]]:
-    """Export the global cache's counters into metrics snapshots.
-
-    Registered as a collector so the cache's hot paths keep their plain
-    integer counters while every snapshot still absorbs them under the
-    ``cache.*`` namespace.
+    The ``cache.*`` counters keep their totals.
     """
-    hits, misses = global_cache.hits, global_cache.misses
-    return {
-        "cache.hits": {"type": "counter", "value": hits},
-        "cache.misses": {"type": "counter", "value": misses},
-        "cache.evictions": {"type": "counter", "value": global_cache.evictions},
-        "cache.entries": {"type": "gauge", "value": len(global_cache)},
-        "cache.hit_rate": {
-            "type": "gauge",
-            "value": hits / (hits + misses) if hits + misses else 0.0,
-        },
-    }
-
-
-obs_metrics.register_collector(_collect_cache_metrics)
+    global_cache.clear()

@@ -162,7 +162,6 @@ class WarmPool:
                                              initializer=_ignore_sigint)
         self.size = workers
         obs_metrics.counter("pool.worker_spawns").inc(workers)
-        obs_metrics.gauge("pool.workers").set(workers)
 
     def ensure_workers(self, count: int) -> None:
         """Grow the pool to at least *count* workers (never shrinks)."""
@@ -175,7 +174,6 @@ class WarmPool:
         if not self.closed:
             self.closed = True
             self._executor.shutdown(cancel_futures=True)
-            obs_metrics.gauge("pool.workers").set(0)
 
     def _terminate(self) -> None:
         """Kill the workers without waiting for their tasks, then close."""

@@ -208,6 +208,35 @@ class TestCliObservability:
         assert misses == document["cache.misses"]["value"] > 0
         assert hits == document["cache.hits"]["value"]
 
+    def test_sweep_cache_stats_with_zero_hits(self, pla_file, tmp_path):
+        # A fresh process whose sweep never hits the cache still lists
+        # ``cache.hits``, at 0, for --cache-stats and --metrics-out.
+        import json
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        metrics = tmp_path / "metrics.json"
+        env = dict(os.environ)
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")])
+        )
+        completed = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "sweep", pla_file,
+             "--points", "2", "--objective", "area", "--cache-stats",
+             "--metrics-out", str(metrics)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert "minimization cache: 0 hits / " in completed.stdout
+        document = json.loads(metrics.read_text())["metrics"]
+        assert document["cache.hits"] == {"type": "counter", "value": 0}
+        assert document["cache.misses"]["value"] > 0
+
     def test_sweep_progress_renders_to_stderr(self, pla_file, capsys):
         assert main([
             "sweep", pla_file, "--points", "2", "--objective", "area",

@@ -1,13 +1,9 @@
-"""Tests for the metrics registry: instruments, snapshots, merging."""
+"""Tests for the metrics registry: counters, snapshots, merging."""
 
 import pytest
 
 from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
     MetricsRegistry,
-    configure_metrics,
     diff_snapshots,
     global_registry,
 )
@@ -26,117 +22,52 @@ class TestInstruments:
         assert registry.counter("calls").value == 5
         assert registry.counter("calls") is counter
 
-    def test_gauge(self, registry):
-        gauge = registry.gauge("depth")
-        gauge.set(3)
-        gauge.set(7)
-        assert registry.gauge("depth").value == 7
-
-    def test_histogram_buckets(self, registry):
-        histogram = registry.histogram("iters", bounds=(1, 5, 10))
-        for value in (0.5, 1, 4, 11, 100):
-            histogram.observe(value)
-        assert histogram.counts == [2, 1, 0, 2]  # <=1, <=5, <=10, overflow
-        assert histogram.count == 5
-        assert histogram.sum == pytest.approx(116.5)
-
-    def test_kind_mismatch_raises(self, registry):
-        registry.counter("x")
-        with pytest.raises(TypeError):
-            registry.gauge("x")
-        with pytest.raises(TypeError):
-            registry.histogram("x")
-
-    def test_empty_histogram_bounds_rejected(self):
-        with pytest.raises(ValueError):
-            Histogram("h", bounds=())
-
-
-class TestDisabled:
-    def test_disabled_registry_hands_out_null_instruments(self):
-        registry = MetricsRegistry(enabled=False)
-        registry.counter("a").inc()
-        registry.gauge("b").set(2)
-        registry.histogram("c").observe(1)
-        assert registry.snapshot() == {}
-
-    def test_configure_global_registry(self):
-        configure_metrics(enabled=False)
-        try:
-            before = global_registry.snapshot(include_collectors=False)
-            global_registry.counter("tmp.disabled_test").inc()
-            after = global_registry.snapshot(include_collectors=False)
-            assert before == after
-        finally:
-            configure_metrics(enabled=True)
-
 
 class TestSnapshotsAndMerge:
     def test_snapshot_shape(self, registry):
         registry.counter("c").inc(2)
-        registry.gauge("g").set(1.5)
-        registry.histogram("h", bounds=(1,)).observe(0.5)
-        snapshot = registry.snapshot()
-        assert snapshot["c"] == {"type": "counter", "value": 2}
-        assert snapshot["g"] == {"type": "gauge", "value": 1.5}
-        assert snapshot["h"]["type"] == "histogram"
-        assert snapshot["h"]["counts"] == [1, 0]
+        registry.counter("b")
+        assert registry.snapshot() == {
+            "b": {"type": "counter", "value": 0},
+            "c": {"type": "counter", "value": 2},
+        }
 
-    def test_merge_adds_counters_and_histograms(self, registry):
+    def test_merge_adds_counters(self, registry):
         registry.counter("c").inc(1)
-        registry.histogram("h", bounds=(1, 2)).observe(0.5)
         other = MetricsRegistry()
         other.counter("c").inc(10)
-        other.gauge("g").set(4)
-        other.histogram("h", bounds=(1, 2)).observe(1.5)
+        other.counter("d").inc(4)
         registry.merge_snapshot(other.snapshot())
         snapshot = registry.snapshot()
         assert snapshot["c"]["value"] == 11
-        assert snapshot["g"]["value"] == 4
-        assert snapshot["h"]["counts"] == [1, 1, 0]
-        assert snapshot["h"]["count"] == 2
+        assert snapshot["d"]["value"] == 4
 
     def test_diff_snapshots_attributes_only_new_work(self, registry):
         registry.counter("c").inc(5)
-        registry.histogram("h", bounds=(1,)).observe(0.5)
         start = registry.snapshot()
         registry.counter("c").inc(2)
-        registry.histogram("h", bounds=(1,)).observe(3)
+        registry.counter("new").inc(3)
         delta = diff_snapshots(registry.snapshot(), start)
-        assert delta["c"]["value"] == 2
-        assert delta["h"]["count"] == 1
-        assert delta["h"]["counts"] == [0, 1]
+        assert delta == {
+            "c": {"type": "counter", "value": 2},
+            "new": {"type": "counter", "value": 3},
+        }
 
     def test_diff_drops_unchanged_counters(self, registry):
         registry.counter("quiet").inc(3)
         start = registry.snapshot()
         delta = diff_snapshots(registry.snapshot(), start)
         assert "quiet" not in delta
+        kept = diff_snapshots(registry.snapshot(), start, keep_zero=True)
+        assert kept["quiet"] == {"type": "counter", "value": 0}
 
-    def test_collector_counters_combine_with_instruments(self, registry):
-        # Instruments hold worker-merged totals; the collector reports the
-        # local component — the snapshot is their sum, not a clobber.
-        registry.register_collector(
-            lambda: {"cache.hits": {"type": "counter", "value": 7}}
-        )
-        registry.counter("cache.hits").inc(3)  # e.g. merged from a worker
-        assert registry.snapshot()["cache.hits"]["value"] == 10
-
-    def test_collector_registration_is_idempotent(self, registry):
-        collector = lambda: {"x": {"type": "counter", "value": 1}}
-        registry.register_collector(collector)
-        registry.register_collector(collector)
-        assert registry.snapshot()["x"]["value"] == 1
-
-    def test_reset_keeps_collectors(self, registry):
-        registry.register_collector(
-            lambda: {"k": {"type": "gauge", "value": 2}}
-        )
-        registry.counter("c").inc()
+    def test_reset_zeroes_counters_and_keeps_names(self, registry):
+        counter = registry.counter("c")
+        counter.inc(3)
         registry.reset()
-        snapshot = registry.snapshot()
-        assert "c" not in snapshot
-        assert snapshot["k"]["value"] == 2
+        assert registry.snapshot() == {"c": {"type": "counter", "value": 0}}
+        counter.inc()  # a handle fetched before the reset still records
+        assert registry.snapshot()["c"]["value"] == 1
 
 
 class TestGlobalCacheCollector:

@@ -182,6 +182,13 @@ class TestOlderLedger:
             "pool.worker.4242.rss_bytes": {"type": "gauge", "value": 9e7},
             "pool.worker.4242.tasks_done": {"type": "gauge", "value": 4},
             "pool.worker.4242.last_seen": {"type": "gauge", "value": 1.7e9},
+            # Written before the registry held counters only.
+            "cache.entries": {"type": "gauge", "value": 3},
+            "cache.hit_rate": {"type": "gauge", "value": 0.25},
+            "espresso.iterations_per_call": {
+                "type": "histogram", "bounds": [1, 2, 3, 5, 8, 13, 20],
+                "counts": [13, 3, 0, 0, 0, 0, 0, 0], "sum": 19.0, "count": 16,
+            },
         }
         health = {
             "workers": [{"pid": 4242, "rss_bytes": 90000000,
@@ -213,6 +220,8 @@ class TestOlderLedger:
         monkeypatch.setenv("REPRO_LEDGER_PATH", str(path))
         assert main(["obs", "show", old_id]) == 0
         assert old_id in capsys.readouterr().out
+        assert main(["obs", "compare", old_id, new_id]) == 0
+        assert "no regressions" in capsys.readouterr().out
 
         assert validate_pool_metrics(
             {"pool.workers": {"type": "counter", "value": 2}}

@@ -9,7 +9,6 @@ from repro.espresso.minimize import espresso, minimize_spec
 from repro.obs import metrics_snapshot
 from repro.perf import (
     MinimizationCache,
-    configure_cache,
     cover_key,
     global_cache,
     reset_cache,
@@ -22,7 +21,10 @@ def fresh_cache():
     reset_cache()
     yield
     reset_cache()
-    configure_cache(enabled=True)
+
+
+def _count(name):
+    return metrics_snapshot()[name]["value"]
 
 
 class TestKeys:
@@ -53,6 +55,7 @@ class TestKeys:
 
 class TestCacheMechanics:
     def test_lru_eviction(self):
+        evictions = _count("cache.evictions")
         cache = MinimizationCache(maxsize=2)
         cache.put("a", 1)
         cache.put("b", 2)
@@ -61,14 +64,7 @@ class TestCacheMechanics:
         assert cache.get("b") is None
         assert cache.get("a") == 1
         assert cache.get("c") == 3
-        assert cache.evictions == 1
-
-    def test_disabled_cache_is_inert(self):
-        cache = MinimizationCache(enabled=False)
-        cache.put("a", 1)
-        assert cache.get("a") is None
-        assert len(cache) == 0
-        assert cache.hits == 0
+        assert _count("cache.evictions") == evictions + 1
 
     def test_stats_shape(self):
         before = metrics_snapshot()
@@ -78,9 +74,7 @@ class TestCacheMechanics:
         after = metrics_snapshot()
         for name in ("cache.hits", "cache.misses"):
             assert after[name]["value"] - before[name]["value"] == 1
-        assert after["cache.evictions"]["type"] == "counter"
-        assert after["cache.entries"] == {"type": "gauge", "value": 1}
-        assert after["cache.hit_rate"] == {"type": "gauge", "value": 0.5}
+        assert all(metric["type"] == "counter" for metric in after.values())
 
     def test_stats_reports_into_global_metrics(self):
         on = Cover.from_minterms(4, [1, 2, 3])
@@ -89,7 +83,18 @@ class TestCacheMechanics:
         snapshot = metrics_snapshot()
         assert snapshot["cache.hits"]["value"] >= 1
         assert snapshot["cache.misses"]["value"] >= 1
-        assert snapshot["cache.entries"]["type"] == "gauge"
+
+    def test_reset_cache_keeps_counter_totals(self):
+        on = Cover.from_minterms(4, [1, 2, 3])
+        espresso(on)
+        espresso(on)  # a miss, then a hit
+        before = metrics_snapshot()
+        reset_cache()
+        after = metrics_snapshot()
+        for name in ("cache.hits", "cache.misses"):
+            assert after[name] == before[name]
+        espresso(on)  # cold again
+        assert _count("cache.misses") == before["cache.misses"]["value"] + 1
 
 
 class TestEspressoMemo:
@@ -97,9 +102,9 @@ class TestEspressoMemo:
         on = Cover.from_minterms(5, [1, 3, 7, 12, 19])
         dc = Cover.from_minterms(5, [4, 9])
         first = espresso(on, dc)
-        before = global_cache.hits
+        before = _count("cache.hits")
         second = espresso(on, dc)
-        assert global_cache.hits == before + 1
+        assert _count("cache.hits") == before + 1
         assert second is first  # shared, read-only result
         assert not second.cubes.flags.writeable
 
@@ -120,19 +125,10 @@ class TestEspressoMemo:
             4, on_sets=[[1, 3], [0, 2]], dc_sets=[[5], []], name="b"
         )
         first = minimize_spec(spec_a)
-        hits_before = global_cache.hits
+        hits_before = _count("cache.hits")
         second = minimize_spec(spec_b)
-        assert global_cache.hits > hits_before
+        assert _count("cache.hits") > hits_before
         # Memoised covers, but the caller's spec identity is preserved.
         assert second.spec is spec_b
         assert spec_b.equivalent_within_dc(second.completed_spec())
         assert first.total_cubes == second.total_cubes
-
-    def test_disabled_global_cache_still_correct(self):
-        configure_cache(enabled=False)
-        on = Cover.from_minterms(4, [1, 2, 3])
-        result1 = espresso(on)
-        result2 = espresso(on)
-        assert np.array_equal(result1.cubes, result2.cubes)
-        assert global_cache.hits == 0
-        assert len(global_cache) == 0
