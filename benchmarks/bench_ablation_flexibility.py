@@ -63,8 +63,8 @@ def _run():
     return rows
 
 
-def test_flexibility_engines_agree(benchmark):
-    rows = benchmark.pedantic(_run, rounds=1, iterations=1)
+def test_flexibility_engines_agree():
+    rows = _run()
     table = format_table(
         ["circuit", "nodes checked", "engines agree", "local DC entries"],
         [[r["name"], r["nodes"], r["agree"], r["dc"]] for r in rows],

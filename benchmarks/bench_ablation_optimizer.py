@@ -57,8 +57,8 @@ def _compare():
     return rows
 
 
-def test_optimizer_cross_validation(benchmark):
-    rows = benchmark.pedantic(_compare, rounds=1, iterations=1)
+def test_optimizer_cross_validation():
+    rows = _compare()
     table = format_table(
         ["benchmark", "complete/conv area (SOP flow)", "complete/conv area (AIG flow)"],
         [[r["name"], round(r["dc_ratio"], 3), round(r["aig_ratio"], 3)] for r in rows],

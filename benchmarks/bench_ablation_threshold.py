@@ -38,8 +38,8 @@ def _sweep():
     return data
 
 
-def test_threshold_ablation(benchmark):
-    data = benchmark.pedantic(_sweep, rounds=1, iterations=1)
+def test_threshold_ablation():
+    data = _sweep()
     rows = []
     for name, series in data.items():
         for threshold, (fraction, rel) in zip(THRESHOLDS, series):

@@ -7,19 +7,17 @@ extractor at depth 1.  The claims under test: the complete extractor
 confirms **strictly more** DC minterms than the windowed one, and the
 reassignment never changes a primary output.
 
-A second experiment times the flexibility engine on a SAT-bound
-subject, a disjoint union of four independent cones.  Its DC counts must
+A second experiment runs the engine in its wide mode (more than 20 PIs)
+on a disjoint union of four independent cones.  Its DC counts must
 equal the values recorded before the engine's unbatched query plan was
 removed, and two runs must rewrite the network identically.
 
-Results (DC counts, deltas, per-circuit wall/solver seconds and the
-``sat.*`` query counters) persist to ``BENCH_complete_dc.json`` at the
-repo root so the trajectory is tracked across PRs.
+On the default three-circuit run the per-circuit DC counts and the
+``sat.*`` query counters are pinned as goldens: the solver's models pick
+the refuting vectors, so these counts move with any change to its
+search.  Nothing here is timed: the complete-DC stage's timing comes
+from perfbench's ``complete-dc`` workload.
 """
-
-import json
-import time
-from pathlib import Path
 
 import numpy as np
 
@@ -33,8 +31,6 @@ from repro.synth.optimize import optimize_network
 
 from conftest import emit, full_mode
 
-BENCH_FILE = Path(__file__).resolve().parent.parent / "BENCH_complete_dc.json"
-
 WINDOW_LEVELS = 1
 """Baseline window depth.  Depth 1 is the cheapest sound extractor; the
 complete extractor must dominate it on every circuit."""
@@ -44,10 +40,23 @@ SAT_COUNTERS = (
     "sat.cex_recycled",
 )
 
+CIRCUIT_GOLDEN_DCS = {
+    "nodal0": (3475, 3425),
+    "nodal1": (1602, 1589),
+    "nodal2": (2667, 2665),
+}
+"""``(complete, window)`` DC minterms per circuit of the default run."""
+
+SAT_GOLDEN_COUNTS = {
+    "sat.queries": 514, "sat.confirmations": 2858, "sat.refutations": 279,
+    "sat.fallbacks": 10, "sat.cex_recycled": 238,
+}
+"""The ``SAT_COUNTERS`` totals over the default three-circuit run."""
+
 PERF_GOLDEN_COUNTS = (7205, 0, 56, 7008)
-"""``_counts`` on the perf subject, recorded from the batched engine and
-checked equal to the unbatched one-query-per-solve plan before that plan
-was removed."""
+"""``(complete DCs, window DCs, nodes changed, DC entries assigned)`` on
+the wide subject, recorded from the batched engine and checked equal to
+the unbatched one-query-per-solve plan before that plan was removed."""
 
 
 def _subjects():
@@ -68,33 +77,17 @@ def _build_network(spec):
     return network
 
 
-def _update_bench_file(**sections):
-    """Merge *sections* into BENCH_complete_dc.json (tests are
-    independent; each owns its keys)."""
-    data = {}
-    if BENCH_FILE.exists():
-        data = json.loads(BENCH_FILE.read_text())
-    data.update(sections)
-    BENCH_FILE.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-
-
 def _run():
     counters_before = {n: obs_metrics.counter(n).value for n in SAT_COUNTERS}
     rows = []
     for spec in _subjects():
         network = _build_network(spec)
         reference = network.output_table().copy()
-        queries_before = obs_metrics.counter("sat.queries").value
-        solver_before = obs_metrics.counter("sat.solve_seconds").value
-        started = time.perf_counter()
         report = reassign_complete_dcs(
             network, policy="cfactor", threshold=1.0,
             window_levels=WINDOW_LEVELS,
             rng=np.random.default_rng(7),
         )
-        wall = time.perf_counter() - started
-        solver = obs_metrics.counter("sat.solve_seconds").value - solver_before
-        queries = obs_metrics.counter("sat.queries").value - queries_before
         assert bool(np.array_equal(network.output_table(), reference))
         rows.append({
             "name": spec.name,
@@ -103,11 +96,6 @@ def _run():
             "window": report.window_dc_minterms,
             "delta": report.dc_delta,
             "fallback": report.sat_fallback_nodes,
-            "before": report.error_rate_before,
-            "after": report.error_rate_after,
-            "wall_seconds": round(wall, 3),
-            "solver_seconds": round(solver, 3),
-            "queries_per_second": round(queries / wall, 1) if wall else None,
         })
     sat = {
         n: obs_metrics.counter(n).value - counters_before[n]
@@ -116,14 +104,13 @@ def _run():
     return rows, sat
 
 
-def test_complete_dc_dominates_window(benchmark):
-    rows, sat = benchmark.pedantic(_run, rounds=1, iterations=1)
+def test_complete_dc_dominates_window():
+    rows, sat = _run()
     table = format_table(
         ["circuit", "nodes", "complete DCs", f"window-{WINDOW_LEVELS} DCs",
-         "delta", "fallback nodes", "wall s", "solver s", "queries/s"],
+         "delta", "fallback nodes"],
         [[r["name"], r["nodes"], r["complete"], r["window"], r["delta"],
-          r["fallback"], r["wall_seconds"], r["solver_seconds"],
-          r["queries_per_second"]]
+          r["fallback"]]
          for r in rows],
     )
     emit("SAT-complete DCs vs window-limited extractor", table)
@@ -137,19 +124,16 @@ def test_complete_dc_dominates_window(benchmark):
     assert sat["sat.queries"] > 0
     assert sat["sat.confirmations"] > 0
 
-    _update_bench_file(
-        window_levels=WINDOW_LEVELS,
-        circuits=rows,
-        sat_counters=sat,
-        total_complete_dc_minterms=sum(r["complete"] for r in rows),
-        total_window_dc_minterms=sum(r["window"] for r in rows),
-        total_dc_delta=sum(r["delta"] for r in rows),
-    )
+    counts = {r["name"]: (r["complete"], r["window"]) for r in rows}
+    for name, golden in CIRCUIT_GOLDEN_DCS.items():
+        assert counts[name] == golden, (name, counts[name])
+    if not full_mode():
+        assert sat == SAT_GOLDEN_COUNTS, sat
 
 
-# --------------------------------------------------------------- perf
+# --------------------------------------------------------- wide mode
 
-def _perf_subject():
+def _wide_subject():
     """Disjoint union of four independent 8-PI cones.
 
     32 PIs total, so the stage runs in its wide-network mode (sampled
@@ -179,58 +163,29 @@ def _perf_subject():
     return union
 
 
-def _perf_run():
-    """One reassignment over the perf subject; timing + identity data.
+def _wide_run():
+    """One reassignment over the wide subject: its counts and rewrite.
 
     ``simulation_vectors=64`` leaves real work for SAT (256 proposes
-    most candidates away) and ``query_budget=4096`` admits every node
-    (fallback nodes would burn conflict budget and blur the timing).
+    most candidates away) and ``query_budget=4096`` admits every node,
+    so none falls back.
     """
-    network = _perf_subject()
-    solver_before = obs_metrics.counter("sat.solve_seconds").value
-    started = time.perf_counter()
+    network = _wide_subject()
     report = reassign_complete_dcs(
         network, policy="cfactor", threshold=1.0,
         window_levels=WINDOW_LEVELS, simulation_vectors=64,
         query_budget=4096, rng=np.random.default_rng(7),
     )
-    wall = time.perf_counter() - started
-    return {
-        "wall": wall,
-        "solver": obs_metrics.counter("sat.solve_seconds").value
-        - solver_before,
-        "report": report,
-        "snapshot": {
-            name: (tuple(node.fanins), node.cover.cubes.tobytes())
-            for name, node in network.nodes.items()
-        },
+    counts = (report.complete_dc_minterms, report.window_dc_minterms,
+              report.nodes_changed, report.dc_entries_assigned)
+    snapshot = {
+        name: (tuple(node.fanins), node.cover.cubes.tobytes())
+        for name, node in network.nodes.items()
     }
+    return counts, snapshot
 
 
-def _counts(report):
-    return (report.complete_dc_minterms, report.window_dc_minterms,
-            report.nodes_changed, report.dc_entries_assigned)
-
-
-def test_complete_dc_engine_speedup(benchmark):
-    # Min-of-2: machine noise on this scale exceeds the margin a single
-    # run would leave.
-    runs = []
-    def _once():
-        for _ in range(2):
-            runs.append(_perf_run())
-        return runs
-    benchmark.pedantic(_once, rounds=1, iterations=1)
-    engine = min(runs, key=lambda r: r["wall"])
-
-    for other in runs:
-        assert _counts(other["report"]) == PERF_GOLDEN_COUNTS
-        assert other["snapshot"] == engine["snapshot"]
-
-    perf = {
-        "subject": "4x disjoint 8-PI cones",
-        "engine_wall_seconds": round(engine["wall"], 3),
-        "engine_solver_seconds": round(engine["solver"], 3),
-    }
-    emit("flexibility engine", json.dumps(perf, indent=2))
-    _update_bench_file(perf=perf)
+def test_complete_dc_wide_mode_golden():
+    counts, snapshot = _wide_run()
+    assert counts == PERF_GOLDEN_COUNTS
+    assert _wide_run() == (counts, snapshot)  # a second run rewrites identically

@@ -39,8 +39,8 @@ def _sweep():
     return points
 
 
-def test_fig2_sop_size_vs_complexity(benchmark):
-    points = benchmark.pedantic(_sweep, rounds=1, iterations=1)
+def test_fig2_sop_size_vs_complexity():
+    points = _sweep()
     table = format_table(
         ["C^f", "minimal SOP implicants"],
         [[round(cf, 3), size] for cf, size in points],

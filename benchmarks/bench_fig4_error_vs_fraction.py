@@ -30,8 +30,8 @@ def _sweep():
     return grid, rows
 
 
-def test_fig4_error_vs_fraction(benchmark):
-    grid, rows = benchmark.pedantic(_sweep, rounds=1, iterations=1)
+def test_fig4_error_vs_fraction():
+    grid, rows = _sweep()
     table_rows = [[name] + [round(v, 3) for v in series] for name, series in rows.items()]
     mean_series = np.mean(np.array(list(rows.values())), axis=0)
     table_rows.append(["MEAN"] + [round(float(v), 3) for v in mean_series])

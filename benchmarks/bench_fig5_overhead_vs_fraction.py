@@ -35,8 +35,8 @@ def _sweep():
     return grid, data
 
 
-def test_fig5_overheads(benchmark):
-    grid, data = benchmark.pedantic(_sweep, rounds=1, iterations=1)
+def test_fig5_overheads():
+    grid, data = _sweep()
     for objective, per_fraction in data.items():
         rows = []
         for metric, series in per_fraction.items():

@@ -41,8 +41,8 @@ def _sweep():
     return family_tradeoff(dc_fraction=0.6, objective="power", seed=6, **_families())
 
 
-def test_fig6_area_vs_error(benchmark):
-    trajectories = benchmark.pedantic(_sweep, rounds=1, iterations=1)
+def test_fig6_area_vs_error():
+    trajectories = _sweep()
     rows = []
     for cf, points in sorted(trajectories.items()):
         for point in points:

@@ -58,8 +58,8 @@ def _run():
     return rows
 
 
-def test_nodal_decomposition(benchmark):
-    rows = benchmark.pedantic(_run, rounds=1, iterations=1)
+def test_nodal_decomposition():
+    rows = _run()
     table = format_table(
         ["circuit", "nodes", "internal DCs assigned",
          "internal error before", "after"],

@@ -31,8 +31,8 @@ def _build_table():
     return rows
 
 
-def test_table1_properties(benchmark):
-    rows = benchmark.pedantic(_build_table, rounds=1, iterations=1)
+def test_table1_properties():
+    rows = _build_table()
     table = format_table(
         ["name", "in", "out", "%DC", "E[Cf]", "Cf", "paper %DC", "paper E", "paper Cf"],
         rows,

@@ -23,8 +23,8 @@ def _build():
     return table3_rows([mcnc_benchmark(name) for name in roster()])
 
 
-def test_table3(benchmark):
-    rows = benchmark.pedantic(_build, rounds=1, iterations=1)
+def test_table3():
+    rows = _build()
     table = format_table(
         ["name", "gates", "exact lo", "exact hi", "sig lo", "sig hi",
          "brd lo", "brd hi", "conv", "conv d%", "LCf", "LCf d%"],

@@ -1,8 +1,9 @@
 """Shared infrastructure for the experiment benchmarks.
 
 Every file in this directory regenerates one table or figure of the paper
-(see DESIGN.md's experiment index).  By default the harness runs a reduced
-but representative configuration so ``pytest benchmarks/ --benchmark-only``
+(see DESIGN.md's experiment index) or, in ``bench_substrate_perf.py``,
+asserts the kernels' speedup floors.  By default the harness runs a
+reduced but representative configuration so ``pytest benchmarks/``
 finishes in minutes; set ``REPRO_FULL=1`` to run the complete Table 1
 roster and the full sweep grids.
 

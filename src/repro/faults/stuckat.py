@@ -45,25 +45,11 @@ class _NodeScopeModel(FaultModel):
             source_mask: admissible PI vectors (default: all ``2**n``).
             sim: a live :class:`IncrementalNetworkSim` to reuse.
         """
-        node_names = list(network.nodes)
-        if not node_names:
-            return 0.0
-        if sim is None:
-            sim = IncrementalNetworkSim(network)
-        if source_mask is None:
-            source_words = None
-            admissible = sim.num_vectors
-        else:
-            source_words = pk.pack_bool(np.asarray(source_mask, dtype=bool))
-            admissible = pk.popcount(source_words)
-        total = 0
-        with span(f"faults.{self.name}", nodes=len(node_names)):
-            for name in node_names:
-                diff = self.node_difference(sim, name)
-                if source_words is not None:
-                    diff = diff & source_words
-                total += pk.popcount(diff)
-        return total / (len(node_names) * max(1, admissible))
+        from ..synth.odc import internal_error_rate
+
+        return internal_error_rate(
+            network, source_mask=source_mask, sim=sim, fault_model=self
+        )
 
     def estimate_network_error_rate(
         self, network, *, samples: int = 4096, rng=None

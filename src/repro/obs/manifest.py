@@ -4,9 +4,8 @@ A :class:`RunManifest` captures everything needed to interpret (and
 rerun) a result file months later: the command and its parameters, the
 seed, the git revision, interpreter/library versions, wall-clock
 timings, and a metrics snapshot.  CLI commands write one via
-``--manifest FILE`` (and embed one in ``--metrics-out`` files);
-``benchmarks/bench_substrate_perf.py`` embeds one in
-``BENCH_substrate.json`` so the perf numbers are self-describing.
+``--manifest FILE`` (and embed one in ``--metrics-out`` files), and
+every ledger row stores one.
 
 The schema is intentionally flat JSON — see ``docs/observability.md``
 for the field-by-field description and :func:`validate_manifest` for
@@ -75,8 +74,7 @@ class RunManifest:
     """One run's provenance record.
 
     Attributes:
-        command: the subcommand or benchmark name (``sweep``,
-            ``bench_substrate_perf``).
+        command: the subcommand that ran (``sweep``, ``pipeline``).
         argv: the raw argument vector, when the run came from a CLI.
         parameters: parsed parameters (flag values, benchmark knobs).
         seed: the run's RNG seed, when one exists.

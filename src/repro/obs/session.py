@@ -95,7 +95,6 @@ class ObsSession:
             command, argv=argv, parameters=parameters, seed=seed
         )
         self.quality: list[dict[str, Any]] = []
-        self.extra: dict[str, Any] | None = None
         self.run_id: str | None = None
         self._start = 0.0
         self._metrics_baseline: dict[str, Any] = {}
@@ -281,7 +280,6 @@ class ObsSession:
                     ),
                     quality=self.quality,
                     profile=self._profile_payload(),
-                    extra=self.extra,
                     duration_seconds=self.manifest.duration_seconds,
                     exit_status=self.exit_status,
                     interrupted=interrupted,

@@ -3,8 +3,8 @@
 Everything else in :mod:`repro.obs` is write-once — a ``--trace`` file, a
 ``--metrics-out`` document, a manifest — useful for inspecting *one* run
 but thrown away the moment the next one starts.  The ledger makes runs
-comparable across time: every CLI command, sweep, pipeline and benchmark
-invocation appends one row (via :class:`~repro.obs.session.ObsSession`)
+comparable across time: every CLI command, sweep, pipeline and
+scenario run appends one row (via :class:`~repro.obs.session.ObsSession`)
 holding its manifest, final metrics snapshot, per-stage timings, result
 quality figures (error rate / area / literal count per policy point) and
 profiler summary.  ``repro obs runs/show/compare/regressions`` query it;
@@ -73,20 +73,17 @@ CREATE TABLE IF NOT EXISTS runs (
     metrics TEXT NOT NULL,
     stage_timings TEXT,
     quality TEXT,
-    profile TEXT,
-    extra TEXT
+    profile TEXT
 )
 """
 
 _COLUMNS = (
     "id", "created_at", "command", "git_rev", "duration_seconds",
     "exit_status", "interrupted", "schema_version", "manifest", "metrics",
-    "stage_timings", "quality", "profile", "extra",
+    "stage_timings", "quality", "profile",
 )
 
-_JSON_COLUMNS = (
-    "manifest", "metrics", "stage_timings", "quality", "profile", "extra",
-)
+_JSON_COLUMNS = ("manifest", "metrics", "stage_timings", "quality", "profile")
 
 
 class LedgerError(RuntimeError):
@@ -120,7 +117,7 @@ class RunRecord:
     Attributes:
         run_id: unique id (``<utc-stamp>-<hex>``), assigned at insert.
         created_at: ISO-8601 UTC insert time.
-        command: the subcommand or benchmark name that ran.
+        command: the subcommand that ran.
         git_rev: source revision, when discoverable.
         duration_seconds / exit_status / interrupted: how the run ended
             (``interrupted`` marks partial rows flushed on SIGTERM).
@@ -133,7 +130,6 @@ class RunRecord:
             literals, ...), the figures the paper's tables compare.
         profile: sampling-profiler summary (sample counts, top
             functions, folded output path) when ``--profile`` was given.
-        extra: free-form payload (benchmarks store their numbers here).
     """
 
     run_id: str
@@ -149,7 +145,6 @@ class RunRecord:
     stage_timings: dict[str, Any] = field(default_factory=dict)
     quality: list[dict[str, Any]] = field(default_factory=list)
     profile: dict[str, Any] | None = None
-    extra: dict[str, Any] | None = None
 
     def to_dict(self) -> dict[str, Any]:
         """A JSON-ready dict of every field."""
@@ -228,7 +223,6 @@ class LedgerStore:
         stage_timings: dict[str, Any] | None = None,
         quality: list[dict[str, Any]] | None = None,
         profile: dict[str, Any] | None = None,
-        extra: dict[str, Any] | None = None,
         duration_seconds: float | None = None,
         exit_status: int | None = None,
         interrupted: bool = False,
@@ -260,8 +254,6 @@ class LedgerStore:
             json.dumps(quality or [], sort_keys=True, default=str),
             None if profile is None
             else json.dumps(profile, sort_keys=True, default=str),
-            None if extra is None
-            else json.dumps(extra, sort_keys=True, default=str),
         )
         placeholders = ", ".join("?" for _ in _COLUMNS)
         self._conn.execute(
@@ -298,7 +290,6 @@ class LedgerStore:
             stage_timings=decoded["stage_timings"] or {},
             quality=decoded["quality"] or [],
             profile=decoded["profile"],
-            extra=decoded["extra"],
         )
 
     def _select(

@@ -10,8 +10,7 @@ for free — and returns a :class:`ScenarioResult` holding one
 (see ``docs/scenarios.md`` for the schema): one entry per scenario with
 its rows, fault model and a per-scenario manifest (git revision, package
 version, jobs).  Re-running a subset of scenarios updates only their
-entries, so the matrix accumulates across invocations like the other
-``BENCH_*.json`` files.
+entries, so the matrix accumulates across invocations.
 
 Matrix rows are the :class:`FlowResult` fields of each point.  The
 telemetry ledger's quality points (built by ``repro bench``) prefix the

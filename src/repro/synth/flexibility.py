@@ -51,7 +51,6 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from time import perf_counter
 
 import numpy as np
 
@@ -229,11 +228,9 @@ class CompleteFlexibilityOracle:
     def _solve(self, assumptions) -> tuple[bool | None, dict[int, bool]]:
         solver = self._ensure_builder().solver
         obs_metrics.counter("sat.queries").inc()
-        started = perf_counter()
         sat, model = solver.solve(
             assumptions, max_conflicts=self.conflict_budget
         )
-        obs_metrics.counter("sat.solve_seconds").inc(perf_counter() - started)
         if solver.total_restarts != self._restarts_seen:
             obs_metrics.counter("sat.restarts").inc(
                 solver.total_restarts - self._restarts_seen

@@ -1,8 +1,8 @@
 """Regression guard: disabled instrumentation must stay (nearly) free.
 
 The ESPRESSO loop carries spans and counters after the observability PR;
-with tracing off those must cost < 5% on the n=9 random-function
-benchmark (the same function ``bench_substrate_perf.py`` times).  The
+with tracing off those must cost < 5% on the n=9 random function
+(the one ``benchmarks/bench_substrate_perf.py`` holds to its floor).  The
 control strips the instrumentation by monkeypatching the ``span`` and
 ``obs_metrics`` symbols inside :mod:`repro.espresso.minimize` to free
 no-op stand-ins, then both variants are timed interleaved from a cold
@@ -36,15 +36,6 @@ def n9_problem():
     on = Cover.from_minterms(n, np.flatnonzero(phases == 1))
     dc = Cover.from_minterms(n, np.flatnonzero(phases == 2))
     return on, dc
-
-
-def _min_time(fn, reps):
-    best = float("inf")
-    for _ in range(reps):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
 
 
 def _cold_cpu_time(fn):
@@ -95,39 +86,6 @@ def test_disabled_tracing_overhead_under_5_percent(n9_problem, monkeypatch):
         f"n=9 espresso benchmark ({best[instrumented] * 1e3:.1f} ms vs "
         f"{best[control] * 1e3:.1f} ms control, thread CPU time); "
         f"budget is 5%"
-    )
-
-
-def test_instrumented_espresso_matches_recorded_baseline(n9_problem):
-    """With all obs flags off, stay within the PR-1 recorded timing.
-
-    Skips when BENCH_substrate.json has no espresso entry for this
-    machine (e.g. a fresh clone before the perf suite ever ran).
-    """
-    import json
-    from pathlib import Path
-
-    bench_file = Path(__file__).resolve().parents[2] / "BENCH_substrate.json"
-    if not bench_file.exists():
-        pytest.skip("no BENCH_substrate.json on this machine")
-    recorded = json.loads(bench_file.read_text()).get("espresso_n9")
-    if not recorded or "min_seconds" not in recorded:
-        pytest.skip("BENCH_substrate.json lacks an espresso_n9 timing")
-    on, dc = n9_problem
-    disable_tracing()
-
-    def run_cold():
-        reset_cache()
-        espresso(on, dc)
-
-    run_cold()  # warm-up
-    measured = _min_time(run_cold, reps=5)
-    # Cross-run wall-clock comparisons need headroom beyond the 5%
-    # in-run bound: the recorded number may come from a different load
-    # regime.  2x still catches an accidentally-hot disabled path.
-    assert measured <= max(recorded["min_seconds"] * 2.0, 0.002), (
-        f"espresso n=9 now takes {measured * 1e3:.1f} ms vs recorded "
-        f"{recorded['min_seconds'] * 1e3:.1f} ms"
     )
 
 

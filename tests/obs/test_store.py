@@ -146,8 +146,9 @@ class TestRecovery:
 
 
 # The ``runs`` table of ledgers written while the warm pool still shipped
-# per-worker health: one more JSON column, ``worker_health``, which every
-# ``--jobs 2`` row filled.
+# per-worker health and the substrate benchmark still stored its timings:
+# two more JSON columns, ``worker_health``, which every ``--jobs 2`` row
+# filled, and ``extra``, which only that benchmark's rows filled.
 _OLD_TABLE_SQL = """
 CREATE TABLE runs (
     id TEXT PRIMARY KEY,
@@ -196,6 +197,13 @@ class TestOlderLedger:
                          "stalled": False, "stall_count": 0}],
             "stall_events": [],
         }
+        extra = {"bench": {
+            "espresso_n9": {"mean_seconds": 0.031, "min_seconds": 0.027,
+                            "seed_baseline_seconds": 0.148,
+                            "speedup_vs_seed": 5.48},
+            "sim_packed_vs_bool": {"num_pis": 14, "num_nodes": 30,
+                                   "quick": False, "speedup": 11.2},
+        }}
         conn = sqlite3.connect(path)
         conn.execute(_OLD_TABLE_SQL)
         conn.execute(
@@ -203,7 +211,7 @@ class TestOlderLedger:
             "(?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
             (old_id, "2026-01-01T00:00:00Z", "sweep", "abc123def456", 2.5,
              0, 0, 1, json.dumps({"command": "sweep"}), json.dumps(metrics),
-             "{}", "[]", None, json.dumps(health), None),
+             "{}", "[]", None, json.dumps(health), json.dumps(extra)),
         )
         conn.commit()
         conn.close()

@@ -26,16 +26,32 @@ def _imported_top_level_modules(package: Path) -> set[str]:
     return names
 
 
-def test_runtime_dependencies_are_the_imported_third_party_modules():
+def _project() -> dict:
     with open(ROOT / "pyproject.toml", "rb") as handle:
-        project = tomllib.load(handle)["project"]
-    declared = {
+        return tomllib.load(handle)["project"]
+
+
+def _module_names(specs: list[str]) -> set[str]:
+    """The import name of each requirement spec (``pytest>=7`` -> pytest)."""
+    return {
         re.match(r"[A-Za-z0-9_.-]+", spec).group(0).lower().replace("-", "_")
-        for spec in project["dependencies"]
+        for spec in specs
     }
-    imported = (
-        _imported_top_level_modules(ROOT / "src" / "repro")
-        - set(sys.stdlib_module_names)
-        - {"repro"}
-    )
-    assert declared == imported
+
+
+def _third_party(*packages: Path) -> set[str]:
+    imported = set().union(*map(_imported_top_level_modules, packages))
+    return imported - set(sys.stdlib_module_names) - {"repro"}
+
+
+def test_runtime_dependencies_are_the_imported_third_party_modules():
+    declared = _module_names(_project()["dependencies"])
+    assert declared == _third_party(ROOT / "src" / "repro")
+
+
+def test_test_extra_is_what_tests_and_benchmarks_import_beyond_runtime():
+    project = _project()
+    runtime = _module_names(project["dependencies"])
+    declared = _module_names(project["optional-dependencies"]["test"])
+    imported = _third_party(ROOT / "tests", ROOT / "benchmarks")
+    assert declared == imported - runtime - {"conftest"}
