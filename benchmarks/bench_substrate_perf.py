@@ -8,6 +8,7 @@ re-walks.  End-to-end and per-layer timings come from ``perfbench/``
 (declared in ``BENCHMARK.json``); these floors only guard the kernels.
 """
 
+import gc
 import os
 import time
 
@@ -32,20 +33,37 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _interleaved_best_of(repeats: int, *runs) -> list[float]:
-    """Min wall-clock of each of *runs* over *repeats* rounds.
+def _cpu_seconds(run) -> float:
+    start = time.thread_time()
+    run()
+    return time.thread_time() - start
 
-    Each round calls every run once, so a burst of host load lands on
-    all sides alike rather than on whichever side was being timed (the
-    min tracks kernel cost).
+
+def _interleaved_best_of(slow, fast, floor: float) -> tuple[float, float]:
+    """Min thread CPU seconds of *slow* and *fast*, timed in pairs.
+
+    Rounds of 7 pairs run with the garbage collector off, alternating
+    which side goes first in each pair.  Each side keeps its minimum
+    across rounds, and up to 5 rounds run until ``slow / fast`` reaches
+    *floor*; the minima only accumulate, so a further round only adds
+    evidence.  Thread CPU time leaves out time the process spends
+    descheduled, so host load lands on neither side.
     """
-    best = [float("inf")] * len(runs)
-    for _ in range(repeats):
-        for index, run in enumerate(runs):
-            start = time.perf_counter()
-            run()
-            best[index] = min(best[index], time.perf_counter() - start)
-    return best
+    best = {slow: float("inf"), fast: float("inf")}
+    sides = [fast, slow]
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(5):
+            for _ in range(7):
+                sides.reverse()
+                for side in sides:
+                    best[side] = min(best[side], _cpu_seconds(side))
+            if best[slow] >= floor * best[fast]:
+                break
+    finally:
+        gc.enable()
+    return best[slow], best[fast]
 
 
 def test_espresso_throughput():
@@ -66,7 +84,12 @@ def test_espresso_throughput():
         return espresso(on, dc)
 
     assert run_cold().num_cubes > 0
-    (fastest,) = _interleaved_best_of(10, run_cold)
+    times = []
+    for _ in range(10):
+        start = time.perf_counter()
+        run_cold()
+        times.append(time.perf_counter() - start)
+    fastest = min(times)
     speedup = SEED_ESPRESSO_N9_SECONDS / fastest
     assert speedup >= 3.0, (
         f"packed kernels regressed: {speedup:.2f}x vs seed baseline "
@@ -158,13 +181,13 @@ def test_sim_packed_vs_bool():
     """
     from repro.sim import engine as sim_engine
 
-    num_pis, num_nodes, repeats = 14, 30, 7
+    num_pis, num_nodes = 14, 30
     net = _random_sim_network(11, num_pis, num_nodes)
     net.evaluate_reference()  # warm cover caches out of the timed region
     sim_engine.network_values(net)
 
     bool_seconds, packed_seconds = _interleaved_best_of(
-        repeats, net.evaluate_reference, lambda: sim_engine.network_values(net)
+        net.evaluate_reference, lambda: sim_engine.network_values(net), 10.0
     )
 
     # Equivalence while we are here: same signals, same tables.
@@ -196,7 +219,7 @@ def test_odc_incremental_vs_full():
     from repro.sim.incremental import IncrementalNetworkSim
     from repro.synth.odc import _evaluate_with_flip
 
-    num_pis, num_nodes, repeats = 14, 40, 3
+    num_pis, num_nodes = 14, 40
     net = _random_sim_network(23, num_pis, num_nodes)
     node_names = list(net.nodes)
     values = net.evaluate_reference()
@@ -212,7 +235,7 @@ def test_odc_incremental_vs_full():
             sim.flip_outputs(name)
 
     full_seconds, incremental_seconds = _interleaved_best_of(
-        repeats, full_sweep, incremental_sweep
+        full_sweep, incremental_sweep, 5.0
     )
 
     speedup = full_seconds / incremental_seconds

@@ -27,6 +27,10 @@ from .synthetic import generate_spec
 _CACHE_VERSION = 1
 """Bump to invalidate on-disk stand-ins after generator changes."""
 
+_TOLERANCE = 0.015
+"""Acceptable per-output ``|C^f - target|`` of a stand-in (also part of
+its disk-cache file name)."""
+
 __all__ = ["BenchmarkInfo", "TABLE1", "benchmark_names", "mcnc_benchmark"]
 
 
@@ -96,7 +100,7 @@ def _cache_dir() -> Path:
     return path
 
 
-def mcnc_benchmark(name: str, *, tolerance: float = 0.015) -> FunctionSpec:
+def mcnc_benchmark(name: str) -> FunctionSpec:
     """The (cached) synthetic stand-in for Table 1 benchmark *name*.
 
     Generation is deterministic per name; results are memoised in-process
@@ -106,7 +110,7 @@ def mcnc_benchmark(name: str, *, tolerance: float = 0.015) -> FunctionSpec:
     if cached is not None:
         return cached
     info = benchmark_info(name)
-    disk = _cache_dir() / f"{name}-v{_CACHE_VERSION}-t{tolerance:g}.npz"
+    disk = _cache_dir() / f"{name}-v{_CACHE_VERSION}-t{_TOLERANCE:g}.npz"
     if disk.exists():
         phases = np.load(disk)["phases"]
         spec = FunctionSpec(phases, name=name)
@@ -119,7 +123,7 @@ def mcnc_benchmark(name: str, *, tolerance: float = 0.015) -> FunctionSpec:
             dc_fraction=info.dc_percent / 100.0,
             expected_cf=info.expected_cf,
             seed=info.seed,
-            tolerance=tolerance,
+            tolerance=_TOLERANCE,
         )
         np.savez_compressed(disk, phases=spec.phases)
     _CACHE[name] = spec

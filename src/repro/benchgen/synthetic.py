@@ -40,6 +40,15 @@ from ..core.truthtable import DC, OFF, ON
 
 __all__ = ["generate_output", "generate_spec", "care_fractions_from_expected"]
 
+_BISECTION_STEPS = 10
+"""Mixing-weight bisection iterations before fine-tuning."""
+
+_FINE_TUNE_MOVES = 4000
+"""Budget of the greedy swap walk."""
+
+_SWAP_BATCH = 128
+"""Candidate swaps scored per move of the walk."""
+
 
 def care_fractions_from_expected(
     dc_fraction: float, expected_cf: float
@@ -178,8 +187,6 @@ def _swap_fine_tune(
     target_cf: float,
     tolerance: float,
     rng: np.random.Generator,
-    max_moves: int = 4000,
-    batch: int = 128,
 ) -> np.ndarray:
     """Greedy phase-swap walk pushing ``C^f`` toward the target.
 
@@ -197,7 +204,7 @@ def _swap_fine_tune(
     current = float(complexity_factor(phases))
     misses = 0
     boundary_pool: np.ndarray | None = None
-    for move in range(max_moves):
+    for move in range(_FINE_TUNE_MOVES):
         error = target_cf - current
         if abs(error) <= tolerance or misses >= 60:
             break
@@ -211,15 +218,14 @@ def _swap_fine_tune(
         if error > 0 and boundary_pool is not None and boundary_pool.size:
             # Both endpoints from the boundary pool: the best cf-raising
             # swaps exchange two mutually misplaced minterms.
-            a_idx = rng.choice(boundary_pool, size=batch)
-            b_idx = rng.choice(boundary_pool, size=batch)
+            a_idx = rng.choice(boundary_pool, size=_SWAP_BATCH)
+            b_idx = rng.choice(boundary_pool, size=_SWAP_BATCH)
         else:
-            a_idx = rng.integers(size, size=batch)
-            b_idx = rng.integers(size, size=batch)
+            a_idx = rng.integers(size, size=_SWAP_BATCH)
+            b_idx = rng.integers(size, size=_SWAP_BATCH)
         differ = phases[a_idx] != phases[b_idx]
         # Exclude adjacent pairs: their delta formula needs a correction
         # term, and skipping them costs nothing at these sizes.
-        adjacent = np.zeros(batch, dtype=bool)
         neighbors_a = a_idx[:, None] ^ bits
         neighbors_b = b_idx[:, None] ^ bits
         adjacent = np.any(neighbors_a == b_idx[:, None], axis=1)
@@ -260,8 +266,6 @@ def generate_output(
     rng: np.random.Generator,
     *,
     tolerance: float = 0.01,
-    bisection_steps: int = 10,
-    fine_tune_moves: int = 4000,
 ) -> np.ndarray:
     """Generate one output's phase array with ``C^f`` close to the target.
 
@@ -272,8 +276,6 @@ def generate_output(
         f1: on-set signal probability (``fDC = 1 - f0 - f1``).
         rng: random generator (consumed deterministically).
         tolerance: acceptable ``|C^f - target|``.
-        bisection_steps: weight-bisection iterations before fine-tuning.
-        fine_tune_moves: budget for the greedy swap walk.
 
     Returns:
         A ``uint8`` phase array of length ``2**num_inputs``.
@@ -285,7 +287,7 @@ def generate_output(
     lo, hi = -1.0, 1.0
     best: np.ndarray | None = None
     best_err = float("inf")
-    for _ in range(bisection_steps):
+    for _ in range(_BISECTION_STEPS):
         mid = (lo + hi) / 2.0
         candidate = _generate_at_weight(num_inputs, mid, f0, f1, rng)
         cf = complexity_factor(candidate)
@@ -300,7 +302,7 @@ def generate_output(
             hi = mid
     assert best is not None
     if best_err > tolerance:
-        best = _swap_fine_tune(best, target_cf, tolerance, rng, fine_tune_moves)
+        best = _swap_fine_tune(best, target_cf, tolerance, rng)
     return best
 
 

@@ -376,29 +376,6 @@ def _cmd_export(args: argparse.Namespace) -> int:
     return 0
 
 
-def _with_complete_dc_stage(config: dict) -> dict:
-    """A copy of *config* with the ``complete_dc`` stage enabled.
-
-    Inserted after ``optimize`` (before ``map`` when there is no
-    optimise stage); a config that already lists the stage is returned
-    unchanged.
-    """
-    def entry_name(entry) -> str:
-        return entry if isinstance(entry, str) else entry.get("stage", "")
-
-    stages = list(config.get("stages") or [])
-    names = [entry_name(entry) for entry in stages]
-    if "complete_dc" in names:
-        return config
-    if "optimize" in names:
-        stages.insert(names.index("optimize") + 1, "complete_dc")
-    elif "map" in names:
-        stages.insert(names.index("map"), "complete_dc")
-    else:
-        stages.append("complete_dc")
-    return {**config, "stages": stages}
-
-
 def _cmd_pipeline_run(args: argparse.Namespace) -> int:
     import dataclasses
 
@@ -417,8 +394,6 @@ def _cmd_pipeline_run(args: argparse.Namespace) -> int:
             threshold=args.threshold,
             objective=args.objective,
         )
-    if getattr(args, "complete_dc", False):
-        config = _with_complete_dc_stage(config)
     checkpoint = (
         CheckpointStore(args.checkpoint_dir) if args.checkpoint_dir else None
     )
@@ -923,10 +898,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_pipe_run.add_argument("--stop-after", default=None, metavar="STAGE",
                             help="stop after the named stage (checkpoints up "
                                  "to it are kept)")
-    p_pipe_run.add_argument("--complete-dc", action="store_true",
-                            dest="complete_dc",
-                            help="insert the SAT-complete don't-care stage "
-                                 "after optimize (primary outputs preserved)")
     p_pipe_run.add_argument("--json", action="store_true",
                             help="machine-readable result + pipeline summary")
     p_pipe_run.set_defaults(func=_cmd_pipeline_run, _parser=p_pipe_run)

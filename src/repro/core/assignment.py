@@ -74,8 +74,9 @@ class Assignment:
             result.set(output, minterm, value)
         return result
 
-    def apply(self, spec: FunctionSpec, *, suffix: str = "/assigned") -> FunctionSpec:
-        """Return *spec* with the recorded decisions baked in.
+    def apply(self, spec: FunctionSpec) -> FunctionSpec:
+        """Return *spec*, renamed ``<name>/assigned``, with the recorded
+        decisions baked in.
 
         Raises:
             ValueError: if a decision targets a care minterm (the algorithms
@@ -88,7 +89,7 @@ class Assignment:
                     f"decision for care minterm {minterm} of output {output}"
                 )
             phases[output, minterm] = value
-        return spec.with_phases(phases, suffix=suffix)
+        return spec.with_phases(phases, suffix="/assigned")
 
     def fraction_of(self, spec: FunctionSpec) -> float:
         """Fraction of *spec*'s DC entries this assignment decides."""

@@ -10,11 +10,10 @@ care set.
 ``run_flow`` is a thin driver over :mod:`repro.pipeline`: it assembles
 the default ``assign`` → ``espresso`` → ``optimize`` → ``map`` →
 ``tune`` → ``measure`` pipeline, runs it, and packages the context into
-a :class:`FlowResult`.  Pass ``checkpoint_dir`` (or a prebuilt
-:class:`~repro.pipeline.checkpoint.CheckpointStore` via ``checkpoint``)
-to persist per-stage outputs so an interrupted or re-parameterised run
-resumes from the last valid stage instead of recomputing the whole flow
-— see ``docs/pipeline.md``.
+a :class:`FlowResult`.  Pass ``checkpoint_dir`` to persist per-stage
+outputs so an interrupted or re-parameterised run resumes from the last
+valid stage instead of recomputing the whole flow — see
+``docs/pipeline.md``.
 """
 
 from __future__ import annotations
@@ -30,10 +29,9 @@ from ..core.montecarlo import MonteCarloEstimate, estimate_error_rate
 from ..core.spec import FunctionSpec
 from ..obs import metrics as obs_metrics
 from ..obs import span
-from ..pipeline import DEFAULT_STAGES, CheckpointStore, FlowContext, Pipeline
+from ..pipeline import DEFAULT_STAGES, FlowContext, Pipeline
 from ..pipeline.stages import POLICIES, apply_policy
 from ..sim.engine import packed_netlist_evaluator
-from ..synth.library import Library
 from ..synth.netlist import MappedNetlist
 
 __all__ = [
@@ -112,17 +110,15 @@ def run_flow(
     fraction: float = 1.0,
     threshold: float = DEFAULT_THRESHOLD,
     objective: str = "delay",
-    library: Library | None = None,
     fault_model=None,
-    checkpoint: CheckpointStore | None = None,
     checkpoint_dir: str | os.PathLike | None = None,
 ) -> FlowResult:
     """Apply a policy and synthesise, returning all measurements.
 
     A thin driver over the default six-stage pipeline.  With
-    ``checkpoint`` / ``checkpoint_dir`` set, per-stage outputs are
-    persisted content-addressed, so repeated or interrupted runs skip
-    every stage whose inputs and parameters are unchanged.
+    ``checkpoint_dir`` set, per-stage outputs are persisted
+    content-addressed, so repeated or interrupted runs skip every stage
+    whose inputs and parameters are unchanged.
 
     ``fault_model`` selects the ``measure`` stage's error semantics — a
     registry name, spec dict or :class:`~repro.faults.FaultModel`
@@ -131,8 +127,6 @@ def run_flow(
     the pipeline parameters so equivalent specs share checkpoints.
     """
     obs_metrics.counter("flow.runs").inc()
-    if checkpoint is None and checkpoint_dir is not None:
-        checkpoint = CheckpointStore(checkpoint_dir)
     if fault_model is not None:
         from ..faults import create_fault_model
 
@@ -145,10 +139,9 @@ def run_flow(
             "fraction": fraction,
             "threshold": threshold,
             "objective": objective,
-            "library": library,
             "fault_model": fault_model,
         },
-        checkpoint=checkpoint,
+        checkpoint=checkpoint_dir,
     )
     with span(
         "flow.run", benchmark=spec.name, policy=policy, objective=objective

@@ -337,32 +337,28 @@ class Table2Row:
 
 
 def table2_rows(
-    specs: Sequence[FunctionSpec],
-    *,
-    threshold: float = DEFAULT_THRESHOLD,
-    objective: str = "area",
-    jobs: int | str = 1,
-    checkpoint_dir: str | None = None,
+    specs: Sequence[FunctionSpec], *, jobs: int | str = 1
 ) -> list[Table2Row]:
     """Table 2: LC^f-based vs equal-fraction ranking vs complete.
 
-    The ranking fraction is tied to the fraction the LC^f policy decided,
-    exactly as the paper compares them.
+    The ranking fraction is tied to the fraction the LC^f policy decided
+    at the default threshold, exactly as the paper compares them; every
+    point is synthesised for area.
     """
     from ..core.complexity import spec_complexity_factor
 
     points = []
     for spec in specs:
-        lcf_fraction = min(1.0, cfactor_assignment(spec, threshold).fraction_of(spec))
+        lcf_fraction = min(
+            1.0, cfactor_assignment(spec, DEFAULT_THRESHOLD).fraction_of(spec)
+        )
         points += [
             (spec, {"policy": "conventional"}),
-            (spec, {"policy": "cfactor", "threshold": threshold}),
+            (spec, {"policy": "cfactor", "threshold": DEFAULT_THRESHOLD}),
             (spec, {"policy": "ranking", "fraction": lcf_fraction}),
             (spec, {"policy": "complete"}),
         ]
-    results = run_points(
-        points, jobs=jobs, objective=objective, checkpoint_dir=checkpoint_dir
-    )
+    results = run_points(points, jobs=jobs, objective="area")
     rows = []
     for index, spec in enumerate(specs):
         baseline, lcf, ranking, complete = results[4 * index:4 * index + 4]
@@ -398,26 +394,22 @@ class Table3Row:
 
 
 def table3_rows(
-    specs: Sequence[FunctionSpec],
-    *,
-    threshold: float = DEFAULT_THRESHOLD,
-    objective: str = "area",
-    jobs: int | str = 1,
-    checkpoint_dir: str | None = None,
+    specs: Sequence[FunctionSpec], *, jobs: int | str = 1
 ) -> list[Table3Row]:
     """Table 3: estimate bands plus conventional and LC^f achieved rates.
 
-    The "% Diff." columns report how far above the exact minimum each
-    implementation's rate lands, as in the paper.
+    LC^f runs at the default threshold and every point is synthesised
+    for area.  The "% Diff." columns report how far above the exact
+    minimum each implementation's rate lands, as in the paper.
     """
     results = run_points(
         [
             (spec, point)
             for spec in specs
             for point in ({"policy": "conventional"},
-                          {"policy": "cfactor", "threshold": threshold})
+                          {"policy": "cfactor", "threshold": DEFAULT_THRESHOLD})
         ],
-        jobs=jobs, objective=objective, checkpoint_dir=checkpoint_dir,
+        jobs=jobs, objective="area",
     )
 
     def diff_pct(rate: float, minimum: float) -> float:

@@ -36,8 +36,8 @@ MANIFEST_SCHEMA_VERSION = 1
 """Bump on any backwards-incompatible manifest layout change."""
 
 
-def git_revision(cwd: str | os.PathLike | None = None) -> str | None:
-    """The current git commit hash, or None outside a work tree.
+def git_revision() -> str | None:
+    """The commit hash of the work tree holding this package, or None.
 
     Honours ``REPRO_GIT_REV`` (useful in containers without git) before
     shelling out.
@@ -45,12 +45,10 @@ def git_revision(cwd: str | os.PathLike | None = None) -> str | None:
     env_rev = os.environ.get("REPRO_GIT_REV")
     if env_rev:
         return env_rev
-    if cwd is None:
-        cwd = os.path.dirname(os.path.abspath(__file__))
     try:
         out = subprocess.run(
             ["git", "rev-parse", "HEAD"],
-            cwd=cwd,
+            cwd=os.path.dirname(os.path.abspath(__file__)),
             capture_output=True,
             text=True,
             timeout=5,

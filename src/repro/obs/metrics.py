@@ -115,7 +115,7 @@ def diff_snapshots(
 
 
 @contextmanager
-def delta_capture(*, keep_zero: bool = False) -> Iterator[dict[str, Any]]:
+def delta_capture() -> Iterator[dict[str, Any]]:
     """Capture the metrics delta of a block of work.
 
     Yields an (initially empty) dict that is filled with the
@@ -135,8 +135,7 @@ def delta_capture(*, keep_zero: bool = False) -> Iterator[dict[str, Any]]:
     try:
         yield holder
     finally:
-        holder.update(diff_snapshots(metrics_snapshot(), before,
-                                     keep_zero=keep_zero))
+        holder.update(diff_snapshots(metrics_snapshot(), before))
 
 
 global_registry = MetricsRegistry()

@@ -58,27 +58,17 @@ def _frame_label(frame: Any) -> str:
 
 
 class StackSampler:
-    """Sample one thread's Python stack on a fixed interval.
+    """Sample the main thread's Python stack on a fixed interval.
+
+    The main thread is where CLI commands and pool worker tasks run.
 
     Args:
         interval: seconds between samples.
-        target_ident: ``threading`` ident of the thread to sample
-            (default: the main thread — where CLI commands and pool
-            worker tasks run).
     """
 
-    def __init__(
-        self,
-        interval: float = DEFAULT_INTERVAL_SECONDS,
-        *,
-        target_ident: int | None = None,
-    ):
+    def __init__(self, interval: float = DEFAULT_INTERVAL_SECONDS):
         self.interval = interval
-        self.target_ident = (
-            target_ident
-            if target_ident is not None
-            else threading.main_thread().ident
-        )
+        self.target_ident = threading.main_thread().ident
         self.counts: dict[str, int] = {}
         self.samples = 0
         self._stop = threading.Event()

@@ -22,6 +22,9 @@ from typing import TextIO
 
 __all__ = ["ProgressReporter", "format_duration"]
 
+_REDRAW_SECONDS = 0.1
+"""Least time between two redraws of an unfinished line."""
+
 
 def format_duration(seconds: float) -> str:
     """Compact human duration: ``3.2s``, ``2m 14s``, ``1h 03m``."""
@@ -45,13 +48,11 @@ class ProgressReporter:
         *,
         label: str = "progress",
         stream: TextIO | None = None,
-        min_interval: float = 0.1,
         width: int = 20,
     ):
         self.total = total
         self.label = label
         self.stream = stream if stream is not None else sys.stderr
-        self.min_interval = min_interval
         self.width = width
         self._start = time.perf_counter()
         self._last_draw = 0.0
@@ -64,7 +65,7 @@ class ProgressReporter:
             self.total = total
         now = time.perf_counter()
         complete = self.total is not None and done >= self.total
-        if not complete and now - self._last_draw < self.min_interval:
+        if not complete and now - self._last_draw < _REDRAW_SECONDS:
             return
         self._last_draw = now
         self._draw(done, now - self._start)

@@ -103,11 +103,11 @@ def default_ledger_path() -> Path:
     return Path.cwd() / DEFAULT_LEDGER_DIR / DEFAULT_LEDGER_FILE
 
 
-def open_ledger(path: str | os.PathLike | None = None) -> "LedgerStore | None":
-    """The ledger at *path* (default location), or None when disabled."""
+def open_ledger() -> "LedgerStore | None":
+    """The ledger at :func:`default_ledger_path`, or None when disabled."""
     if not ledger_enabled():
         return None
-    return LedgerStore(path if path is not None else default_ledger_path())
+    return LedgerStore(default_ledger_path())
 
 
 @dataclass

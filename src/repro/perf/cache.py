@@ -116,12 +116,12 @@ def cover_key(on_cubes: np.ndarray, dc_cubes: np.ndarray, num_inputs: int) -> st
     )
 
 
-def spec_key(phases: np.ndarray, options: tuple = ()) -> str:
-    """Content key of one ``minimize_spec`` problem (phases + options)."""
+def spec_key(phases: np.ndarray) -> str:
+    """Content key of one ``minimize_spec`` problem (its phase array)."""
     return _digest(
         _OPTIONS_VERSION,
         b"spec",
-        repr((phases.shape, options)).encode(),
+        repr(phases.shape).encode(),
         np.ascontiguousarray(phases).tobytes(),
     )
 

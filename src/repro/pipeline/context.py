@@ -4,7 +4,7 @@ A :class:`FlowContext` holds the artefacts of one flow execution under
 well-known keys — the specs, the DC assignment, the minimised covers,
 the logic network, the mapped netlist and the measured results — plus
 the flow's parameter dictionary (policy, fraction, threshold, objective,
-library, ...).  Stages declare which keys they consume and produce; the
+...).  Stages declare which keys they consume and produce; the
 context enforces that only known keys of the expected types are stored,
 so a mis-wired stage fails at the ``set`` call instead of corrupting a
 downstream computation.
@@ -68,8 +68,8 @@ class FlowContext:
 
     Args:
         params: flow parameters (``policy``, ``fraction``, ``threshold``,
-            ``objective``, ``library``, ``optimize``) consulted by stages
-            via :meth:`param`.
+            ``objective``, ``optimize``, ``fault_model``, ``dc_window``)
+            consulted by stages via :meth:`param`.
         **artifacts: initial artefacts, e.g. ``spec=...``.
 
     Raises:

@@ -1,7 +1,7 @@
 """The pass manager: compose stages, run them, checkpoint between them.
 
-A :class:`Pipeline` is an ordered list of registered stages (or stage
-objects) executed against one :class:`~repro.pipeline.context.FlowContext`.
+A :class:`Pipeline` is an ordered list of registered stages executed
+against one :class:`~repro.pipeline.context.FlowContext`.
 Before running it validates the wiring — every stage's inputs must be
 produced by an earlier stage or present in the initial context — so a
 misordered config fails immediately with the offending stage named.
@@ -26,10 +26,9 @@ a plain dict (JSON-compatible)::
       "stages": ["assign", "espresso", "optimize", "map", "tune", "measure"]
     }
 
-Stage entries are either registry names or
-``{"stage": name, "params": {...}}`` objects whose params overlay the
-flow parameters for that stage only.  ``repro pipeline run`` executes
-such configs from the command line.
+Stage entries are registry names; every stage reads the one flat
+``params`` dict.  ``repro pipeline run`` executes such configs from the
+command line.
 """
 
 from __future__ import annotations
@@ -58,42 +57,20 @@ DEFAULT_STAGES = ("assign", "espresso", "optimize", "map", "tune", "measure")
 """The standard six-stage evaluation flow, in execution order."""
 
 
-class _OverlaidStage:
-    """A stage with per-stage parameter overrides from a config entry."""
-
-    def __init__(self, stage: Stage, overrides: dict[str, Any]):
-        self._stage = stage
-        self.overrides = dict(overrides)
-        self.name = stage.name
-        self.inputs = stage.inputs
-        self.outputs = stage.outputs
-        self.params = stage.params
-        self.version = stage.version
-
-    def run(self, ctx: FlowContext) -> None:
-        saved = ctx.params
-        ctx.params = {**saved, **self.overrides}
-        try:
-            self._stage.run(ctx)
-        finally:
-            ctx.params = saved
-
-
 class Pipeline:
     """An ordered, validated, checkpointable sequence of stages.
 
     Args:
-        stages: stage objects or registry names, in execution order.
+        stages: registry names, in execution order.
         name: label used in spans and ``repro pipeline`` output.
-        params: default flow parameters; merged under any parameters the
-            caller puts on the context (context wins).
+        params: the flow parameters every stage reads.
         checkpoint: optional store enabling stage-level resume; also
             accepts a directory path.
     """
 
     def __init__(
         self,
-        stages: Sequence[Stage | str],
+        stages: Sequence[str],
         *,
         name: str = "pipeline",
         params: dict[str, Any] | None = None,
@@ -104,10 +81,7 @@ class Pipeline:
         if checkpoint is not None and not isinstance(checkpoint, CheckpointStore):
             checkpoint = CheckpointStore(checkpoint)
         self.checkpoint = checkpoint
-        self.stages: list[Stage] = [
-            get_stage(stage) if isinstance(stage, str) else stage
-            for stage in stages
-        ]
+        self.stages: list[Stage] = [get_stage(name) for name in stages]
         if not self.stages:
             raise ValueError("a pipeline needs at least one stage")
         seen: set[str] = set()
@@ -130,8 +104,8 @@ class Pipeline:
         """Build a pipeline from a declarative (JSON-compatible) config.
 
         Raises:
-            ValueError: on malformed configs (missing/empty ``stages``,
-                unknown entry shapes).
+            ValueError: on malformed configs (missing/empty ``stages``, or
+                an entry that is not a stage name).
             KeyError: on unknown stage names.
         """
         if not isinstance(config, dict):
@@ -139,31 +113,18 @@ class Pipeline:
         entries = config.get("stages")
         if not entries:
             raise ValueError("pipeline config needs a non-empty 'stages' list")
-        stages: list[Stage] = []
         for entry in entries:
-            if isinstance(entry, str):
-                stages.append(get_stage(entry))
-            elif isinstance(entry, dict) and "stage" in entry:
-                stage = get_stage(entry["stage"])
-                overrides = entry.get("params") or {}
-                stages.append(
-                    _OverlaidStage(stage, overrides) if overrides else stage
-                )
-            else:
+            if not isinstance(entry, str):
                 raise ValueError(
-                    f"bad stage entry {entry!r}: expected a name or "
-                    f"{{'stage': name, 'params': {{...}}}}"
+                    f"bad stage entry {entry!r}: expected a stage name; "
+                    f"flow parameters go in the config's 'params'"
                 )
         return cls(
-            stages,
+            entries,
             name=str(config.get("name", "pipeline")),
             params=config.get("params") or {},
             checkpoint=checkpoint,
         )
-
-    def build_context(self, **artifacts: Any) -> FlowContext:
-        """A fresh context seeded with this pipeline's default params."""
-        return FlowContext(dict(self.params), **artifacts)
 
     # ------------------------------------------------------------- running
 
@@ -185,30 +146,20 @@ class Pipeline:
             available.update(stage.outputs)
 
     def run(
-        self,
-        ctx: FlowContext | None = None,
-        *,
-        stop_after: str | None = None,
-        **artifacts: Any,
+        self, *, stop_after: str | None = None, **artifacts: Any
     ) -> FlowContext:
-        """Execute the stages in order, returning the final context.
+        """Execute the stages on *artifacts*, returning the final context.
 
         Args:
-            ctx: the context to run against; built from *artifacts* and
-                the pipeline's default params when omitted.
             stop_after: stop (successfully) after the named stage — the
                 programmatic equivalent of an interrupted run, useful
                 for staged debugging and warm-starting checkpoints.
+            **artifacts: the initial artefacts, e.g. ``spec=...``.
 
         Raises:
             ValueError: on wiring errors or an unknown ``stop_after``.
         """
-        if ctx is None:
-            ctx = self.build_context(**artifacts)
-        elif artifacts:
-            raise ValueError("pass either ctx or initial artifacts, not both")
-        for name, default in self.params.items():
-            ctx.params.setdefault(name, default)
+        ctx = FlowContext(self.params, **artifacts)
         if stop_after is not None and stop_after not in {s.name for s in self.stages}:
             raise ValueError(
                 f"stop_after={stop_after!r} is not a stage of this pipeline"
@@ -224,7 +175,7 @@ class Pipeline:
                     key = stage_key(
                         stage.name,
                         stage.version,
-                        self._stage_params_fingerprint(stage, ctx),
+                        params_fingerprint(stage, ctx),
                         upstream,
                     )
                     upstream = key
@@ -257,17 +208,6 @@ class Pipeline:
                 if stop_after == stage.name:
                     break
         return ctx
-
-    def _stage_params_fingerprint(self, stage: Stage, ctx: FlowContext) -> str:
-        overrides = getattr(stage, "overrides", None)
-        if not overrides:
-            return params_fingerprint(stage, ctx)
-        saved = ctx.params
-        ctx.params = {**saved, **overrides}
-        try:
-            return params_fingerprint(stage, ctx)
-        finally:
-            ctx.params = saved
 
 
 def default_config(

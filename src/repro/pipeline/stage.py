@@ -60,32 +60,12 @@ class Stage(Protocol):
 
 
 def params_fingerprint(stage: Stage, ctx: FlowContext) -> str:
-    """Digest of the parameter values *stage* depends on.
-
-    Values are rendered through :func:`_param_repr`, which special-cases
-    the ``library`` object so two runs against the same cell library
-    share checkpoints regardless of object identity.
-    """
+    """Digest of the ``repr`` of each parameter value *stage* depends on."""
     parts: list[bytes] = []
     for name in stage.params:
         parts.append(name.encode())
-        parts.append(_param_repr(name, ctx.param(name)).encode())
+        parts.append(repr(ctx.param(name)).encode())
     return digest_parts(b"params", *parts)
-
-
-def _param_repr(name: str, value: Any) -> str:
-    if name == "library":
-        if value is None:
-            return "library:default"
-        cells = ",".join(
-            f"{c.name}:{c.area}:{c.pin_cap}:{c.resistance}:{c.intrinsic}:{c.leakage}"
-            for c in value.cells
-        )
-        return (
-            f"library:{cells};wire_cap={value.wire_cap};"
-            f"input_drive={value.input_drive};output_cap={value.output_cap}"
-        )
-    return repr(value)
 
 
 _REGISTRY: dict[str, Stage] = {}

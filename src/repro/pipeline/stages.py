@@ -22,7 +22,7 @@ Six stages make up the paper's evaluation flow, plus one opt-in stage:
     unchanged, so downstream results stay functionally identical.
 ``map``
     Subject-graph construction and area-driven tree covering against
-    the cell library.
+    the generic 70 nm cell library.
 ``tune``
     Objective-specific tuning: critical-path upsizing for the ``delay``
     objective (no-op for ``power`` / ``area``).
@@ -189,7 +189,7 @@ class CompleteDcStage:
 
     Not part of :data:`~repro.pipeline.pipeline.DEFAULT_STAGES` — enable
     it by listing ``complete_dc`` between ``optimize`` and ``map`` in a
-    pipeline config (or ``repro pipeline run --complete-dc``).  Node by
+    pipeline config (``repro pipeline run --config``).  Node by
     node, in topological order, it proposes DC candidates from random
     simulation, confirms them exactly with batched SAT queries on the
     node's cone, applies the cfactor assignment and rebuilds the cover;
@@ -230,6 +230,9 @@ class CompleteDcStage:
 class MapStage:
     """``network`` -> ``netlist`` via area-driven tree covering.
 
+    Always maps onto :func:`~repro.synth.library.generic_70nm_library`,
+    the one library the paper uses.
+
     Area-driven covering for every objective: a constant-load delay DP
     picks oversized cells whose pin capacitance slows the whole netlist
     down (measured), so the delay objective instead sizes the critical
@@ -240,16 +243,15 @@ class MapStage:
     name = "map"
     inputs = ("network",)
     outputs = ("netlist",)
-    params = ("library",)
+    params = ()
     version = "1"
 
     def run(self, ctx: FlowContext) -> None:
         network = ctx.require("network")
-        library = ctx.param("library") or generic_70nm_library()
         with span("synth.subject_graph"):
             graph = build_subject_graph(network)
         with span("synth.map"):
-            netlist = map_graph(graph, library)
+            netlist = map_graph(graph, generic_70nm_library())
         ctx.set("netlist", netlist)
 
 

@@ -134,9 +134,9 @@ def netlist_values(netlist, pi_words=None, num_vectors=None) -> dict[str, np.nda
     return values
 
 
-def aig_output_words(aig, pi_words=None, num_vectors=None) -> dict[str, np.ndarray]:
-    """Packed PO tables of an :class:`Aig` (map output name -> words)."""
-    pi_words, num_vectors = _resolve_inputs(aig.pi_names, pi_words, num_vectors)
+def aig_output_words(aig) -> dict[str, np.ndarray]:
+    """Exhaustive packed PO tables of an :class:`Aig` (output name -> words)."""
+    pi_words, num_vectors = _resolve_inputs(aig.pi_names, None, None)
     words = pk.num_words(num_vectors)
     tables: dict[int, np.ndarray] = {0: np.zeros(words, dtype=np.uint64)}
     for position in range(aig.num_pis):

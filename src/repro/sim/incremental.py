@@ -59,20 +59,6 @@ class IncrementalNetworkSim:
         self._fanouts = network.fanouts()
         self._cones: dict[str, tuple[str, ...]] = {}
 
-    @classmethod
-    def from_bool_values(cls, network, values: dict[str, np.ndarray]):
-        """Adopt pre-computed exhaustive boolean signal tables."""
-        sim = cls.__new__(cls)
-        sim.network = network
-        sim.num_vectors = 1 << len(network.primary_inputs)
-        sim.num_words = pk.num_words(sim.num_vectors)
-        sim.values = {name: pk.pack_bool(table) for name, table in values.items()}
-        order = network.topological_order()
-        sim._position = {name: index for index, name in enumerate(order)}
-        sim._fanouts = network.fanouts()
-        sim._cones = {}
-        return sim
-
     # -------------------------------------------------------------- structure
 
     def cone(self, name: str) -> tuple[str, ...]:

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 
 from ..core.spec import FunctionSpec
 from ..obs import span
-from .library import Library
 from .netlist import MappedNetlist
 from .network import LogicNetwork
 
@@ -49,7 +48,7 @@ class SynthesisResult:
         power: total (dynamic + leakage) power.
         num_gates: cell instance count.
         literals: technology-independent literal count after optimisation.
-        error_rate: exact error rate under the compile's fault model
+        error_rate: exact error rate under the flow's fault model
             (default: the paper's single-bit input flip, with error
             sources drawn from the care set of the originally supplied
             spec — see :mod:`repro.faults`).
@@ -71,15 +70,13 @@ def compile_network(
     spec: FunctionSpec,
     *,
     objective: str = "delay",
-    library: Library | None = None,
     optimize: bool = True,
-    fault_model=None,
 ) -> SynthesisResult:
     """Optimise, map and measure an existing network against *spec*.
 
     A thin driver over the ``optimize`` → ``map`` → ``tune`` →
-    ``measure`` stage suffix.  ``fault_model`` selects the measurement's
-    error semantics (default: the single-bit input flip).
+    ``measure`` stage suffix; the error rate is the paper's single-bit
+    input flip.
 
     Raises:
         ValueError: on unknown objectives or if the mapped netlist fails
@@ -91,12 +88,7 @@ def compile_network(
     pipe = Pipeline(
         ["optimize", "map", "tune", "measure"],
         name="compile-network",
-        params={
-            "objective": objective,
-            "library": library,
-            "optimize": optimize,
-            "fault_model": fault_model,
-        },
+        params={"objective": objective, "optimize": optimize},
     )
     ctx = pipe.run(spec=spec, assigned_spec=spec, network=network)
     return ctx.require("synthesis")
@@ -106,9 +98,7 @@ def compile_spec(
     spec: FunctionSpec,
     *,
     objective: str = "delay",
-    library: Library | None = None,
     source_spec: FunctionSpec | None = None,
-    fault_model=None,
 ) -> SynthesisResult:
     """Full flow from an (incompletely specified) function to measurements.
 
@@ -116,8 +106,8 @@ def compile_spec(
     stage.  When *spec* is itself the result of a reliability-driven
     partial assignment, pass the *original* specification as
     ``source_spec`` so the error rate uses the original care set as its
-    error-source distribution.  ``fault_model`` selects the
-    measurement's error semantics (default: the single-bit input flip).
+    error-source distribution.  The error rate is the paper's
+    single-bit input flip.
     """
     from ..pipeline import Pipeline, validate_objective
 
@@ -127,11 +117,7 @@ def compile_spec(
         pipe = Pipeline(
             ["espresso", "optimize", "map", "tune", "measure"],
             name="compile-spec",
-            params={
-                "objective": objective,
-                "library": library,
-                "fault_model": fault_model,
-            },
+            params={"objective": objective},
         )
         ctx = pipe.run(spec=source, assigned_spec=spec)
         return ctx.require("synthesis")

@@ -534,7 +534,6 @@ def reassign_complete_dcs(
     *,
     policy: str = "cfactor",
     threshold: float = DEFAULT_THRESHOLD,
-    fraction: float = 1.0,
     simulation_vectors: int = 256,
     query_budget: int | None = 256,
     window_levels: int = 2,
@@ -568,12 +567,11 @@ def reassign_complete_dcs(
     Args:
         network: network to rewrite (mutated).
         policy: any of the evaluation's four assignment policies —
-            ``"cfactor"`` (Fig. 7), ``"ranking"`` (Fig. 3),
-            ``"complete"`` (assign every confirmed DC), or
+            ``"cfactor"`` (Fig. 7), ``"ranking"`` (Fig. 3, the whole
+            ranked list), ``"complete"`` (assign every confirmed DC), or
             ``"conventional"`` (assign none; ESPRESSO exploits the
             confirmed flexibility freely).
         threshold: LC^f threshold for the cfactor policy.
-        fraction: fraction of the ranked list for the ranking policy.
         simulation_vectors: random vectors for candidate proposal.
         query_budget: max SAT queries per node (``None`` = unlimited).
         window_levels: fanout-window depth of the fallback extractor.
@@ -673,8 +671,7 @@ def reassign_complete_dcs(
             if not local_dcs:
                 continue
             assigned_total += _rewrite_node(
-                network.nodes[name], local, policy,
-                threshold=threshold, fraction=fraction,
+                network.nodes[name], local, policy, threshold=threshold
             )
             changed += 1
             if full_sim is not None:

@@ -136,8 +136,6 @@ def node_flexibility(
     network: LogicNetwork,
     node_name: str,
     *,
-    values: dict[str, np.ndarray] | None = None,
-    external_dc: np.ndarray | None = None,
     sim: IncrementalNetworkSim | None = None,
     window_levels: int | None = None,
 ) -> FunctionSpec:
@@ -145,17 +143,11 @@ def node_flexibility(
 
     A fanin pattern is DC when it is unreachable (SDC) or when every PI
     vector producing it is observability-don't-care — flipping the node
-    under those vectors changes no primary output (or only outputs that
-    are externally DC for that vector, when *external_dc* is given).
+    under those vectors changes no primary output.
 
     Args:
         network: the network.
         node_name: node to analyse.
-        values: pre-computed boolean signal tables (optional; adopted
-            into a packed simulator for reuse).
-        external_dc: boolean array (num_outputs, 2**num_PIs) marking
-            externally-DC (output, vector) entries that never matter.
-            Ignored in window mode (conservative).
         sim: a live :class:`IncrementalNetworkSim` for the network
             (optional, for reuse across nodes — the cheap path).
         window_levels: when given, judge observability at the boundary
@@ -174,11 +166,7 @@ def node_flexibility(
             *window_levels* is given but < 1.
     """
     if sim is None:
-        sim = (
-            IncrementalNetworkSim.from_bool_values(network, values)
-            if values is not None
-            else IncrementalNetworkSim(network)
-        )
+        sim = IncrementalNetworkSim(network)
     node = network.nodes[node_name]
     k = len(node.fanins)
     if k > MAX_EXHAUSTIVE_FANINS:
@@ -193,8 +181,6 @@ def node_flexibility(
         observable = _window_observability(network, node_name, sim, window_levels)
     else:
         diff = sim.output_words() ^ sim.flip_outputs(node_name)
-        if external_dc is not None:
-            diff &= ~pk.pack_matrix(np.asarray(external_dc, dtype=bool).T)
         observable = np.bitwise_or.reduce(diff, axis=0)
 
     masks = pk.pattern_masks([sim.values[f] for f in node.fanins], num_vectors)
@@ -295,21 +281,19 @@ def _check_policy(policy: str) -> None:
         raise ValueError(f"unknown policy {policy!r}")
 
 
-def _rewrite_node(
-    node, local: FunctionSpec, policy: str, *, threshold: float,
-    fraction: float,
-) -> int:
+def _rewrite_node(node, local: FunctionSpec, policy: str, *, threshold: float) -> int:
     """Assign *local*'s DCs under *policy* and rebuild *node*'s cover.
 
     The rewrite step both nodal passes share: the policy decides some DC
-    entries of the node's local flexibility, and ESPRESSO rebuilds the
-    cover from the ON set with the remaining DCs.  Returns the number of
-    DC entries the policy assigned.
+    entries of the node's local flexibility (ranking takes its whole
+    ranked list), and ESPRESSO rebuilds the cover from the ON set with
+    the remaining DCs.  Returns the number of DC entries the policy
+    assigned.
     """
     if policy == "cfactor":
         assignment = cfactor_assignment(local, threshold)
     elif policy == "ranking":
-        assignment = ranking_assignment(local, fraction)
+        assignment = ranking_assignment(local, 1.0)
     elif policy == "complete":
         assignment = complete_assignment(local)
     else:  # conventional: leave the DCs to ESPRESSO
@@ -328,7 +312,6 @@ def reassign_internal_dcs(
     *,
     policy: str = "cfactor",
     threshold: float = DEFAULT_THRESHOLD,
-    fraction: float = 1.0,
     max_fanins: int = 10,
 ) -> NodalReport:
     """Reassign every node's internal DCs for reliability (in place).
@@ -347,11 +330,10 @@ def reassign_internal_dcs(
 
     Args:
         network: network to rewrite (mutated).
-        policy: ``"cfactor"`` (Fig. 7), ``"ranking"`` (Fig. 3),
-            ``"complete"`` (assign every DC for masking), or
-            ``"conventional"`` (leave the DCs to ESPRESSO).
+        policy: ``"cfactor"`` (Fig. 7), ``"ranking"`` (Fig. 3, the
+            whole ranked list), ``"complete"`` (assign every DC for
+            masking), or ``"conventional"`` (leave the DCs to ESPRESSO).
         threshold: LC^f threshold for the cfactor policy.
-        fraction: fraction of the ranked list for the ranking policy.
         max_fanins: fanin budget for the exhaustive extractor; wider
             nodes are left untouched and counted in
             ``odc.wide_nodes_skipped``.
@@ -376,7 +358,7 @@ def reassign_internal_dcs(
             if not int(np.count_nonzero(local.phases == DC)):
                 continue
             assigned_total += _rewrite_node(
-                node, local, policy, threshold=threshold, fraction=fraction
+                node, local, policy, threshold=threshold
             )
             changed += 1
             sim.recompute(name)

@@ -35,6 +35,9 @@ from .network import LogicNetwork
 
 __all__ = ["extract_kernels", "extract_cubes", "optimize_network"]
 
+_MAX_EXTRACTIONS = 200
+"""Divisor nodes each extraction loop may create at most."""
+
 
 def _node_cubes(network: LogicNetwork, name: str) -> CubeSet:
     node = network.nodes[name]
@@ -133,7 +136,7 @@ def _divide_node(cubes: CubeSet, kernel: CubeSet) -> tuple | None:
     return None
 
 
-def extract_kernels(network: LogicNetwork, *, max_extractions: int = 200) -> int:
+def extract_kernels(network: LogicNetwork) -> int:
     """Greedy shared-kernel extraction.
 
     Each iteration ranks the kernels of every node by intrinsic value,
@@ -202,7 +205,7 @@ def extract_kernels(network: LogicNetwork, *, max_extractions: int = 200) -> int
     for name in network.nodes:
         refresh(name, frozenset())
     created = 0
-    for _ in range(max_extractions):
+    for _ in range(_MAX_EXTRACTIONS):
         if not rank:
             break
         # Only the most promising candidates are tried against the nodes
@@ -230,7 +233,7 @@ def extract_kernels(network: LogicNetwork, *, max_extractions: int = 200) -> int
     return created
 
 
-def extract_cubes(network: LogicNetwork, *, max_extractions: int = 200) -> int:
+def extract_cubes(network: LogicNetwork) -> int:
     """Greedy shared-cube extraction (common sub-cubes across nodes).
 
     The occurrence count of every 2-literal sub-cube is kept across
@@ -244,7 +247,7 @@ def extract_cubes(network: LogicNetwork, *, max_extractions: int = 200) -> int:
     for cubes in nodes.cubes.values():
         _count_pairs(counts, cubes, 1)
     created = 0
-    for _ in range(max_extractions):
+    for _ in range(_MAX_EXTRACTIONS):
         # Extracting a 2-literal cube saves one literal per occurrence
         # beyond the new node's own two literals: the most frequent pair
         # wins if it occurs more than twice, ties going to the smallest

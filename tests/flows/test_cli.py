@@ -320,7 +320,9 @@ class TestCliPipeline:
         assert payload["pipeline"]["name"] == "cli-config"
         assert payload["result"]["policy"] == "complete"
 
-    def test_run_complete_dc_flag(self, pla_file, capsys):
+    def test_run_complete_dc_flag(self, pla_file, tmp_path, capsys):
+        """A ``--config`` listing ``complete_dc`` after ``optimize`` runs
+        the stage and reports it."""
         import json
 
         argv = ["pipeline", "run", pla_file, "--objective", "area", "--json"]
@@ -328,7 +330,14 @@ class TestCliPipeline:
         baseline = json.loads(capsys.readouterr().out)
         assert "complete_dc" not in baseline["pipeline"]
 
-        assert main(argv + ["--complete-dc"]) == 0
+        path = tmp_path / "complete-dc.json"
+        path.write_text(json.dumps({
+            "params": {"policy": "conventional", "objective": "area"},
+            "stages": ["assign", "espresso", "optimize", "complete_dc",
+                       "map", "tune", "measure"],
+        }))
+        assert main(["pipeline", "run", pla_file, "--config", str(path),
+                     "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["pipeline"]["stages_run"] == 7
         report = payload["pipeline"]["complete_dc"]

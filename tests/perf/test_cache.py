@@ -48,10 +48,6 @@ class TestKeys:
         assert spec_key(s1.phases) == spec_key(s2.phases)
         assert spec_key(s1.phases) != spec_key(s3.phases)
 
-    def test_spec_key_options_digest(self):
-        s = FunctionSpec.from_sets(3, on_sets=[[1]])
-        assert spec_key(s.phases, ("a",)) != spec_key(s.phases, ("b",))
-
 
 class TestCacheMechanics:
     def test_lru_eviction(self):

@@ -13,7 +13,7 @@ import pytest
 from repro.core.spec import FunctionSpec
 from repro.core.truthtable import DC, OFF, ON
 from repro.flows.experiment import flow_result, run_flow
-from repro.pipeline import DEFAULT_STAGES, POLICIES, Pipeline, default_config
+from repro.pipeline import POLICIES, Pipeline, default_config
 
 
 @pytest.fixture(scope="module")
@@ -92,7 +92,7 @@ class TestCompileDrivers:
         synthesis = compile_spec(spec, objective="area")
         pipe = Pipeline(
             ["espresso", "optimize", "map", "tune", "measure"],
-            params={"objective": "area", "library": None, "optimize": True},
+            params={"objective": "area", "optimize": True},
         )
         ctx = pipe.run(spec=spec, assigned_spec=spec)
         via_pipeline = ctx.require("synthesis")
@@ -120,29 +120,3 @@ class TestRunSemantics:
         pipe = Pipeline.from_config(default_config())
         with pytest.raises(ValueError, match="stop_after"):
             pipe.run(spec=spec, stop_after="teleport")
-
-    def test_ctx_and_artifacts_are_exclusive(self, spec):
-        pipe = Pipeline.from_config(default_config())
-        ctx = pipe.build_context(spec=spec)
-        with pytest.raises(ValueError, match="not both"):
-            pipe.run(ctx, spec=spec)
-
-    def test_overlay_params_apply_to_one_stage_only(self, spec):
-        config = {
-            "name": "overlay",
-            "params": {"policy": "conventional", "objective": "area"},
-            "stages": [
-                {"stage": "assign", "params": {"policy": "complete"}},
-                *DEFAULT_STAGES[1:],
-            ],
-        }
-        overlaid = Pipeline.from_config(config)
-        result = flow_result(overlaid.run(spec=spec))
-        complete = run_flow(spec, "complete", objective="area")
-        # The overlay switched only the assign stage's policy; measured
-        # numbers match the complete run while the packaging still reports
-        # the flow-level policy.
-        assert result.fraction_assigned == complete.fraction_assigned
-        assert result.area == complete.area
-        assert result.error_rate == complete.error_rate
-        assert result.policy == "conventional"

@@ -91,7 +91,8 @@ class TestFromConfig:
         assert pipe.name == "default-flow"
         assert pipe.params["policy"] == "ranking"
         assert pipe.params["fraction"] == 0.5
-        assert [s.name for s in pipe.stages] == list(DEFAULT_STAGES)
+        # Entries resolve to the shared registry instances.
+        assert pipe.stages == [get_stage(name) for name in DEFAULT_STAGES]
 
     def test_non_dict_rejected(self):
         with pytest.raises(ValueError, match="must be a dict"):
@@ -109,20 +110,18 @@ class TestFromConfig:
         with pytest.raises(KeyError, match="unknown stage"):
             Pipeline.from_config({"stages": ["assign", "transmogrify"]})
 
-    def test_per_stage_param_overlay(self):
+    def test_stage_entry_with_params_rejected(self):
+        """Flow parameters live in the one flat ``params`` dict; a stage
+        entry carrying its own is rejected, naming the entry."""
         config = {
-            "name": "overlay",
             "params": {"policy": "conventional", "objective": "area"},
             "stages": [
                 {"stage": "assign", "params": {"policy": "complete"}},
                 "espresso",
             ],
         }
-        pipe = Pipeline.from_config(config)
-        assert pipe.stages[0].name == "assign"
-        assert pipe.stages[0].overrides == {"policy": "complete"}
-        # Plain entries resolve to the shared registry instance.
-        assert pipe.stages[1] is get_stage("espresso")
+        with pytest.raises(ValueError, match=r"bad stage entry \{'stage': 'assign'"):
+            Pipeline.from_config(config)
 
 
 class TestObjectives:

@@ -65,16 +65,6 @@ class TestFlipOutputs:
             )
             np.testing.assert_array_equal(sim.flip_difference(name), expected)
 
-    def test_from_bool_values_matches_fresh(self):
-        net = random_multilevel_network(5)
-        adopted = IncrementalNetworkSim.from_bool_values(net, net.evaluate_reference())
-        fresh = IncrementalNetworkSim(net)
-        for name in fresh.values:
-            np.testing.assert_array_equal(adopted.values[name], fresh.values[name])
-        np.testing.assert_array_equal(
-            adopted.flip_outputs("t1"), fresh.flip_outputs("t1")
-        )
-
 
 class TestRecompute:
     def test_matches_fresh_simulation_after_rewrite(self):

@@ -62,14 +62,6 @@ class TestNodeFlexibility:
         assert local.phases[0, 3] == ON
         assert local.phases[0, 0] == OFF
 
-    def test_external_dc_extends_flexibility(self):
-        net = LogicNetwork(["a", "b"])
-        net.add_node("t", ["a", "b"], Cover.from_strings(["11"]))
-        net.set_output("out", "t")
-        external = np.ones((1, 4), dtype=bool)  # everything externally DC
-        local = node_flexibility(net, "t", external_dc=external)
-        assert list(local.dc_set(0)) == [0, 1, 2, 3]
-
 
 class TestFaninGuard:
     def _wide_network(self, width: int) -> LogicNetwork:
