@@ -3,26 +3,25 @@
 Commands
 --------
 
-``info <file.pla|name>``
-    Print shape, %DC, complexity factors and exact error bounds.
+``info <file.pla|name> [--json]``
+    Print shape, %DC, complexity factors and the exact,
+    signal-probability and border estimate bands; ``--json`` adds the
+    registered pipeline stages, fault models, scenarios, executor and
+    ledger status.
 ``assign <file.pla|name> --policy P [--fraction F] [--threshold T] [-o OUT]``
     Apply a DC-assignment policy and write the assigned PLA.
-``synth <file.pla|name> [--policy P] [--objective O]``
-    Run the full flow and print area/delay/power/gates/error rate.
-``estimate <file.pla|name>``
-    Print the exact, signal-probability and border estimate bands.
+``synth <file.pla|name> [--policy P] [--objective O] [--config FILE]``
+    Run the stage-graph flow (default: the standard six stages) and
+    print area/delay/power/gates/error rate; with ``--checkpoint-dir``
+    an interrupted or re-parameterised run resumes from the last valid
+    stage output, ``--stop-after STAGE`` ends the run early and
+    ``--verilog FILE`` writes the mapped netlist.
 ``sweep <file.pla|name> [--objective O] [--points N] [--jobs J|auto]``
     Ranking-fraction sweep with normalised metrics (Fig. 4/5 style);
     ``--jobs`` fans the sweep points out over the warm worker pool
     (``auto`` = CPU count, capped by the point count).
 ``gen --inputs N --outputs M --cf C --dc D [-o OUT]``
     Generate a synthetic benchmark PLA.
-``pipeline run <file.pla|name> [--config FILE] [--checkpoint-dir DIR]``
-    Run a declarative stage-graph pipeline (default: the standard
-    six-stage flow); with ``--checkpoint-dir`` an interrupted or
-    re-parameterised run resumes from the last valid stage output.
-``pipeline stages``
-    List the registered pipeline stages (also in ``info --json``).
 ``bench <scenario> ... [--jobs J|auto] [--out FILE]``
     Run named scenarios (benchmark set × fault model × policies, see
     ``docs/scenarios.md``) through the pipeline on the warm pool and
@@ -32,11 +31,11 @@ Commands
     Synthesise once and print the implementation's error rate under
     several fault models: exact single-bit, exact multi-bit/burst, and
     the packed Monte-Carlo estimate of the single-bit rate.
-``obs runs|show|compare|regressions|export``
-    Query the telemetry ledger: list recorded runs, inspect one,
-    compare two, or gate on drift — ``obs regressions --baseline
-    <rev|run-id>`` exits non-zero when wall clock or any quality
-    figure regressed past tolerance.
+``obs runs|show|regressions|export``
+    Query the telemetry ledger: list recorded runs, inspect one, or
+    compare two — ``obs regressions --baseline <rev|run-id>
+    [--candidate <run-id>]`` exits non-zero when wall clock or any
+    quality figure regressed past tolerance.
 
 Positional benchmark arguments accept either a ``.pla`` path or a Table 1
 stand-in name (``bench``, ``ex1010``, ...).
@@ -44,15 +43,13 @@ stand-in name (``bench``, ``ex1010``, ...).
 Observability flags (every subcommand, see ``docs/observability.md``):
 ``--trace FILE`` records tracing spans (JSONL, or Chrome/Perfetto JSON
 for ``.json`` paths), ``--metrics-out FILE`` writes the merged metrics
-snapshot with an embedded run manifest, ``--manifest FILE`` writes the
-bare manifest, ``--profile FILE`` writes flamegraph-ready collapsed
-stacks from the sampling profiler (pool workers included), and
-``--progress`` renders a live done/total + ETA line on stderr for
-sweeps.  Every run is also appended to the telemetry ledger
-(``.repro/ledger.sqlite`` unless ``REPRO_LEDGER_PATH``/
+snapshot with an embedded run manifest, ``--profile FILE`` writes
+flamegraph-ready collapsed stacks from the sampling profiler (pool
+workers included), and ``--progress`` renders a live done/total + ETA
+line on stderr for sweeps.  Every run is also appended to the telemetry
+ledger (``.repro/ledger.sqlite`` unless ``REPRO_LEDGER_PATH``/
 ``REPRO_LEDGER_DISABLE`` say otherwise).  ``repro --version`` prints
-the package version; ``repro info BENCH --json`` emits
-machine-readable properties including the ledger status.
+the package version.
 """
 
 from __future__ import annotations
@@ -67,7 +64,6 @@ from .benchgen import benchmark_names, generate_spec, mcnc_benchmark
 from .core.cfactor import DEFAULT_THRESHOLD
 from .core.complexity import spec_complexity_factor, spec_expected_complexity_factor
 from .core.estimates import estimate_report
-from .core.reliability import exact_error_bounds
 from .core.spec import FunctionSpec
 from .flows.experiment import apply_policy, relative_metrics
 from .flows.report import format_table
@@ -171,11 +167,11 @@ def _ledger_info() -> dict:
 def _cmd_info(args: argparse.Namespace) -> int:
     from .faults import describe_fault_models
     from .perf import executor_config
-    from .pipeline import stage_names
+    from .pipeline import describe_stage, registered_stages
     from .scenarios import describe_scenarios
 
     spec = _load_spec(args.benchmark)
-    bounds = exact_error_bounds(spec)
+    bands = estimate_report(spec)
     if args.json:
         print(json.dumps({
             "name": spec.name,
@@ -184,9 +180,20 @@ def _cmd_info(args: argparse.Namespace) -> int:
             "dc_fraction": spec.dc_fraction(),
             "complexity_factor": spec_complexity_factor(spec),
             "expected_complexity_factor": spec_expected_complexity_factor(spec),
-            "exact_error_min": bounds.lo,
-            "exact_error_max": bounds.hi,
-            "pipeline_stages": stage_names(),
+            "exact_error_min": bands.exact.lo,
+            "exact_error_max": bands.exact.hi,
+            "signal_error_min": bands.signal.lo,
+            "signal_error_max": bands.signal.hi,
+            "border_error_min": bands.border.lo,
+            "border_error_max": bands.border.hi,
+            "pipeline_stages": {
+                name: {
+                    key: value
+                    for key, value in describe_stage(stage).items()
+                    if key != "name"
+                }
+                for name, stage in registered_stages().items()
+            },
             "fault_models": describe_fault_models(),
             "scenarios": describe_scenarios(),
             "executor": executor_config("auto"),
@@ -200,10 +207,14 @@ def _cmd_info(args: argparse.Namespace) -> int:
         ["%DC", round(100 * spec.dc_fraction(), 1)],
         ["C^f", round(spec_complexity_factor(spec), 3)],
         ["E[C^f]", round(spec_expected_complexity_factor(spec), 3)],
-        ["exact error min", round(bounds.lo, 4)],
-        ["exact error max", round(bounds.hi, 4)],
     ]
     print(format_table(["property", "value"], rows))
+    rows = [
+        ["exact", bands.exact.lo, bands.exact.hi],
+        ["signal-probability", bands.signal.lo, bands.signal.hi],
+        ["border/Poisson", bands.border.lo, bands.border.hi],
+    ]
+    print(format_table(["error band", "min", "max"], rows))
     return 0
 
 
@@ -224,53 +235,97 @@ def _cmd_assign(args: argparse.Namespace) -> int:
 
 def _cmd_synth(args: argparse.Namespace) -> int:
     from .flows.experiment import flow_result
-    from .pipeline import Pipeline, default_config
+    from .obs import metrics as obs_metrics
+    from .pipeline import Pipeline, default_config, load_config
 
     spec = _load_spec(args.benchmark)
-    config = default_config(
-        args.policy,
-        fraction=args.fraction,
-        threshold=args.threshold,
-        objective=args.objective,
+    if args.config:
+        config = load_config(args.config)
+    else:
+        config = default_config(
+            args.policy,
+            fraction=args.fraction,
+            threshold=args.threshold,
+            objective=args.objective,
+        )
+    pipe = Pipeline.from_config(config, checkpoint=args.checkpoint_dir)
+    stages = pipe.stages
+    names = [stage.name for stage in stages]
+    if args.stop_after is not None:
+        if args.stop_after not in names:
+            args._parser.error(
+                f"argument --stop-after: {args.stop_after!r} is not a stage of "
+                f"this pipeline; choose from {names}"
+            )
+        stages = stages[:names.index(args.stop_after) + 1]
+    if args.verilog and not any("netlist" in stage.outputs for stage in stages):
+        args._parser.error(
+            "argument --verilog: no stage of this run produces a netlist "
+            f"(it runs {[stage.name for stage in stages]})"
+        )
+    ran_before = obs_metrics.counter("pipeline.stages_run").value
+    skipped_before = obs_metrics.counter("pipeline.stages_skipped").value
+    ctx = pipe.run(spec=spec, stop_after=args.stop_after)
+    stages_run = obs_metrics.counter("pipeline.stages_run").value - ran_before
+    stages_skipped = (
+        obs_metrics.counter("pipeline.stages_skipped").value - skipped_before
     )
-    ctx = Pipeline.from_config(config).run(spec=spec)
-    result = flow_result(ctx)
-    session = getattr(args, "_obs_session", None)
-    if session is not None:
-        session.record_quality([result])
+    summary = {
+        "name": pipe.name,
+        "stages_run": stages_run,
+        "stages_skipped": stages_skipped,
+        "artifacts": ctx.keys(),
+    }
+    if "complete_dc_report" in ctx:
+        summary["complete_dc"] = {
+            key: (None if isinstance(value, float) and value != value else value)
+            for key, value in asdict(ctx.get("complete_dc_report")).items()
+        }
+    result = None
+    if "synthesis" in ctx and "assignment" in ctx:
+        result = flow_result(ctx)
+        session = getattr(args, "_obs_session", None)
+        if session is not None:
+            session.record_quality([result])
     if args.verilog:
         from .synth.verilog import write_verilog
 
-        netlist = ctx.require("synthesis").netlist
-        write_verilog(netlist, args.verilog, module_name=spec.name)
+        write_verilog(ctx.require("netlist"), args.verilog, module_name=spec.name)
+    if args.json:
+        print(json.dumps(
+            {"result": None if result is None else asdict(result),
+             "pipeline": summary},
+            indent=2, sort_keys=True,
+        ))
+        return 0
+    if args.verilog:
         print(f"wrote {args.verilog}")
-    rows = [
-        ["area", result.area],
-        ["delay", result.delay],
-        ["power", result.power],
-        ["gates", result.gates],
-        ["literals", result.literals],
-        ["error rate", result.error_rate],
-    ]
-    print(format_table(["metric", "value"], rows))
-    return 0
-
-
-def _cmd_estimate(args: argparse.Namespace) -> int:
-    spec = _load_spec(args.benchmark)
-    report = estimate_report(spec)
-    rows = [
-        ["exact", report.exact.lo, report.exact.hi],
-        ["signal-probability", report.signal.lo, report.signal.hi],
-        ["border/Poisson", report.border.lo, report.border.hi],
-    ]
-    print(format_table(["estimate", "min", "max"], rows))
+    if result is None:
+        print(
+            f"pipeline {pipe.name!r} stopped with artefacts: "
+            f"{', '.join(ctx.keys())}"
+        )
+    else:
+        rows = [
+            ["policy", result.policy],
+            ["objective", result.objective],
+            ["area", result.area],
+            ["delay", result.delay],
+            ["power", result.power],
+            ["gates", result.gates],
+            ["literals", result.literals],
+            ["error rate", result.error_rate],
+        ]
+        print(format_table(["metric", "value"], rows))
+    print(
+        f"pipeline {pipe.name!r}: {stages_run} stage(s) run, "
+        f"{stages_skipped} restored from checkpoints"
+    )
     return 0
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from .flows.sweep import fraction_sweep
-    from .obs import diff_snapshots, metrics_snapshot
 
     spec = _load_spec(args.benchmark)
     fractions = [i / (args.points - 1) for i in range(args.points)]
@@ -281,7 +336,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         if session is not None
         else None
     )
-    before = metrics_snapshot()
     results = fraction_sweep(
         spec, fractions, objective=args.objective, jobs=jobs,
         progress=progress, checkpoint_dir=args.checkpoint_dir,
@@ -296,15 +350,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             [fraction, rel["error_rate"], rel["area"], rel["delay"], rel["power"]]
         )
     print(format_table(["fraction", "error", "area", "delay", "power"], rows))
-    if args.cache_stats:  # merged counters: under --jobs N the workers minimise
-        delta = diff_snapshots(metrics_snapshot(), before, keep_zero=True)
-        hits = delta["cache.hits"]["value"]
-        misses = delta["cache.misses"]["value"]
-        rate = hits / (hits + misses) if hits + misses else 0.0
-        print(
-            f"minimization cache: {hits} hits / {misses} misses "
-            f"(hit rate {100 * rate:.1f}%, all processes)"
-        )
     return 0
 
 
@@ -376,119 +421,6 @@ def _cmd_export(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_pipeline_run(args: argparse.Namespace) -> int:
-    import dataclasses
-
-    from .flows.experiment import flow_result
-    from .flows.report import format_table
-    from .obs import metrics as obs_metrics
-    from .pipeline import CheckpointStore, Pipeline, default_config, load_config
-
-    spec = _load_spec(args.benchmark)
-    if args.config:
-        config = load_config(args.config)
-    else:
-        config = default_config(
-            args.policy,
-            fraction=args.fraction,
-            threshold=args.threshold,
-            objective=args.objective,
-        )
-    checkpoint = (
-        CheckpointStore(args.checkpoint_dir) if args.checkpoint_dir else None
-    )
-    pipe = Pipeline.from_config(config, checkpoint=checkpoint)
-    stage_names = [stage.name for stage in pipe.stages]
-    if args.stop_after is not None and args.stop_after not in stage_names:
-        args._parser.error(
-            f"argument --stop-after: {args.stop_after!r} is not a stage of "
-            f"this pipeline; choose from {stage_names}"
-        )
-    ran_before = obs_metrics.counter("pipeline.stages_run").value
-    skipped_before = obs_metrics.counter("pipeline.stages_skipped").value
-    ctx = pipe.run(spec=spec, stop_after=args.stop_after)
-    stages_run = obs_metrics.counter("pipeline.stages_run").value - ran_before
-    stages_skipped = (
-        obs_metrics.counter("pipeline.stages_skipped").value - skipped_before
-    )
-    summary = {
-        "name": pipe.name,
-        "stages_run": stages_run,
-        "stages_skipped": stages_skipped,
-        "artifacts": ctx.keys(),
-    }
-    if "complete_dc_report" in ctx:
-        summary["complete_dc"] = {
-            key: (None if isinstance(value, float) and value != value else value)
-            for key, value in dataclasses.asdict(
-                ctx.get("complete_dc_report")
-            ).items()
-        }
-    if "synthesis" in ctx and "assignment" in ctx:
-        result = flow_result(ctx)
-        session = getattr(args, "_obs_session", None)
-        if session is not None:
-            session.record_quality([result])
-        if args.json:
-            print(json.dumps(
-                {"result": dataclasses.asdict(result), "pipeline": summary},
-                indent=2, sort_keys=True,
-            ))
-            return 0
-        rows = [
-            ["policy", result.policy],
-            ["objective", result.objective],
-            ["area", result.area],
-            ["delay", result.delay],
-            ["power", result.power],
-            ["gates", result.gates],
-            ["literals", result.literals],
-            ["error rate", result.error_rate],
-        ]
-        print(format_table(["metric", "value"], rows))
-    elif args.json:
-        print(json.dumps({"result": None, "pipeline": summary},
-                         indent=2, sort_keys=True))
-        return 0
-    else:
-        print(
-            f"pipeline {pipe.name!r} stopped with artefacts: "
-            f"{', '.join(ctx.keys())}"
-        )
-    print(
-        f"pipeline {pipe.name!r}: {stages_run} stage(s) run, "
-        f"{stages_skipped} restored from checkpoints"
-    )
-    return 0
-
-
-def _cmd_pipeline_stages(args: argparse.Namespace) -> int:
-    from .flows.report import format_table
-    from .pipeline import describe_stage, registered_stages
-
-    stages = registered_stages()
-    if args.json:
-        print(json.dumps(
-            {
-                name: {
-                    key: value
-                    for key, value in describe_stage(stage).items()
-                    if key != "name"
-                }
-                for name, stage in stages.items()
-            },
-            indent=2, sort_keys=True,
-        ))
-        return 0
-    rows = [
-        [name, ", ".join(stage.inputs), ", ".join(stage.outputs),
-         ", ".join(stage.params) or "-"]
-        for name, stage in stages.items()
-    ]
-    print(format_table(["stage", "inputs", "outputs", "params"], rows))
-    return 0
-
-
 def _open_ledger_readonly():
     """The ledger store for ``repro obs`` queries, or None with a hint.
 
@@ -524,8 +456,6 @@ def _run_summary_row(record) -> list:
 
 
 def _cmd_obs_runs(args: argparse.Namespace) -> int:
-    from .flows.report import format_table
-
     store = _open_ledger_readonly()
     if store is None:
         return 0
@@ -548,8 +478,6 @@ def _cmd_obs_runs(args: argparse.Namespace) -> int:
 
 
 def _cmd_obs_show(args: argparse.Namespace) -> int:
-    from .flows.report import format_table
-
     store = _open_ledger_readonly()
     if store is None:
         return 2
@@ -589,33 +517,6 @@ def _cmd_obs_show(args: argparse.Namespace) -> int:
             qrows,
         ))
     return 0
-
-
-def _cmd_obs_compare(args: argparse.Namespace) -> int:
-    from .obs.regress import compare_runs, format_comparison
-
-    store = _open_ledger_readonly()
-    if store is None:
-        return 2
-    with store:
-        baseline = store.get(args.baseline)
-        candidate = store.get(args.candidate)
-    for run_id, record in ((args.baseline, baseline),
-                           (args.candidate, candidate)):
-        if record is None:
-            print(f"no run matching {run_id!r}", file=sys.stderr)
-            return 2
-    comparison = compare_runs(
-        baseline, candidate,
-        wall_tolerance=args.wall_tolerance,
-        quality_tolerance=args.quality_tolerance,
-        stage_tolerance=args.stage_tolerance,
-    )
-    if args.json:
-        print(json.dumps(comparison.to_dict(), indent=2, sort_keys=True))
-    else:
-        print(format_comparison(comparison))
-    return 0 if comparison.ok else 1
 
 
 def _cmd_obs_regressions(args: argparse.Namespace) -> int:
@@ -806,9 +707,7 @@ def _obs_parent() -> argparse.ArgumentParser:
                             "Perfetto trace_event format)")
     group.add_argument("--metrics-out", metavar="FILE", default=None,
                        help="write the merged metrics snapshot plus an "
-                            "embedded run manifest as JSON")
-    group.add_argument("--manifest", metavar="FILE", default=None,
-                       help="write the run manifest (args, seed, git rev, "
+                            "embedded run manifest (args, seed, git rev, "
                             "versions, timings) as JSON")
     group.add_argument("--profile", metavar="FILE", default=None,
                        help="sample the run with the stack profiler and "
@@ -853,17 +752,26 @@ def _build_parser() -> argparse.ArgumentParser:
     p_assign.add_argument("-o", "--output", help="write assigned PLA here")
     p_assign.set_defaults(func=_cmd_assign)
 
-    p_synth = add_parser("synth", help="run the full synthesis flow")
+    p_synth = add_parser(
+        "synth", help="run the stage-graph flow (default: the six stages)"
+    )
     p_synth.add_argument("benchmark")
+    p_synth.add_argument("--config", default=None,
+                         help="JSON pipeline config; overrides the policy/"
+                              "objective flags below")
     add_policy_args(p_synth)
     p_synth.add_argument("--objective", default="delay",
                          choices=["delay", "power", "area"])
+    p_synth.add_argument("--checkpoint-dir", default=None,
+                         help="content-addressed stage checkpoint directory "
+                              "(enables resume)")
+    p_synth.add_argument("--stop-after", default=None, metavar="STAGE",
+                         help="stop after the named stage (checkpoints up "
+                              "to it are kept)")
     p_synth.add_argument("--verilog", help="also write the mapped netlist here")
-    p_synth.set_defaults(func=_cmd_synth)
-
-    p_est = add_parser("estimate", help="min-max reliability estimates")
-    p_est.add_argument("benchmark")
-    p_est.set_defaults(func=_cmd_estimate)
+    p_synth.add_argument("--json", action="store_true",
+                         help="machine-readable result + pipeline summary")
+    p_synth.set_defaults(func=_cmd_synth, _parser=p_synth)
 
     p_sweep = add_parser("sweep", help="ranking-fraction sweep")
     p_sweep.add_argument("benchmark")
@@ -872,42 +780,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--points", type=_int_at_least(2), default=5,
                          help="evenly spaced fractions from 0 to 1 (>= 2)")
     _add_jobs_arg(p_sweep)
-    p_sweep.add_argument("--cache-stats", action="store_true",
-                         help="print minimization-cache hit/miss counters")
     p_sweep.add_argument("--checkpoint-dir", default=None,
                          help="persist per-stage outputs here so interrupted "
                               "sweeps resume from the last valid stage")
     p_sweep.set_defaults(func=_cmd_sweep)
-
-    p_pipe = sub.add_parser("pipeline", help="stage-graph pipelines")
-    pipe_sub = p_pipe.add_subparsers(dest="pipeline_command", required=True)
-    p_pipe_run = pipe_sub.add_parser(
-        "run", parents=[obs_parent],
-        help="run a declarative pipeline (default: the six-stage flow)",
-    )
-    p_pipe_run.add_argument("benchmark")
-    p_pipe_run.add_argument("--config", default=None,
-                            help="JSON pipeline config; overrides the policy/"
-                                 "objective flags below")
-    add_policy_args(p_pipe_run)
-    p_pipe_run.add_argument("--objective", default="delay",
-                            choices=["delay", "power", "area"])
-    p_pipe_run.add_argument("--checkpoint-dir", default=None,
-                            help="content-addressed stage checkpoint directory "
-                                 "(enables resume)")
-    p_pipe_run.add_argument("--stop-after", default=None, metavar="STAGE",
-                            help="stop after the named stage (checkpoints up "
-                                 "to it are kept)")
-    p_pipe_run.add_argument("--json", action="store_true",
-                            help="machine-readable result + pipeline summary")
-    p_pipe_run.set_defaults(func=_cmd_pipeline_run, _parser=p_pipe_run)
-    p_pipe_stages = pipe_sub.add_parser(
-        "stages", parents=[obs_parent],
-        help="list the registered pipeline stages",
-    )
-    p_pipe_stages.add_argument("--json", action="store_true",
-                               help="machine-readable registry listing")
-    p_pipe_stages.set_defaults(func=_cmd_pipeline_stages)
 
     from .obs.regress import (
         DEFAULT_QUALITY_TOLERANCE,
@@ -917,20 +793,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_obs = sub.add_parser("obs", help="query the telemetry ledger")
     obs_sub = p_obs.add_subparsers(dest="obs_command", required=True)
-
-    def add_tolerance_args(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--wall-tolerance", type=float,
-                       default=DEFAULT_WALL_TOLERANCE, metavar="FRACTION",
-                       help="allowed relative wall-clock slowdown "
-                            "(default %(default)s)")
-        p.add_argument("--quality-tolerance", type=float,
-                       default=DEFAULT_QUALITY_TOLERANCE, metavar="FRACTION",
-                       help="allowed relative worsening of quality figures "
-                            "(default %(default)s)")
-        p.add_argument("--stage-tolerance", type=float,
-                       default=DEFAULT_STAGE_TOLERANCE, metavar="FRACTION",
-                       help="allowed relative slowdown of any pipeline "
-                            "stage both runs executed (default %(default)s)")
 
     p_obs_runs = obs_sub.add_parser("runs", help="list recorded runs")
     p_obs_runs.add_argument("--command", dest="filter_command", default=None,
@@ -948,19 +810,9 @@ def _build_parser() -> argparse.ArgumentParser:
                             help="the full record as JSON")
     p_obs_show.set_defaults(func=_cmd_obs_show)
 
-    p_obs_cmp = obs_sub.add_parser(
-        "compare", help="diff two runs (exit 1 beyond tolerance)"
-    )
-    p_obs_cmp.add_argument("baseline", help="baseline run id")
-    p_obs_cmp.add_argument("candidate", help="candidate run id")
-    add_tolerance_args(p_obs_cmp)
-    p_obs_cmp.add_argument("--json", action="store_true",
-                           help="the structured diff as JSON")
-    p_obs_cmp.set_defaults(func=_cmd_obs_compare)
-
     p_obs_reg = obs_sub.add_parser(
         "regressions",
-        help="gate the newest run against a baseline (exit 1 on drift)",
+        help="compare a run against a baseline (exit 1 on drift)",
     )
     p_obs_reg.add_argument("--baseline", required=True, metavar="REV|RUN",
                            help="baseline run id or git revision prefix")
@@ -970,7 +822,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p_obs_reg.add_argument("--command", dest="filter_command", default=None,
                            help="restrict baseline/candidate lookup to this "
                                 "subcommand")
-    add_tolerance_args(p_obs_reg)
+    p_obs_reg.add_argument("--wall-tolerance", type=float,
+                           default=DEFAULT_WALL_TOLERANCE, metavar="FRACTION",
+                           help="allowed relative wall-clock slowdown "
+                                "(default %(default)s)")
+    p_obs_reg.add_argument("--quality-tolerance", type=float,
+                           default=DEFAULT_QUALITY_TOLERANCE,
+                           metavar="FRACTION",
+                           help="allowed relative worsening of quality "
+                                "figures (default %(default)s)")
+    p_obs_reg.add_argument("--stage-tolerance", type=float,
+                           default=DEFAULT_STAGE_TOLERANCE, metavar="FRACTION",
+                           help="allowed relative slowdown of any pipeline "
+                                "stage both runs executed (default "
+                                "%(default)s)")
     p_obs_reg.add_argument("--json", action="store_true",
                            help="the structured diff as JSON")
     p_obs_reg.set_defaults(func=_cmd_obs_regressions)

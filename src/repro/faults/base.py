@@ -77,16 +77,6 @@ class FaultModel:
             spec[param] = getattr(self, param)
         return spec
 
-    def describe(self) -> str:
-        """One human-readable line for registry listings."""
-        params = ", ".join(
-            f"{param}={getattr(self, param)!r}" for param in self.param_names
-        )
-        label = f"{self.name}({params})" if params else self.name
-        doc = (type(self).__doc__ or "").strip()
-        summary = doc.splitlines()[0].strip() if doc else ""
-        return f"{label}: {summary}" if summary else label
-
     # ------------------------------------------------------------ input scope
 
     def patterns(self, num_inputs: int) -> Iterable[int]:
@@ -152,7 +142,7 @@ class FaultModel:
         """
         raise NotImplementedError(f"{self.name} is not a node-scope model")
 
-    def network_error_rate(self, network, *, source_mask=None, sim=None) -> float:
+    def network_error_rate(self, network, *, source_mask=None) -> float:
         """Exact error rate of *network* under this node-scope model."""
         raise NotImplementedError(f"{self.name} is not a node-scope model")
 

@@ -36,19 +36,18 @@ class _NodeScopeModel(FaultModel):
 
     scope = "node"
 
-    def network_error_rate(self, network, *, source_mask=None, sim=None) -> float:
+    def network_error_rate(self, network, *, source_mask=None) -> float:
         """Probability that injecting this fault at a random internal
         node on a random admissible PI vector changes some output.
 
         Args:
             network: the network under test (exhaustively simulated).
             source_mask: admissible PI vectors (default: all ``2**n``).
-            sim: a live :class:`IncrementalNetworkSim` to reuse.
         """
         from ..synth.odc import internal_error_rate
 
         return internal_error_rate(
-            network, source_mask=source_mask, sim=sim, fault_model=self
+            network, source_mask=source_mask, fault_model=self
         )
 
     def estimate_network_error_rate(

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -183,8 +182,6 @@ def sampled_error_rate(
     *,
     samples: int = 20_000,
     rng: np.random.Generator | None = None,
-    source_filter: Callable[[np.ndarray], np.ndarray] | None = None,
-    fault_model=None,
 ) -> MonteCarloEstimate:
     """Monte-Carlo input-error rate of a mapped netlist, fully packed.
 
@@ -192,17 +189,14 @@ def sampled_error_rate(
     :func:`run_flow`: the whole trial loop — vector generation, circuit
     evaluation, disagreement counting — runs 64 vectors per uint64 word
     on the packed simulation engine, so it scales to netlists whose PI
-    space cannot be enumerated.
+    space cannot be enumerated.  Every input vector is an admissible
+    error source, and the fault is the single-bit pin flip.
 
     Args:
         netlist: the mapped implementation to measure.
         samples: target number of admissible (vector, fault) trials
             (see :func:`repro.core.montecarlo.estimate_error_rate`).
         rng: random generator (default: fresh, seeded 0).
-        source_filter: optional admissibility predicate over boolean input
-            batches (e.g. the original care set).
-        fault_model: input-scope fault model or declarative spec for the
-            corruption masks (default: the single-bit pin flip).
     """
     num_inputs = len(netlist.primary_inputs)
     obs_metrics.counter("flow.mc_runs").inc()
@@ -212,7 +206,5 @@ def sampled_error_rate(
             num_inputs,
             samples=samples,
             rng=rng,
-            source_filter=source_filter,
             packed_evaluate=packed_netlist_evaluator(netlist),
-            fault_model=fault_model,
         )

@@ -10,8 +10,8 @@ The package makes the substrate introspectable end to end:
   registry, with snapshot / merge / diff operations used to aggregate
   worker-process deltas after a parallel sweep.
 * :mod:`repro.obs.manifest` — :class:`RunManifest` provenance records
-  (args, seed, git rev, versions, timings, metrics) written by the CLI
-  and the benchmarks.
+  (args, seed, git rev, versions, timings, metrics), embedded in every
+  ``--metrics-out`` document and ledger row.
 * :mod:`repro.obs.progress` — the ``--progress`` ETA reporter.
 * :mod:`repro.obs.store` — the telemetry ledger: an append-only SQLite
   record of every run (manifest, metrics, stage timings, quality
@@ -19,10 +19,10 @@ The package makes the substrate introspectable end to end:
 * :mod:`repro.obs.profile` — the ``--profile`` sampling stack profiler
   (flamegraph-ready collapsed stacks, merged from pool workers).
 * :mod:`repro.obs.regress` — cross-run comparison and the regression
-  gate behind ``repro obs compare`` / ``repro obs regressions``.
+  gate behind ``repro obs regressions``.
 * :mod:`repro.obs.session` — :class:`ObsSession`, the CLI glue tying
-  the above to ``--trace`` / ``--metrics-out`` / ``--manifest`` /
-  ``--profile`` / ``--progress`` and the ledger.
+  the above to ``--trace`` / ``--metrics-out`` / ``--profile`` /
+  ``--progress`` and the ledger.
 * :mod:`repro.obs.validate` — schema checks for all emitted artefacts
   (``python -m repro.obs.validate FILE...``).
 

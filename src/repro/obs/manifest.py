@@ -3,9 +3,8 @@
 A :class:`RunManifest` captures everything needed to interpret (and
 rerun) a result file months later: the command and its parameters, the
 seed, the git revision, interpreter/library versions, wall-clock
-timings, and a metrics snapshot.  CLI commands write one via
-``--manifest FILE`` (and embed one in ``--metrics-out`` files), and
-every ledger row stores one.
+timings, and a metrics snapshot.  CLI commands embed one in the
+``--metrics-out`` document, and every ledger row stores one.
 
 The schema is intentionally flat JSON — see ``docs/observability.md``
 for the field-by-field description and :func:`validate_manifest` for
@@ -15,11 +14,9 @@ the machine check used by tests and CI.
 from __future__ import annotations
 
 import dataclasses
-import json
 import os
 import platform
 import subprocess
-import sys
 import time
 from dataclasses import dataclass, field
 from typing import Any
@@ -72,7 +69,7 @@ class RunManifest:
     """One run's provenance record.
 
     Attributes:
-        command: the subcommand that ran (``sweep``, ``pipeline``).
+        command: the subcommand that ran (``sweep``, ``synth``).
         argv: the raw argument vector, when the run came from a CLI.
         parameters: parsed parameters (flag values, benchmark knobs).
         seed: the run's RNG seed, when one exists.
@@ -104,13 +101,6 @@ class RunManifest:
     def to_dict(self) -> dict[str, Any]:
         """A JSON-ready dict of every field."""
         return dataclasses.asdict(self)
-
-    def write(self, path: str | os.PathLike) -> None:
-        """Serialise to *path* as indented JSON."""
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(self.to_dict(), handle, indent=2, sort_keys=True,
-                      default=str)
-            handle.write("\n")
 
 
 def collect_manifest(
@@ -157,8 +147,9 @@ def validate_manifest(data: Any) -> list[str]:
     """Schema-check a decoded manifest; returns a list of problems.
 
     An empty list means the manifest is valid.  Used by
-    :mod:`repro.obs.validate` (and the CI smoke job) on files written by
-    ``--manifest`` / ``--metrics-out``.
+    :mod:`repro.obs.validate` (and the CI smoke jobs) on the manifest
+    embedded in a ``--metrics-out`` document, and on bare manifest files
+    that earlier releases wrote.
     """
     problems: list[str] = []
     if not isinstance(data, dict):

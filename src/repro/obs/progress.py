@@ -25,6 +25,9 @@ __all__ = ["ProgressReporter", "format_duration"]
 _REDRAW_SECONDS = 0.1
 """Least time between two redraws of an unfinished line."""
 
+_BAR_WIDTH = 20
+"""Characters between the brackets of the progress bar."""
+
 
 def format_duration(seconds: float) -> str:
     """Compact human duration: ``3.2s``, ``2m 14s``, ``1h 03m``."""
@@ -48,12 +51,10 @@ class ProgressReporter:
         *,
         label: str = "progress",
         stream: TextIO | None = None,
-        width: int = 20,
     ):
         self.total = total
         self.label = label
         self.stream = stream if stream is not None else sys.stderr
-        self.width = width
         self._start = time.perf_counter()
         self._last_draw = 0.0
         self._finished = False
@@ -78,9 +79,9 @@ class ProgressReporter:
         rate_text = f"{rate:.1f}/s" if rate else "-/s"
         if total:
             fraction = min(1.0, done / total)
-            filled = int(self.width * fraction)
-            bar = "=" * filled + (">" if filled < self.width else "") \
-                + " " * max(0, self.width - filled - 1)
+            filled = int(_BAR_WIDTH * fraction)
+            bar = "=" * filled + (">" if filled < _BAR_WIDTH else "") \
+                + " " * max(0, _BAR_WIDTH - filled - 1)
             eta = (elapsed / done) * (total - done) if done else float("nan")
             eta_text = format_duration(eta) if done else "?"
             line = (

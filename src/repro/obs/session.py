@@ -4,10 +4,10 @@
 enables tracing when a ``--trace`` path was given, starts the sampling
 profiler for ``--profile``, hands out progress reporters for
 ``--progress``, and on exit writes the trace file, the metrics document
-(``--metrics-out``: merged metrics plus an embedded manifest), the bare
-manifest (``--manifest``), the folded profile — and appends one row to
-the telemetry ledger (:mod:`repro.obs.store`) so the run stays
-queryable and comparable after its artefact files are gone.
+(``--metrics-out``: merged metrics plus an embedded manifest) and the
+folded profile — and appends one row to the telemetry ledger
+(:mod:`repro.obs.store`) so the run stays queryable and comparable
+after its artefact files are gone.
 
 Interrupted runs still leave telemetry: the session registers a
 SIGTERM handler and an ``atexit`` hook that flush whatever has been
@@ -74,7 +74,6 @@ class ObsSession:
         seed: int | None = None,
         trace_path: str | None = None,
         metrics_path: str | None = None,
-        manifest_path: str | None = None,
         profile_path: str | None = None,
         progress: bool = False,
         stream: TextIO | None = None,
@@ -83,7 +82,6 @@ class ObsSession:
         self.command = command
         self.trace_path = trace_path
         self.metrics_path = metrics_path
-        self.manifest_path = manifest_path
         self.profile_path = profile_path
         self.progress_enabled = progress
         self.ledger_enabled = ledger
@@ -108,8 +106,8 @@ class ObsSession:
         """Build a session from a parsed ``argparse`` namespace.
 
         Reads the shared observability flags (``trace``, ``metrics_out``,
-        ``manifest``, ``profile``, ``progress``) and records every other
-        public parameter in the manifest.
+        ``profile``, ``progress``) and records every other public
+        parameter in the manifest.
         """
         parameters = {
             key: value
@@ -124,7 +122,6 @@ class ObsSession:
             seed=getattr(args, "seed", None),
             trace_path=getattr(args, "trace", None),
             metrics_path=getattr(args, "metrics_out", None),
-            manifest_path=getattr(args, "manifest", None),
             profile_path=getattr(args, "profile", None),
             progress=bool(getattr(args, "progress", False)),
         )
@@ -151,7 +148,7 @@ class ObsSession:
         Accepts a list of dicts (or objects with ``to_dict``), each one
         measured implementation: benchmark, policy, parameter,
         error_rate, area, literals, ... — the figures ``repro obs
-        compare/regressions`` diff across runs.
+        regressions`` diffs across runs.
         """
         import dataclasses
 
@@ -198,8 +195,8 @@ class ObsSession:
     def _install_flush_hooks(self) -> None:
         """Flush partial telemetry on SIGTERM or interpreter exit.
 
-        A killed sweep then still leaves its trace/metrics/manifest and
-        an ``interrupted`` ledger row behind instead of nothing.  The
+        A killed sweep then still leaves its trace, its metrics document
+        and an ``interrupted`` ledger row behind instead of nothing.  The
         SIGTERM handler re-raises the signal with the previous handler
         restored, so the process still dies with the conventional
         128+15 status.
@@ -305,5 +302,3 @@ class ObsSession:
                 json.dump(document, handle, indent=2, sort_keys=True,
                           default=str)
                 handle.write("\n")
-        if self.manifest_path:
-            self.manifest.write(self.manifest_path)

@@ -7,7 +7,7 @@ comparable across time: every CLI command, sweep, pipeline and
 scenario run appends one row (via :class:`~repro.obs.session.ObsSession`)
 holding its manifest, final metrics snapshot, per-stage timings, result
 quality figures (error rate / area / literal count per policy point) and
-profiler summary.  ``repro obs runs/show/compare/regressions`` query it;
+profiler summary.  ``repro obs runs/show/regressions/export`` query it;
 CI gates on it.
 
 Storage is a single SQLite file (stdlib ``sqlite3``, append-only usage:
@@ -393,11 +393,3 @@ class LedgerStore:
                 handle.write("\n")
                 written += 1
         return written
-
-    def describe(self) -> dict[str, Any]:
-        """Path, schema version and run count — the ``repro info`` block."""
-        return {
-            "path": str(self.path),
-            "schema_version": LEDGER_SCHEMA_VERSION,
-            "runs": self.run_count(),
-        }

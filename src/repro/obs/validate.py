@@ -1,10 +1,11 @@
 """Schema validation for observability artefacts.
 
 Checks every file kind the CLI and benchmarks emit — JSONL / Chrome
-traces (``--trace``), metrics documents (``--metrics-out``), run
-manifests (``--manifest``), the telemetry ledger
-(``.repro/ledger.sqlite``) and its JSONL export — and reports every
-problem found.  Runnable as a module, which is what the CI smoke job
+traces (``--trace``), metrics documents with their embedded run
+manifest (``--metrics-out``), the telemetry ledger
+(``.repro/ledger.sqlite``) and its JSONL export — plus the bare
+manifest files that earlier releases wrote, and reports every problem
+found.  Runnable as a module, which is what the CI smoke job
 does::
 
     python -m repro.obs.validate /tmp/t.jsonl /tmp/m.json .repro/ledger.sqlite
@@ -287,7 +288,7 @@ def validate_file(path: str | Path) -> list[str]:
     are ledger exports when their lines carry ``run_id``, traces
     otherwise.  ``.json`` files are classified by their top-level keys
     (``traceEvents`` → Chrome trace, ``metrics`` → metrics document,
-    ``command`` → bare manifest).
+    ``command`` → a bare manifest, as earlier releases wrote them).
     """
     path = Path(path)
     if path.suffix in (".sqlite", ".db"):

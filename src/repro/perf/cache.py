@@ -22,8 +22,9 @@ in this package is single-threaded, and the flow-point runner
 gets its own ``global_cache`` at import time.  Worker-process hit/miss
 activity therefore never races the parent's — it is reported back
 explicitly as a metrics delta with each result and merged by the parent
-(see :mod:`repro.obs.metrics`), which is why ``--metrics-out`` and
-``repro sweep --cache-stats`` show cache traffic from every process.
+(see :mod:`repro.obs.metrics`), which is why the ``cache.hits`` and
+``cache.misses`` counters of a ``--metrics-out`` document count cache
+traffic from every process.
 If you embed the cache in a threaded host, wrap access in your own
 lock; the methods do not lock internally.
 

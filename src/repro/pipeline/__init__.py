@@ -18,12 +18,12 @@ measurement — into composable, checkpointable passes:
   re-parameterised runs to resume from the last valid stage output.
 
 ``run_flow``, ``compile_spec``, ``compile_network`` and the sweep
-drivers are thin drivers over this package; ``repro pipeline run``
-executes declarative configs directly.  See ``docs/pipeline.md``.
+drivers are thin drivers over this package; ``repro synth`` executes
+declarative configs directly.  See ``docs/pipeline.md``.
 """
 
 from .checkpoint import CheckpointStore
-from .context import ARTIFACT_KEYS, FlowContext
+from .context import FlowContext
 from .pipeline import DEFAULT_STAGES, Pipeline, default_config, load_config
 from .stage import (
     Stage,
@@ -41,7 +41,6 @@ from .stages import (
 )
 
 __all__ = [
-    "ARTIFACT_KEYS",
     "CheckpointStore",
     "DEFAULT_STAGES",
     "FlowContext",

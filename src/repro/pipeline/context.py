@@ -24,7 +24,7 @@ from ..core.assignment import Assignment
 from ..core.spec import FunctionSpec
 from ..perf.cache import digest_parts
 
-__all__ = ["ARTIFACT_KEYS", "FlowContext"]
+__all__ = ["FlowContext"]
 
 
 def _artifact_types() -> dict[str, type]:
@@ -47,20 +47,6 @@ def _artifact_types() -> dict[str, type]:
         "implemented": FunctionSpec,
         "synthesis": SynthesisResult,
     }
-
-
-ARTIFACT_KEYS: dict[str, str] = {
-    "spec": "FunctionSpec — the original (source) specification",
-    "assigned_spec": "FunctionSpec — spec after the DC-assignment policy",
-    "assignment": "Assignment — the policy's (output, minterm) decisions",
-    "covers": "MinimizedFunction — per-output ESPRESSO covers",
-    "network": "LogicNetwork — the multi-level technology-independent network",
-    "netlist": "MappedNetlist — the mapped gate-level netlist",
-    "complete_dc_report": "CompleteDcReport — SAT-complete DC stage metrics",
-    "implemented": "FunctionSpec — the function the netlist realises",
-    "synthesis": "SynthesisResult — area/delay/power/error measurements",
-}
-"""Human-readable catalogue of the known context keys (docs + CLI)."""
 
 
 class FlowContext:

@@ -27,8 +27,8 @@ a plain dict (JSON-compatible)::
     }
 
 Stage entries are registry names; every stage reads the one flat
-``params`` dict.  ``repro pipeline run`` executes such configs from the
-command line.
+``params`` dict.  ``repro synth --config`` executes such configs from
+the command line.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ class Pipeline:
 
     Args:
         stages: registry names, in execution order.
-        name: label used in spans and ``repro pipeline`` output.
+        name: label used in spans and ``repro synth`` output.
         params: the flow parameters every stage reads.
         checkpoint: optional store enabling stage-level resume; also
             accepts a directory path.

@@ -7,9 +7,9 @@ checkpoint key), and does its work in ``run(ctx)`` against a
 :class:`~repro.pipeline.context.FlowContext`.
 
 Stages register themselves under their name with :func:`register_stage`
-so declarative pipeline configs — and ``repro pipeline run`` — can refer
-to them by string.  ``repro info --json`` and ``repro pipeline stages``
-list the registry for tooling.
+so declarative pipeline configs — and ``repro synth --config`` — can
+refer to them by string.  ``repro info --json`` lists the registry for
+tooling.
 """
 
 from __future__ import annotations
@@ -96,7 +96,7 @@ def describe_stage(stage: Stage) -> dict[str, Any]:
 
     Carries the declared interface (name, inputs, outputs, params,
     version) plus ``summary`` — the first line of the stage class's
-    docstring — so registry listings (``repro pipeline stages``) are
+    docstring — so registry listings (``repro info --json``) are
     self-documenting.
     """
     doc = (type(stage).__doc__ or "").strip()

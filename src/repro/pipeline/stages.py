@@ -189,7 +189,7 @@ class CompleteDcStage:
 
     Not part of :data:`~repro.pipeline.pipeline.DEFAULT_STAGES` — enable
     it by listing ``complete_dc`` between ``optimize`` and ``map`` in a
-    pipeline config (``repro pipeline run --config``).  Node by
+    pipeline config (``repro synth --config``).  Node by
     node, in topological order, it proposes DC candidates from random
     simulation, confirms them exactly with batched SAT queries on the
     node's cone, applies the cfactor assignment and rebuilds the cover;

@@ -237,7 +237,6 @@ def internal_error_rate(
             )
     if sim is None:
         sim = IncrementalNetworkSim(network)
-    base = sim.output_words()
     if source_mask is None:
         source_words = None
         admissible = sim.num_vectors
@@ -248,9 +247,7 @@ def internal_error_rate(
     with span("odc.internal_error_rate", nodes=len(node_names)):
         for name in node_names:
             if fault_model is None:
-                diff = np.bitwise_or.reduce(
-                    base ^ sim.flip_outputs(name), axis=0
-                )
+                diff = sim.flip_difference(name)
             else:
                 diff = fault_model.node_difference(sim, name)
             if source_words is not None:

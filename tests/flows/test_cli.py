@@ -1,5 +1,8 @@
 """Tests for the command-line interface."""
 
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -61,10 +64,19 @@ class TestCli:
         assert "error rate" in out
 
     def test_estimate(self, pla_file, capsys):
-        assert main(["estimate", pla_file]) == 0
+        # ``info`` prints the exact, signal-probability and border bands.
+        from repro.core.estimates import estimate_report
+
+        assert main(["info", pla_file]) == 0
         out = capsys.readouterr().out
-        assert "border/Poisson" in out
-        assert "signal-probability" in out
+        bands = estimate_report(read_pla(pla_file))
+        for label, band in (("exact", bands.exact),
+                            ("signal-probability", bands.signal),
+                            ("border/Poisson", bands.border)):
+            assert re.search(
+                rf"^{re.escape(label)}\s+{band.lo:.3f}\s+{band.hi:.3f}$",
+                out, re.M,
+            ), (label, out)
 
     def test_sweep(self, pla_file, capsys):
         assert main(["sweep", pla_file, "--points", "3", "--objective", "area"]) == 0
@@ -103,11 +115,11 @@ class TestCli:
             ["sweep", "bench", "--jobs", "abc"],
             "--jobs: jobs must be an integer or 'auto'", id="jobs"),
         pytest.param(
-            ["pipeline", "run", "bench", "--stop-after", "teleport"],
+            ["synth", "bench", "--stop-after", "teleport"],
             "--stop-after: 'teleport' is not a stage of this pipeline",
             id="stop-after-unknown"),
         pytest.param(
-            ["pipeline", "run", "bench", "--stop-after", "complete_dc"],
+            ["synth", "bench", "--stop-after", "complete_dc"],
             "--stop-after: 'complete_dc' is not a stage of this pipeline",
             id="stop-after-absent-stage"),
         pytest.param(
@@ -153,7 +165,7 @@ class TestCliObservability:
         assert __version__ in capsys.readouterr().out
 
     def test_info_json(self, pla_file, capsys):
-        import json
+        from repro.core.estimates import estimate_report
 
         assert main(["info", pla_file, "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -161,22 +173,24 @@ class TestCliObservability:
         assert payload["inputs"] == 6
         assert payload["outputs"] == 2
         assert 0.0 <= payload["dc_fraction"] <= 1.0
+        bands = estimate_report(read_pla(pla_file))
+        for prefix, band in (("exact", bands.exact),
+                             ("signal", bands.signal),
+                             ("border", bands.border)):
+            assert payload[f"{prefix}_error_min"] == band.lo
+            assert payload[f"{prefix}_error_max"] == band.hi
 
     def test_sweep_writes_obs_artifacts(self, pla_file, tmp_path, capsys):
-        import json
-
         from repro.obs.validate import validate_file
 
         trace = tmp_path / "trace.jsonl"
         metrics = tmp_path / "metrics.json"
-        manifest = tmp_path / "manifest.json"
         assert main([
             "sweep", pla_file, "--points", "2", "--objective", "area",
             "--trace", str(trace), "--metrics-out", str(metrics),
-            "--manifest", str(manifest),
         ]) == 0
         capsys.readouterr()
-        for path in (trace, metrics, manifest):
+        for path in (trace, metrics):
             assert path.exists()
             assert validate_file(path) == [], path.name
         events = [json.loads(line) for line in trace.read_text().splitlines()]
@@ -184,34 +198,30 @@ class TestCliObservability:
         document = json.loads(metrics.read_text())
         assert document["metrics"]["flow.runs"]["value"] == 2
         assert "cache.hits" in document["metrics"]
-        mani = json.loads(manifest.read_text())
+        mani = document["manifest"]
         assert mani["command"] == "sweep"
         assert mani["exit_status"] == 0
         assert mani["parameters"]["points"] == 2
 
-    def test_sweep_cache_stats_cover_worker_processes(
+    def test_sweep_cache_counters_cover_worker_processes(
         self, pla_file, tmp_path, capsys
     ):
-        import json
-        import re
-
+        # Under --jobs 2 the workers minimise; the metrics document
+        # counts their cache traffic.
         metrics = tmp_path / "metrics.json"
         assert main([
             "sweep", pla_file, "--points", "3", "--objective", "area",
-            "--jobs", "2", "--cache-stats", "--metrics-out", str(metrics),
+            "--jobs", "2", "--metrics-out", str(metrics),
         ]) == 0
-        out = capsys.readouterr().out
-        hits, misses = map(
-            int, re.search(r"(\d+) hits / (\d+) misses", out).groups()
-        )
+        capsys.readouterr()
         document = json.loads(metrics.read_text())["metrics"]
-        assert misses == document["cache.misses"]["value"] > 0
-        assert hits == document["cache.hits"]["value"]
+        assert document["cache.misses"]["type"] == "counter"
+        assert document["cache.misses"]["value"] > 0
+        assert document["cache.hits"]["type"] == "counter"
 
-    def test_sweep_cache_stats_with_zero_hits(self, pla_file, tmp_path):
+    def test_sweep_cache_counters_with_zero_hits(self, pla_file, tmp_path):
         # A fresh process whose sweep never hits the cache still lists
-        # ``cache.hits``, at 0, for --cache-stats and --metrics-out.
-        import json
+        # ``cache.hits``, at 0, in the --metrics-out document.
         import os
         import subprocess
         import sys
@@ -227,12 +237,11 @@ class TestCliObservability:
         )
         completed = subprocess.run(
             [sys.executable, "-m", "repro.cli", "sweep", pla_file,
-             "--points", "2", "--objective", "area", "--cache-stats",
+             "--points", "2", "--objective", "area",
              "--metrics-out", str(metrics)],
             env=env, capture_output=True, text=True, timeout=120,
         )
         assert completed.returncode == 0, completed.stderr
-        assert "minimization cache: 0 hits / " in completed.stdout
         document = json.loads(metrics.read_text())["metrics"]
         assert document["cache.hits"] == {"type": "counter", "value": 0}
         assert document["cache.misses"]["value"] > 0
@@ -252,39 +261,31 @@ class TestCliObservability:
 
 
 class TestCliPipeline:
-    def test_stages_table(self, capsys):
-        assert main(["pipeline", "stages"]) == 0
-        out = capsys.readouterr().out
-        for name in ("assign", "espresso", "optimize", "map", "tune", "measure"):
-            assert name in out
-
-    def test_stages_json(self, capsys):
-        import json
-
-        assert main(["pipeline", "stages", "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["assign"]["inputs"] == ["spec"]
-        assert payload["measure"]["outputs"] == ["implemented", "synthesis"]
-
     def test_info_json_lists_stages(self, pla_file, capsys):
-        import json
-
         assert main(["info", pla_file, "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
+        stages = json.loads(capsys.readouterr().out)["pipeline_stages"]
         for name in ("assign", "espresso", "measure"):
-            assert name in payload["pipeline_stages"]
+            assert name in stages
+            assert "name" not in stages[name]
+
+    def test_stages_json(self, pla_file, capsys):
+        # The JSON stage listing carries each stage's input and output
+        # artefacts.
+        assert main(["info", pla_file, "--json"]) == 0
+        stages = json.loads(capsys.readouterr().out)["pipeline_stages"]
+        assert stages["assign"]["inputs"] == ["spec"]
+        assert stages["measure"]["outputs"] == ["implemented", "synthesis"]
 
     def test_run_table(self, pla_file, capsys):
-        assert main(["pipeline", "run", pla_file, "--objective", "area"]) == 0
+        assert main(["synth", pla_file, "--objective", "area"]) == 0
         out = capsys.readouterr().out
         assert "error rate" in out
+        assert re.search(r"^objective\s+area$", out, re.M)
         assert "6 stage(s) run, 0 restored" in out
 
     def test_run_checkpointed_twice(self, pla_file, tmp_path, capsys):
-        import json
-
         ckpt = str(tmp_path / "ckpt")
-        argv = ["pipeline", "run", pla_file, "--objective", "area",
+        argv = ["synth", pla_file, "--objective", "area",
                 "--checkpoint-dir", ckpt, "--json"]
         assert main(argv) == 0
         first = json.loads(capsys.readouterr().out)
@@ -296,16 +297,31 @@ class TestCliPipeline:
         assert second["pipeline"]["stages_skipped"] == 6
         assert second["result"] == first["result"]
 
+    def test_restored_run_writes_identical_verilog(
+        self, pla_file, tmp_path, capsys
+    ):
+        ckpt = str(tmp_path / "ckpt")
+        runs = []
+        for attempt in ("fresh", "restored"):
+            verilog = tmp_path / f"{attempt}.v"
+            assert main(["synth", pla_file, "--checkpoint-dir", ckpt,
+                         "--verilog", str(verilog), "--json"]) == 0
+            runs.append((json.loads(capsys.readouterr().out),
+                         verilog.read_bytes()))
+        (fresh, fresh_v), (restored, restored_v) = runs
+        assert restored["pipeline"]["stages_run"] == 0
+        assert restored["pipeline"]["stages_skipped"] == 6
+        assert restored["result"] == fresh["result"]
+        assert b"endmodule" in fresh_v
+        assert restored_v == fresh_v
+
     def test_run_stop_after(self, pla_file, capsys):
-        assert main(["pipeline", "run", pla_file, "--stop-after",
-                     "espresso"]) == 0
+        assert main(["synth", pla_file, "--stop-after", "espresso"]) == 0
         out = capsys.readouterr().out
         assert "stopped with artefacts" in out
         assert "network" in out
 
     def test_run_config_file(self, pla_file, tmp_path, capsys):
-        import json
-
         config = {
             "name": "cli-config",
             "params": {"policy": "complete", "objective": "area"},
@@ -314,7 +330,7 @@ class TestCliPipeline:
         }
         path = tmp_path / "flow.json"
         path.write_text(json.dumps(config))
-        assert main(["pipeline", "run", pla_file, "--config", str(path),
+        assert main(["synth", pla_file, "--config", str(path),
                      "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["pipeline"]["name"] == "cli-config"
@@ -323,9 +339,7 @@ class TestCliPipeline:
     def test_run_complete_dc_flag(self, pla_file, tmp_path, capsys):
         """A ``--config`` listing ``complete_dc`` after ``optimize`` runs
         the stage and reports it."""
-        import json
-
-        argv = ["pipeline", "run", pla_file, "--objective", "area", "--json"]
+        argv = ["synth", pla_file, "--objective", "area", "--json"]
         assert main(argv) == 0
         baseline = json.loads(capsys.readouterr().out)
         assert "complete_dc" not in baseline["pipeline"]
@@ -336,7 +350,7 @@ class TestCliPipeline:
             "stages": ["assign", "espresso", "optimize", "complete_dc",
                        "map", "tune", "measure"],
         }))
-        assert main(["pipeline", "run", pla_file, "--config", str(path),
+        assert main(["synth", pla_file, "--config", str(path),
                      "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["pipeline"]["stages_run"] == 7
@@ -380,11 +394,23 @@ class TestCliExtensions:
         text = open(out_v).read()
         assert "module" in text and "endmodule" in text
 
+    def test_synth_verilog_without_netlist_is_a_usage_error(
+        self, pla_file, tmp_path, capsys
+    ):
+        verilog = tmp_path / "out.v"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["synth", pla_file, "--stop-after", "espresso",
+                  "--verilog", str(verilog)])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert "argument --verilog: no stage of this run produces a " \
+            "netlist" in captured.err
+        assert captured.out == ""
+        assert not verilog.exists()
+
     def test_synth_verilog_comes_from_the_one_flow_run(
         self, pla_file, tmp_path, capsys
     ):
-        import json
-
         metrics = tmp_path / "metrics.json"
         assert main(["synth", pla_file, "--policy", "cfactor",
                      "--objective", "area", "--verilog",

@@ -9,6 +9,12 @@ from repro.obs.manifest import MANIFEST_SCHEMA_VERSION, git_revision
 from repro.obs.validate import main as validate_main, validate_file
 
 
+def _write_bare_manifest(manifest, path):
+    """Write *manifest* alone, as earlier releases wrote manifest files."""
+    path.write_text(json.dumps(manifest.to_dict(), indent=2, sort_keys=True,
+                               default=str) + "\n")
+
+
 class TestManifest:
     def test_collect_fills_environment(self):
         manifest = collect_manifest(
@@ -32,7 +38,7 @@ class TestManifest:
         manifest.duration_seconds = 0.5
         manifest.exit_status = 0
         path = tmp_path / "manifest.json"
-        manifest.write(path)
+        _write_bare_manifest(manifest, path)
         data = json.loads(path.read_text())
         assert validate_manifest(data) == []
 
@@ -53,13 +59,11 @@ class TestObsSession:
     def test_session_writes_all_artifacts(self, tmp_path):
         trace_path = tmp_path / "t.jsonl"
         metrics_path = tmp_path / "m.json"
-        manifest_path = tmp_path / "r.json"
         session = ObsSession(
             "demo",
             parameters={"k": 1},
             trace_path=str(trace_path),
             metrics_path=str(metrics_path),
-            manifest_path=str(manifest_path),
         )
         from repro.obs import span
 
@@ -69,19 +73,18 @@ class TestObsSession:
             session.exit_status = 0
         assert validate_file(trace_path) == []
         assert validate_file(metrics_path) == []
-        assert validate_file(manifest_path) == []
         document = json.loads(metrics_path.read_text())
         assert document["manifest"]["command"] == "demo"
         assert document["manifest"]["exit_status"] == 0
         assert document["manifest"]["duration_seconds"] >= 0
 
     def test_session_writes_on_failure(self, tmp_path):
-        manifest_path = tmp_path / "fail.json"
-        session = ObsSession("demo", manifest_path=str(manifest_path))
+        metrics_path = tmp_path / "fail.json"
+        session = ObsSession("demo", metrics_path=str(metrics_path))
         with pytest.raises(RuntimeError):
             with session:
                 raise RuntimeError("boom")
-        data = json.loads(manifest_path.read_text())
+        data = json.loads(metrics_path.read_text())["manifest"]
         assert data["exit_status"] == 1
 
     def test_progress_reporter_only_when_enabled(self):
@@ -95,7 +98,7 @@ class TestObsSession:
 class TestValidateCli:
     def test_main_ok_and_failure_paths(self, tmp_path, capsys):
         good = tmp_path / "manifest.json"
-        collect_manifest("x").write(good)
+        _write_bare_manifest(collect_manifest("x"), good)
         assert validate_main([str(good)]) == 0
         bad = tmp_path / "bad.json"
         bad.write_text("{}")

@@ -130,16 +130,18 @@ class TestCompareAndRegressions:
         with _store() as store:
             _seed_run(store, "20260101T000000-aaaa0001")
             _seed_run(store, "20260102T000000-bbbb0002")
-        assert main(["obs", "compare", "20260101T000000-aaaa0001",
-                     "20260102T000000-bbbb0002"]) == 0
+        assert main(["obs", "regressions",
+                     "--baseline", "20260101T000000-aaaa0001",
+                     "--candidate", "20260102T000000-bbbb0002"]) == 0
         assert "no regressions" in capsys.readouterr().out
 
     def test_seeded_slowdown_fails_with_named_metric(self, capsys):
         with _store() as store:
             _seed_run(store, "20260101T000000-aaaa0001", duration=1.0)
             _seed_run(store, "20260102T000000-bbbb0002", duration=1.3)
-        assert main(["obs", "compare", "20260101T000000-aaaa0001",
-                     "20260102T000000-bbbb0002"]) == 1
+        assert main(["obs", "regressions",
+                     "--baseline", "20260101T000000-aaaa0001",
+                     "--candidate", "20260102T000000-bbbb0002"]) == 1
         out = capsys.readouterr().out
         assert "duration_seconds" in out
         assert "REGRESSIONS" in out
@@ -173,8 +175,9 @@ class TestCompareAndRegressions:
         with _store() as store:
             _seed_run(store, "20260101T000000-aaaa0001", duration=1.0)
             _seed_run(store, "20260102T000000-bbbb0002", duration=1.3)
-        assert main(["obs", "compare", "20260101T000000-aaaa0001",
-                     "20260102T000000-bbbb0002",
+        assert main(["obs", "regressions",
+                     "--baseline", "20260101T000000-aaaa0001",
+                     "--candidate", "20260102T000000-bbbb0002",
                      "--wall-tolerance", "0.5"]) == 0
 
     def test_json_output(self, capsys):
@@ -229,12 +232,12 @@ class TestInterruptedRuns:
         )
 
     def test_sigterm_flushes_partial_telemetry(self, tmp_path):
-        manifest_out = tmp_path / "victim-manifest.json"
+        metrics_out = tmp_path / "victim-metrics.json"
         proc = self._run_script(
             "import os, signal, time\n"
             "from repro.obs.session import ObsSession\n"
             "session = ObsSession('victim', argv=[],\n"
-            f"                     manifest_path={str(manifest_out)!r})\n"
+            f"                     metrics_path={str(metrics_out)!r})\n"
             "with session:\n"
             "    os.kill(os.getpid(), signal.SIGTERM)\n"
             "    time.sleep(30)\n",
@@ -245,7 +248,7 @@ class TestInterruptedRuns:
             records = store.runs(command="victim")
             assert len(records) == 1
             assert records[0].interrupted
-        manifest = json.loads(manifest_out.read_text())
+        manifest = json.loads(metrics_out.read_text())["manifest"]
         assert manifest["command"] == "victim"
 
     def test_atexit_flushes_unclosed_session(self, tmp_path):

@@ -100,12 +100,6 @@ class TestRecordAndRead:
         lines = [json.loads(line) for line in out.read_text().splitlines()]
         assert {line["command"] for line in lines} == {"sweep", "synth"}
 
-    def test_describe(self, store):
-        _record(store)
-        info = store.describe()
-        assert info["runs"] == 1
-        assert info["schema_version"] == LEDGER_SCHEMA_VERSION
-
 
 class TestRecovery:
     def test_corrupt_file_moved_aside(self, tmp_path):
@@ -228,7 +222,8 @@ class TestOlderLedger:
         monkeypatch.setenv("REPRO_LEDGER_PATH", str(path))
         assert main(["obs", "show", old_id]) == 0
         assert old_id in capsys.readouterr().out
-        assert main(["obs", "compare", old_id, new_id]) == 0
+        assert main(["obs", "regressions", "--baseline", old_id,
+                     "--candidate", new_id]) == 0
         assert "no regressions" in capsys.readouterr().out
 
         assert validate_pool_metrics(
