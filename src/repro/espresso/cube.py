@@ -30,6 +30,16 @@ whole-word bitwise operations (see :func:`pack_cubes`):
 
 :class:`Cover` computes and caches the packed arrays lazily; covers are
 immutable by convention, so the cache never goes stale.
+
+Column bitsets
+--------------
+
+The complement recursion and EXPAND read a cover the other way round:
+per variable, which *rows* bind it to 0 and which to 1, each set held in
+one Python int (see :func:`column_bitsets`, cached as
+:attr:`Cover.bitsets`).  A row subset is then an int, restricting a
+column to it is one AND and counting a literal is ``int.bit_count()``,
+at any row count and any width.
 """
 
 from __future__ import annotations
@@ -125,6 +135,36 @@ def pack_minterm(minterm: int, num_inputs: int) -> np.ndarray:
     return out
 
 
+def column_bitsets(cubes: np.ndarray) -> tuple[list[int], list[int]]:
+    """Per-column row bitsets of a cube array, as Python ints.
+
+    Returns:
+        ``(zeros, ones)``: for each column ``j``, an int whose bit ``r`` is
+        set iff row ``r`` binds variable ``j`` to 0 (``zeros[j]``) or to 1
+        (``ones[j]``).  Python ints are unbounded, so one form serves every
+        row count; a row subset is an int and restricting a column to it is
+        one AND.
+    """
+    columns = np.ascontiguousarray(cubes.T)
+    width = (cubes.shape[0] + 7) // 8
+
+    def as_ints(bits: np.ndarray) -> list[int]:
+        data = np.packbits(bits, axis=1, bitorder="little").tobytes()
+        return [int.from_bytes(data[j * width : (j + 1) * width], "little")
+                for j in range(len(bits))]
+
+    return as_ints(columns == V0), as_ints(columns == V1)
+
+
+def int_bits(values: list[int], width: int) -> np.ndarray:
+    """Boolean array of shape ``(len(values), width)``: entry ``[i, b]`` is
+    bit ``b`` of the non-negative int ``values[i]``."""
+    size = max(1, (width + 7) // 8)
+    data = b"".join(value.to_bytes(size, "little") for value in values)
+    rows = np.frombuffer(data, dtype=np.uint8).reshape(len(values), size)
+    return np.unpackbits(rows, axis=1, count=width, bitorder="little").astype(bool)
+
+
 def _pack_cube(cube: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Packed ``(mask, value)`` word vectors of a single cube row."""
     masks, values = pack_cubes(cube.reshape(1, -1))
@@ -203,6 +243,7 @@ class Cover:
         "num_inputs",
         "_masks",
         "_values",
+        "_bitsets",
         "_table",
         "_literals",
         "_gather",
@@ -221,6 +262,7 @@ class Cover:
         self.num_inputs = num_inputs
         self._masks: np.ndarray | None = None
         self._values: np.ndarray | None = None
+        self._bitsets: tuple[list[int], list[int]] | None = None
         self._table: np.ndarray | None = None
         self._literals: tuple[tuple[tuple[int, bool], ...], ...] | None = None
         self._gather: np.ndarray | None = None
@@ -234,6 +276,14 @@ class Cover:
         if self._masks is None:
             self._masks, self._values = pack_cubes(self.cubes)
         return self._masks, self._values
+
+    @property
+    def bitsets(self) -> tuple[list[int], list[int]]:
+        """Cached per-column row bitsets ``(zeros, ones)`` of the cubes (see
+        :func:`column_bitsets`); EXPAND reads the off-set's in every pass."""
+        if self._bitsets is None:
+            self._bitsets = column_bitsets(self.cubes)
+        return self._bitsets
 
     def table(self) -> np.ndarray:
         """Cached read-only dense truth table (see :meth:`evaluate`).
@@ -311,7 +361,9 @@ class Cover:
         Raises:
             ValueError: if any minterm index is negative or ``>= 2**n``.
         """
-        minterms = np.asarray(list(minterms), dtype=np.int64)
+        if not isinstance(minterms, np.ndarray):
+            minterms = list(minterms)
+        minterms = np.asarray(minterms, dtype=np.int64)
         if minterms.size:
             lo, hi = int(minterms.min()), int(minterms.max())
             if lo < 0 or hi >= (1 << num_inputs):
@@ -320,10 +372,8 @@ class Cover:
                     f"minterm {bad} out of range for {num_inputs} inputs "
                     f"(expected 0 <= m < {1 << num_inputs})"
                 )
-        cubes = np.zeros((len(minterms), num_inputs), dtype=np.uint8)
-        for j in range(num_inputs):
-            cubes[:, j] = (minterms >> j) & 1
-        return cls(cubes, num_inputs)
+        cubes = (minterms[:, None] >> np.arange(num_inputs)) & 1
+        return cls(cubes.astype(np.uint8), num_inputs)
 
     @classmethod
     def from_strings(cls, strings: list[str]) -> "Cover":

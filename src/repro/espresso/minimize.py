@@ -52,10 +52,9 @@ def _last_gasp(cover: Cover, dont_care: Cover, off: Cover) -> Cover:
     # kernel: candidate b and off-cube r conflict iff some word of
     # (value_b ^ value_r) & mask_b & mask_r is non-zero.
     extra: list[np.ndarray] = []
-    off_rows = off.cubes
     super_masks, super_values = pack_cubes(supercubes)
     off_masks, off_values = off.packed
-    chunk = max(1, 2_000_000 // max(1, off_rows.shape[0] * super_masks.shape[1]))
+    chunk = max(1, 2_000_000 // max(1, off.num_cubes * super_masks.shape[1]))
     for start in range(0, supercubes.shape[0], chunk):
         block = slice(start, start + chunk)
         conflict = (
@@ -65,7 +64,7 @@ def _last_gasp(cover: Cover, dont_care: Cover, off: Cover) -> Cover:
         ).any(axis=2)
         valid = conflict.all(axis=1)
         for row in supercubes[block][valid]:
-            extra.append(_expand_cube(row, off_rows))
+            extra.append(_expand_cube(row, off))
     if not extra:
         return cover
     widened = Cover(np.vstack([cover.cubes] + extra), cover.num_inputs)

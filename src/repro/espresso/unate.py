@@ -10,14 +10,16 @@ variable, with unate shortcuts at the leaves:
   De Morgan.
 
 Small subproblems (few active variables) fall through to dense truth-table
-evaluation, which is both simple and fast at this scale.
+evaluation, which is both simple and fast at this scale.  The complement
+recursion runs on per-column row bitsets (:func:`~repro.espresso.cube.column_bitsets`)
+rather than on cube arrays.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .cube import FREE, V0, V1, Cover
+from .cube import FREE, V0, V1, Cover, column_bitsets, int_bits
 
 __all__ = ["is_tautology", "complement", "cover_contains_cube", "covers_cover"]
 
@@ -125,77 +127,125 @@ def _var_cofactor(cubes: np.ndarray, var: int, value: int) -> np.ndarray:
     return rows
 
 
-def _cube_complement(cube: np.ndarray) -> np.ndarray:
-    """De Morgan complement of a single cube (one row per bound literal)."""
-    bound = np.flatnonzero(cube != FREE)
-    rows = np.full((len(bound), len(cube)), FREE, dtype=np.uint8)
-    rows[np.arange(len(bound)), bound] = V1 - cube[bound]
-    return rows
-
-
-def _dense_complement(cubes: np.ndarray, active: np.ndarray) -> np.ndarray:
-    """Complement by truth-table enumeration over the active variables.
-
-    Off-minterms of the active subspace become fully bound cubes over the
-    active variables (FREE elsewhere), in minterm order.
-    """
-    off = np.flatnonzero(~_dense_covered(cubes, active))
-    rows = np.full((len(off), cubes.shape[1]), FREE, dtype=np.uint8)
-    rows[:, active] = (off[:, None] >> np.arange(len(active))) & 1
-    return rows
-
-
-def _merge_shannon(var: int, comp0: np.ndarray, comp1: np.ndarray) -> np.ndarray:
-    """Assemble ``x'·comp0 + x·comp1``, merging cubes equal up to *var*.
-
-    Rows keep the order of their first occurrence in ``comp0`` then
-    ``comp1``; a row found in both halves no longer depends on *var*.
-    """
-    rows = np.vstack([comp0, comp1])
-    if rows.shape[0] == 0:
-        return rows
-    keys = rows.view(np.dtype((np.void, rows.shape[1]))).ravel()
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    split = comp0.shape[0]
-    in0 = np.zeros(len(first), dtype=bool)
-    in0[inverse[:split]] = True
-    in1 = np.zeros(len(first), dtype=bool)
-    in1[inverse[split:]] = True
-    order = np.argsort(first)
-    merged = rows[first[order]]
-    merged[:, var] = np.where(in1, np.where(in0, FREE, V1), V0)[order]
-    return merged
-
-
 def complement(cover: Cover) -> Cover:
     """The complement of *cover* as a new cover."""
     return Cover(_complement(cover.cubes, cover.num_inputs), cover.num_inputs)
 
 
 def _complement(cubes: np.ndarray, num_vars: int) -> np.ndarray:
+    """Complement of a cube array, as a cube array.
+
+    The recursion works on per-column row bitsets (see
+    :func:`~repro.espresso.cube.column_bitsets`): a subproblem is an int of
+    live rows, a per-variable count is one AND and a popcount, and a
+    cofactor is one AND.  Result cubes are ints too, bit ``j`` set when
+    variable ``j`` is bound and bit ``num_vars + j`` when it is bound to 1,
+    so the Shannon merge is a set lookup.  The decisions (shortcuts, leaf
+    size, split variable, merge order) are fixed: EXPAND reads the
+    returned rows in order.
+    """
     if cubes.shape[0] == 0:
         return np.full((1, num_vars), FREE, dtype=np.uint8)
-    bound = cubes != FREE
-    if not bound.any(axis=1).all():
+    zeros, ones = column_bitsets(cubes)
+    codes = _complement_rows((1 << cubes.shape[0]) - 1, range(num_vars),
+                             zeros, ones, num_vars)
+    if not codes:
         return np.empty((0, num_vars), dtype=np.uint8)
-    if cubes.shape[0] == 1:
-        return _cube_complement(cubes[0])
-    count_bound = bound.sum(axis=0)
-    active = np.flatnonzero(count_bound)
-    if len(active) <= _COMPLEMENT_LEAF_VARS:
-        return _dense_complement(cubes, active)
-    count1 = (cubes == V1).sum(axis=0)
-    var = _most_binate_var(count_bound - count1, count1)
-    if var is None:
-        # Unate cover: split about the most frequently bound variable.
-        var = int(np.argmax(count_bound))
-    column = cubes[:, var]
-    halves = []
-    for value in (V0, V1):
-        rows = cubes[~bound[:, var] | (column == value)]
-        rows[:, var] = FREE
-        halves.append(_complement(rows, num_vars))
-    return _merge_shannon(var, *halves)
+    bits = int_bits(codes, 2 * num_vars)
+    return np.where(bits[:, :num_vars], bits[:, num_vars:], FREE).astype(np.uint8)
+
+
+def _complement_rows(alive: int, columns, zeros: list[int], ones: list[int],
+                     num_vars: int) -> list[int]:
+    """Cube codes of the complement of the rows in *alive*.
+
+    Args:
+        alive: bitset of the subproblem's rows.
+        columns: ascending variables not yet split on.
+        zeros, ones: per variable, the rows bound to 0 and to 1.
+        num_vars: offset of the value bits in a cube code.
+    """
+    if not alive:
+        return [0]
+    live = []  # (variable, its rows bound to 0, its rows bound to 1)
+    seen = 0
+    for j in columns:
+        c0 = zeros[j] & alive
+        c1 = ones[j] & alive
+        if c0 or c1:
+            live.append((j, c0, c1))
+            seen |= c0 | c1
+    if seen != alive:
+        return []  # some row binds no live variable: a tautology
+    if not alive & (alive - 1):
+        # One cube: De Morgan, one cube per bound literal in variable order.
+        return [(1 << j) | (1 << (num_vars + j) if c0 else 0) for j, c0, _ in live]
+    if len(live) <= _COMPLEMENT_LEAF_VARS:
+        return _leaf_complement(alive, live, num_vars)
+    var, best = -1, -1
+    for j, c0, c1 in live:
+        if c0 and c1:
+            n0, n1 = c0.bit_count(), c1.bit_count()
+            score = (n0 if n0 < n1 else n1) + n0 + n1
+            if score > best:
+                var, best = j, score
+    if var < 0:
+        # Unate cover: split about the first most frequently bound variable.
+        for j, c0, c1 in live:
+            score = (c0 | c1).bit_count()
+            if score > best:
+                var, best = j, score
+    rest = [j for j, _, _ in live if j != var]
+    comp0 = _complement_rows(alive & ~ones[var], rest, zeros, ones, num_vars)
+    comp1 = _complement_rows(alive & ~zeros[var], rest, zeros, ones, num_vars)
+    # x'*comp0 + x*comp1: rows keep their first-occurrence order, and a row
+    # found in both halves no longer depends on x.
+    bit0 = 1 << var
+    bit1 = bit0 | (1 << (num_vars + var))
+    in0 = set(comp0)
+    in1 = set(comp1)
+    merged = [code if code in in1 else code | bit0 for code in comp0]
+    merged += [code | bit1 for code in comp1 if code not in in0]
+    return merged
+
+
+def _leaf_complement(alive: int, live: list[tuple[int, int, int]],
+                     num_vars: int) -> list[int]:
+    """Off-minterms of a subproblem over at most six live variables.
+
+    Emitted in minterm order, bit ``p`` of the minterm being the value of
+    ``live[p]``'s variable, as fully bound cubes over the live variables.
+    The minterm splits into a low half (the first three variables) and a
+    high half; each half tabulates, per assignment, the rows it does not
+    contradict and its value bits, and a minterm is off when no row
+    survives both halves.
+    """
+    mask = 0
+    for j, _, _ in live:
+        mask |= 1 << j
+    low_rows, low_codes = _half_table(live[:3], alive, num_vars)
+    high_rows, high_codes = _half_table(live[3:], alive, num_vars)
+    return [
+        mask | high_code | low_code
+        for high, high_code in zip(high_rows, high_codes)
+        for low, low_code in zip(low_rows, low_codes)
+        if not high & low
+    ]
+
+
+def _half_table(live: list[tuple[int, int, int]], alive: int,
+                num_vars: int) -> tuple[list[int], list[int]]:
+    """Per assignment of *live*'s variables (bit ``p`` = value of the
+    ``p``-th): the rows of *alive* it does not contradict, and its value
+    bits."""
+    table = [alive]
+    codes = [0]
+    for j, c0, c1 in live:
+        not_one, not_zero = alive ^ c1, alive ^ c0
+        value = 1 << (num_vars + j)
+        table = [row & not_one for row in table] + [row & not_zero for row in table]
+        codes = codes + [code | value for code in codes]
+    return table, codes
 
 
 def cover_contains_cube(cover: Cover, cube: np.ndarray) -> bool:

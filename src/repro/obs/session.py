@@ -62,6 +62,20 @@ def stage_timings_from_metrics(metrics: dict[str, Any]) -> dict[str, Any]:
     return timings
 
 
+def _exit_status(exc: object) -> int:
+    """The status the interpreter exits with when *exc* escapes ``main``.
+
+    A ``SystemExit`` carries it as ``code``: ``None`` is 0, an int is
+    itself, anything else (a message) is 1.  Any other exception is 1.
+    """
+    if isinstance(exc, SystemExit):
+        if exc.code is None:
+            return 0
+        if isinstance(exc.code, int):
+            return int(exc.code)
+    return 1
+
+
 class ObsSession:
     """One command's tracing/metrics/manifest/profile/ledger lifecycle."""
 
@@ -183,7 +197,7 @@ class ObsSession:
         for reporter in self._reporters:
             reporter.finish()
         if self.exit_status is None and exc_type is not None:
-            self.exit_status = 1
+            self.exit_status = _exit_status(exc)
         self._collect()
         self._write_outputs()
         self._record_ledger(interrupted=False)

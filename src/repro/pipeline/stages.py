@@ -198,8 +198,9 @@ class CompleteDcStage:
     settings are the defaults of
     :func:`~repro.synth.flexibility.reassign_complete_dcs`, with the
     simulation seeded by 0.  Primary outputs are verified unchanged
-    (packed compare per rewrite plus a final SAT miter), so every
-    downstream artefact stays functionally identical.
+    (exhaustive packed compare per rewrite up to 20 inputs, one final
+    SAT miter above that), so every downstream artefact stays
+    functionally identical.
 
     Emits ``sat.*`` / ``complete_dc.*`` counters (queries,
     confirmations, refutations, fallbacks, per-stage DC deltas against

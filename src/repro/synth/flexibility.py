@@ -560,9 +560,11 @@ def reassign_complete_dcs(
     counters.  Nodes with more than 10 fanins are skipped (counted in
     ``complete_dc.wide_nodes_skipped``).
 
-    Primary outputs are verified unchanged after every rewrite (packed
-    compare when the PI space is enumerable) and once more at the end
-    with a SAT miter against a pristine copy.
+    Primary outputs are verified unchanged.  Up to
+    ``_FULL_SIM_MAX_PIS`` (20) primary inputs, every rewrite is checked
+    by an exhaustive packed compare against the original outputs and no
+    miter runs; above it, one SAT miter against a pristine copy checks
+    the finished network.
 
     Args:
         network: network to rewrite (mutated).

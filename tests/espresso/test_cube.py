@@ -53,6 +53,22 @@ class TestCoverConstruction:
         cover = Cover.from_minterms(3, [0, 5])
         assert cover.cube_strings() == ["000", "101"]
 
+    def test_from_minterms_accepts_arrays_and_iterables(self):
+        want = ["000", "110", "011"]
+        for minterms in (
+            np.array([0, 3, 6], dtype=np.int64),
+            np.array([0, 3, 6], dtype=np.uint8),
+            range(0, 8, 3),
+            {0, 3, 6},
+        ):
+            assert Cover.from_minterms(3, minterms).cube_strings() == want
+        assert Cover.from_minterms(3, np.array([], dtype=np.int64)).num_cubes == 0
+
+    def test_from_minterms_range_check(self):
+        for minterms in (np.array([1, 8]), np.array([-1, 2]), [8], iter([-1])):
+            with pytest.raises(ValueError, match="out of range for 3 inputs"):
+                Cover.from_minterms(3, minterms)
+
     def test_from_strings_validation(self):
         with pytest.raises(ValueError, match="width"):
             Cover.from_strings(["01", "011"])

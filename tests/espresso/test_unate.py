@@ -241,6 +241,24 @@ class TestComplementMatchesReference:
         for cubes in cases:
             assert np.array_equal(_complement(cubes, n), ref_complement(cubes, n))
 
+    @pytest.mark.parametrize("n", [31, 32, 63, 64, 65, 70])
+    def test_wide_covers_match_reference(self, n):
+        """Variables at and beyond 31, 32, 63 and 64 bits.  Literals come
+        from a pool of at most 14 variables, so the reference stays fast."""
+        rng = np.random.default_rng(n)
+        edges = [j for j in (0, 30, 31, 32, 62, 63, 64, n - 1) if j < n]
+        for _ in range(25):
+            pool = np.union1d(edges, rng.choice(n, size=6, replace=False))
+            k = int(rng.integers(2, 13))
+            cubes = np.full((k, n), FREE, dtype=np.uint8)
+            for row in cubes:
+                size = int(rng.integers(1, min(10, len(pool)) + 1))
+                columns = rng.choice(pool, size=size, replace=False)
+                row[columns] = rng.integers(0, 2, size=size)
+            want = ref_complement(cubes, n)
+            assert np.array_equal(_complement(cubes, n), want)
+            assert np.array_equal(_complement(cubes[:1], n), ref_complement(cubes[:1], n))
+
 
 class TestContainment:
     def test_cover_contains_cube(self):

@@ -63,6 +63,25 @@ class TestLedgerRecording:
         with _store() as store:
             assert store.run_count() == 1
 
+    def test_usage_error_records_exit_status_2(self, capsys):
+        with pytest.raises(SystemExit) as raised:
+            main(["synth", "bench", "--stop-after", "teleport"])
+        assert raised.value.code == 2
+        capsys.readouterr()
+        with _store() as store:
+            (record,) = store.runs()
+        assert record.command == "synth"
+        assert record.exit_status == 2
+
+    def test_message_exit_records_exit_status_1(self, capsys):
+        with pytest.raises(SystemExit) as raised:
+            main(["synth", "no-such-benchmark"])
+        assert str(raised.value.code).startswith("unknown benchmark")
+        capsys.readouterr()
+        with _store() as store:
+            (record,) = store.runs()
+        assert record.exit_status == 1
+
     def test_disable_env(self, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_LEDGER_DISABLE", "1")
         assert main(["synth", "bench"]) == 0
