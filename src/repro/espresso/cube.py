@@ -252,7 +252,9 @@ class Cover:
 
     def __init__(self, cubes: np.ndarray, num_inputs: int):
         arr = np.asarray(cubes, dtype=np.uint8)
-        if arr.size == 0:
+        if arr.size == 0 and arr.ndim != 2:
+            # A flat empty sequence means no cubes; a (k, 0) array keeps
+            # its k all-FREE cubes over no inputs (the constant 1).
             arr = arr.reshape(0, num_inputs)
         if arr.ndim != 2 or arr.shape[1] != num_inputs:
             raise ValueError(f"cube array shape {arr.shape} != (*, {num_inputs})")

@@ -272,7 +272,7 @@ class TuneStage:
         validate_objective(objective)
         if objective == "delay":
             with span("synth.upsize_critical"):
-                upsize_critical(netlist, max_rounds=25)
+                upsize_critical(netlist)
         ctx.set("netlist", netlist)
 
 

@@ -9,23 +9,25 @@ final nodes happens later, during subject-graph construction.
 
 Both loops are incremental.  One extraction adds one node and rewrites
 only the divisor's users, so each call keeps the algebraic view of every
-node (cube set, literal set, kernels, candidate values) across iterations
-and recomputes it only for the nodes a step rewrote or added.  The greedy
-choices, their tie-breaks and the node names are exactly those of
-rebuilding everything per iteration.
+node (cube set, literal counts, kernels, candidate values) across
+iterations and recomputes it only for the cubes a step rewrote or added.
+A rewritten node's fanins and cover are written once, when the loop ends.
+The greedy choices, their tie-breaks and the node names are exactly those
+of rebuilding everything per iteration.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import Counter, defaultdict
+from collections.abc import Iterable, Iterator
+from itertools import chain, combinations
 
 from .kernels import (
     CubeSet,
     Literal,
     algebraic_divide,
     cover_to_cubes,
-    cube_key,
     cube_set_key,
     cube_set_literals,
     cubes_to_cover,
@@ -44,31 +46,26 @@ def _node_cubes(network: LogicNetwork, name: str) -> CubeSet:
     return cover_to_cubes(node.cover, node.fanins)
 
 
-def _rewrite_node(
-    network: LogicNetwork,
-    name: str,
-    quotient: CubeSet,
-    remainder: CubeSet,
-    divisor_signal: str,
-) -> CubeSet:
-    """Replace node *name* with ``quotient * divisor_signal + remainder``.
-
-    Returns:
-        The node's new cube set.
-    """
-    new_cubes = frozenset(
+def _rewrite_node(quotient: CubeSet, remainder: CubeSet, divisor_signal: str) -> CubeSet:
+    """The cube set ``quotient * divisor_signal + remainder``."""
+    return frozenset(
         {cube | {(divisor_signal, True)} for cube in quotient} | set(remainder)
     )
-    signals = sorted({literal[0] for cube in new_cubes for literal in cube})
-    cover = cubes_to_cover(new_cubes, signals)
-    node = network.nodes[name]
-    node.fanins = signals
-    node.cover = cover
+
+
+def _write_nodes(network: LogicNetwork, nodes: _AlgebraicNodes, names: Iterable[str]) -> None:
+    """Give each node of *names*, in network order, the fanins and cover of
+    its cube set."""
+    for name in sorted(names, key=nodes.position.__getitem__):
+        cubes = nodes.cubes[name]
+        signals = sorted({literal[0] for cube in cubes for literal in cube})
+        node = network.nodes[name]
+        node.fanins = signals
+        node.cover = cubes_to_cover(cubes, signals)
     # Direct fanin rewrite: the cached topological order / fanout map are
     # stale now (add_node/set_output invalidate automatically, this does
     # not go through them).
     network.invalidate_structure_caches()
-    return new_cubes
 
 
 def _install_divisor(network: LogicNetwork, divisor: CubeSet, stem: str) -> str:
@@ -82,28 +79,38 @@ def _install_divisor(network: LogicNetwork, divisor: CubeSet, stem: str) -> str:
 class _AlgebraicNodes:
     """The network's nodes as cube sets, kept in step with the rewrites.
 
-    ``cubes[name]`` is a node's cube set and ``literals[name]`` its literal
-    set; ``readers[literal]`` holds the nodes whose literal set contains
+    ``cubes[name]`` is a node's cube set, ``counts[name]`` the number of
+    its cubes holding each literal and ``literals[name]`` its literal set;
+    ``readers[literal]`` holds the nodes whose literal set contains
     *literal*, and ``position[name]`` a node's place in network order.
     """
 
     def __init__(self, network: LogicNetwork):
         self.cubes: dict[str, CubeSet] = {}
+        self.counts: dict[str, Counter] = {}
         self.literals: dict[str, frozenset] = {}
         self.position: dict[str, int] = {}
         self.readers: defaultdict[Literal, set[str]] = defaultdict(set)
         for name in network.nodes:
             self.update(name, _node_cubes(network, name))
 
-    def update(self, name: str, cubes: CubeSet) -> tuple[CubeSet, frozenset]:
+    def update(self, name: str, cubes: CubeSet) -> tuple[CubeSet, CubeSet, frozenset]:
         """Record *cubes* as node *name*'s expression (a new node goes last).
 
         Returns:
-            The node's previous cube set and literal set (empty if new).
+            The cubes the node lost, the cubes it gained and its previous
+            literal set (empty if new).
         """
         old_cubes = self.cubes.get(name, frozenset())
         old_literals = self.literals.get(name, frozenset())
-        literals = frozenset(literal for cube in cubes for literal in cube)
+        removed, added = old_cubes - cubes, cubes - old_cubes
+        counts = self.counts.setdefault(name, Counter())
+        counts.update(chain.from_iterable(added))
+        for literal, count in Counter(chain.from_iterable(removed)).items():
+            counts[literal] -= count
+            if not counts[literal]:
+                del counts[literal]
+        literals = frozenset(counts)
         for literal in old_literals - literals:
             self.readers[literal].discard(name)
         for literal in literals - old_literals:
@@ -111,7 +118,7 @@ class _AlgebraicNodes:
         self.position.setdefault(name, len(self.position))
         self.cubes[name] = cubes
         self.literals[name] = literals
-        return old_cubes, old_literals
+        return removed, added, old_literals
 
     def covering(self, literals) -> list[str]:
         """Nodes whose literal set contains every one of the (non-empty)
@@ -204,6 +211,7 @@ def extract_kernels(network: LogicNetwork) -> int:
 
     for name in network.nodes:
         refresh(name, frozenset())
+    rewritten: set[str] = set()
     created = 0
     for _ in range(_MAX_EXTRACTIONS):
         if not rank:
@@ -221,15 +229,17 @@ def extract_kernels(network: LogicNetwork) -> int:
         _, uses, _ = tried[best_kernel]
         divisor_signal = _install_divisor(network, best_kernel, "k")
         changed = [(divisor_signal, best_kernel)] + [
-            (name, _rewrite_node(network, name, quotient, remainder, divisor_signal))
+            (name, _rewrite_node(quotient, remainder, divisor_signal))
             for name, (quotient, remainder, _) in sorted(
                 uses.items(), key=lambda item: nodes.position[item[0]]
             )
         ]
+        rewritten.update(uses)
         for name, cubes in changed:
-            _, old_literals = nodes.update(name, cubes)
+            _, _, old_literals = nodes.update(name, cubes)
             refresh(name, old_literals)
         created += 1
+    _write_nodes(network, nodes, rewritten)
     return created
 
 
@@ -243,22 +253,23 @@ def extract_cubes(network: LogicNetwork) -> int:
         Number of divisor nodes created.
     """
     nodes = _AlgebraicNodes(network)
-    counts: Counter = Counter()
-    for cubes in nodes.cubes.values():
-        _count_pairs(counts, cubes, 1)
+    counts = Counter(_pairs(chain.from_iterable(nodes.cubes.values())))
+    # Extracting a 2-literal cube saves one literal per occurrence beyond
+    # the new node's own two literals: the most frequent pair wins if it
+    # occurs more than twice, ties going to the smallest cube_key, which
+    # is the pair itself.  The heap holds (-count, pair) for every pair
+    # counted more than twice, pushed again whenever its count moves;
+    # entries whose count has moved on are stale and dropped at the top.
+    heap = [(-count, pair) for pair, count in counts.items() if count > 2]
+    heapq.heapify(heap)
+    rewritten: set[str] = set()
     created = 0
     for _ in range(_MAX_EXTRACTIONS):
-        # Extracting a 2-literal cube saves one literal per occurrence
-        # beyond the new node's own two literals: the most frequent pair
-        # wins if it occurs more than twice, ties going to the smallest
-        # cube_key.
-        occurrences = max(counts.values(), default=0)
-        if occurrences <= 2:
+        while heap and counts[heap[0][1]] != -heap[0][0]:
+            heapq.heappop(heap)
+        if not heap:
             break
-        best_cube = min(
-            (cube for cube, count in counts.items() if count == occurrences),
-            key=cube_key,
-        )
+        best_cube = frozenset(heap[0][1])
         divisor = frozenset({best_cube})
         users = nodes.covering(best_cube)
         divisor_signal = _install_divisor(network, divisor, "c")
@@ -266,34 +277,30 @@ def extract_cubes(network: LogicNetwork) -> int:
         for name in users:
             quotient, remainder = algebraic_divide(nodes.cubes[name], divisor)
             if quotient:
-                changed.append(
-                    (name, _rewrite_node(network, name, quotient, remainder, divisor_signal))
-                )
+                changed.append((name, _rewrite_node(quotient, remainder, divisor_signal)))
+                rewritten.add(name)
+        moved: Counter = Counter()
         for name, cubes in changed:
-            old_cubes, _ = nodes.update(name, cubes)
-            _count_pairs(counts, old_cubes - cubes, -1)
-            _count_pairs(counts, cubes - old_cubes, 1)
+            removed, added, _ = nodes.update(name, cubes)
+            moved.update(_pairs(added))
+            moved.subtract(Counter(_pairs(removed)))
+        for pair, delta in moved.items():
+            if delta:
+                count = counts[pair] + delta
+                if count:
+                    counts[pair] = count
+                else:
+                    del counts[pair]
+                if count > 2:
+                    heapq.heappush(heap, (-count, pair))
         created += 1
+    _write_nodes(network, nodes, rewritten)
     return created
 
 
-def _count_pairs(counts: Counter, cubes: CubeSet, delta: int) -> None:
-    """Add *delta* to the count of every 2-literal sub-cube of *cubes*."""
-    for cube in cubes:
-        if len(cube) >= 2:
-            for pair in _subcubes_of_size_two(cube):
-                counts[pair] += delta
-                if not counts[pair]:
-                    del counts[pair]
-
-
-def _subcubes_of_size_two(cube: frozenset) -> list[frozenset]:
-    literals = sorted(cube)
-    return [
-        frozenset({literals[i], literals[j]})
-        for i in range(len(literals))
-        for j in range(i + 1, len(literals))
-    ]
+def _pairs(cubes: Iterable[frozenset]) -> Iterator[tuple[Literal, Literal]]:
+    """Every 2-literal sub-cube of *cubes*, as its sorted literal pair."""
+    return (pair for cube in cubes for pair in combinations(sorted(cube), 2))
 
 
 def optimize_network(network: LogicNetwork) -> LogicNetwork:

@@ -49,6 +49,24 @@ class TestCoverConstruction:
         assert universe.num_cubes == 1
         assert universe.evaluate().all()
 
+    def test_zero_input_covers(self):
+        """Over no inputs a cube is the constant 1: a (k, 0) array keeps its
+        k cubes, and only a cover with no rows is the constant 0."""
+        from repro.espresso.unate import is_tautology
+        from repro.synth.kernels import cubes_to_cover
+
+        universe = Cover.universe(0)
+        assert universe.num_cubes == 1
+        assert is_tautology(universe)
+        assert universe.evaluate().tolist() == [True]
+        assert Cover.from_minterms(0, [0]).evaluate().tolist() == [True]
+        assert cubes_to_cover(frozenset({frozenset()}), []).num_cubes == 1
+        empty = Cover.empty(0)
+        assert empty.num_cubes == 0
+        assert not is_tautology(empty)
+        assert empty.evaluate().tolist() == [False]
+        assert Cover([], 3).cubes.shape == (0, 3)
+
     def test_from_minterms(self):
         cover = Cover.from_minterms(3, [0, 5])
         assert cover.cube_strings() == ["000", "101"]

@@ -1,7 +1,7 @@
 """Tests for divisor extraction and the compile facade.
 
 ``optimize_golden.json`` pins the exact networks divisor extraction
-builds on four flow inputs.  Regenerate it only for an intended change of
+builds on five flow inputs.  Regenerate it only for an intended change of
 the optimised networks (which also needs an ``OptimizeStage.version``
 bump), with ``PYTHONPATH=src python tests/synth/test_optimize_compile.py``.
 """
@@ -23,7 +23,7 @@ from repro.synth.network import LogicNetwork
 from repro.synth.optimize import extract_cubes, extract_kernels, optimize_network
 
 GOLDEN_PATH = Path(__file__).with_name("optimize_golden.json")
-GOLDEN_INPUTS = ("fout", "bench", "test4", "nodal0")
+GOLDEN_INPUTS = ("fout", "bench", "test4", "nodal0", "ex1010")
 
 
 def _golden_spec(name: str) -> FunctionSpec:
