@@ -39,26 +39,39 @@ def _cpu_seconds(run) -> float:
     return time.thread_time() - start
 
 
+_TIMING_BUDGET_S = 20.0
+"""Thread CPU seconds the timed calls of one floor may use before the
+floor is judged on the minima gathered so far."""
+
+
 def _interleaved_best_of(slow, fast, floor: float) -> tuple[float, float]:
     """Min thread CPU seconds of *slow* and *fast*, timed in pairs.
 
     Rounds of 7 pairs run with the garbage collector off, alternating
     which side goes first in each pair.  Each side keeps its minimum
-    across rounds, and up to 5 rounds run until ``slow / fast`` reaches
-    *floor*; the minima only accumulate, so a further round only adds
-    evidence.  Thread CPU time leaves out time the process spends
-    descheduled, so host load lands on neither side.
+    across rounds, and rounds run until ``slow / fast`` reaches *floor*
+    or the timed calls have used :data:`_TIMING_BUDGET_S`; the minima
+    only accumulate, so a further round only adds evidence.  Thread CPU
+    time leaves out time the process spends descheduled, but not the
+    slowdown from a co-tenant sharing the core, which costs the
+    interpreter-bound fast side more than the memory-bound slow side.
+    Such episodes last seconds, so the budget gives the minima the
+    seconds they need to reach a quiet stretch; a real shortfall stays
+    below the floor however long it is timed.
     """
     best = {slow: float("inf"), fast: float("inf")}
     sides = [fast, slow]
+    spent = 0.0
     gc.collect()
     gc.disable()
     try:
-        for _ in range(5):
+        while spent < _TIMING_BUDGET_S:
             for _ in range(7):
                 sides.reverse()
                 for side in sides:
-                    best[side] = min(best[side], _cpu_seconds(side))
+                    seconds = _cpu_seconds(side)
+                    spent += seconds
+                    best[side] = min(best[side], seconds)
             if best[slow] >= floor * best[fast]:
                 break
     finally:

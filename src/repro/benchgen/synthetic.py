@@ -36,7 +36,7 @@ import numpy as np
 from ..core.complexity import complexity_factor
 from ..core.hamming import same_phase_neighbor_counts
 from ..core.spec import FunctionSpec
-from ..core.truthtable import DC, OFF, ON
+from ..core.truthtable import DC, OFF, ON, check_dense_width
 
 __all__ = ["generate_output", "generate_spec", "care_fractions_from_expected"]
 
@@ -329,7 +329,15 @@ def generate_spec(
             evenly.
         seed: deterministic generation seed.
         tolerance: acceptable per-output ``|C^f - target|``.
+
+    Raises:
+        ValueError: on an input count outside the dense range (see
+            :func:`~repro.core.truthtable.check_dense_width`) or fewer
+            than one output.
     """
+    check_dense_width(num_inputs)
+    if num_outputs < 1:
+        raise ValueError(f"need at least one output, got {num_outputs}")
     if expected_cf is None:
         f0 = f1 = (1.0 - dc_fraction) / 2.0
     else:

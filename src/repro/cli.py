@@ -65,9 +65,11 @@ from .core.cfactor import DEFAULT_THRESHOLD
 from .core.complexity import spec_complexity_factor, spec_expected_complexity_factor
 from .core.estimates import estimate_report
 from .core.spec import FunctionSpec
+from .core.truthtable import check_dense_width
 from .flows.experiment import apply_policy, relative_metrics
 from .flows.report import format_table
 from .perf import resolve_jobs
+from .pipeline import OBJECTIVES, POLICIES
 from .pla import read_pla, write_pla
 
 __all__ = ["main"]
@@ -102,7 +104,8 @@ def _int_at_least(minimum: int):
 
     ``--points`` needs 2 (a sweep's fraction-0 baseline and fraction 1),
     ``nodal --k`` 2 and ``nodal --dc-window`` 1 (the smallest cut width
-    and window depth the extractors accept).
+    and window depth the extractors accept); ``report``'s sample count,
+    distances and burst width and ``gen --outputs`` need 1.
     """
     def parse(value: str) -> int:
         try:
@@ -120,6 +123,16 @@ def _int_at_least(minimum: int):
     return parse
 
 
+def _input_count(value: str) -> int:
+    """``gen --inputs``: an input count in the dense range (1 to 20)."""
+    number = _int_at_least(1)(value)
+    try:
+        check_dense_width(number)
+    except ValueError as error:
+        raise argparse.ArgumentTypeError(str(error)) from None
+    return number
+
+
 def _add_jobs_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--jobs", type=_jobs_arg, default="1", metavar="N|auto",
@@ -129,9 +142,21 @@ def _add_jobs_arg(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _unreadable(path: str, error: Exception) -> SystemExit:
+    """The one-line exit for an input file that cannot be used."""
+    if isinstance(error, OSError):
+        reason = error.strerror
+    else:  # a KeyError's str() is its repr; show the message itself
+        reason = error.args[0] if error.args else error
+    return SystemExit(f"{path}: {reason}")
+
+
 def _load_spec(token: str) -> FunctionSpec:
     if token.endswith(".pla"):
-        return read_pla(token)
+        try:
+            return read_pla(token)
+        except (OSError, ValueError) as error:
+            raise _unreadable(token, error) from None
     if token in benchmark_names():
         return mcnc_benchmark(token)
     raise SystemExit(
@@ -240,15 +265,22 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
     spec = _load_spec(args.benchmark)
     if args.config:
-        config = load_config(args.config)
+        try:
+            pipe = Pipeline.from_config(
+                load_config(args.config), checkpoint=args.checkpoint_dir
+            )
+        except (OSError, KeyError, ValueError) as error:
+            raise _unreadable(args.config, error) from None
     else:
-        config = default_config(
-            args.policy,
-            fraction=args.fraction,
-            threshold=args.threshold,
-            objective=args.objective,
+        pipe = Pipeline.from_config(
+            default_config(
+                args.policy,
+                fraction=args.fraction,
+                threshold=args.threshold,
+                objective=args.objective,
+            ),
+            checkpoint=args.checkpoint_dir,
         )
-    pipe = Pipeline.from_config(config, checkpoint=args.checkpoint_dir)
     stages = pipe.stages
     names = [stage.name for stage in stages]
     if args.stop_after is not None:
@@ -642,6 +674,15 @@ def _cmd_report(args: argparse.Namespace) -> int:
     from .synth.compile_ import compile_spec
 
     spec = _load_spec(args.benchmark)
+    widths = [("--distances", k) for k in args.distances]
+    if args.burst is not None:
+        widths.append(("--burst", args.burst))
+    for flag, width in widths:
+        if width > spec.num_inputs:
+            args._parser.error(
+                f"argument {flag}: {width} is wider than the "
+                f"{spec.num_inputs} inputs of {spec.name}"
+            )
     assigned, _ = apply_policy(
         spec, args.policy, fraction=args.fraction, threshold=args.threshold
     )
@@ -732,8 +773,7 @@ def _build_parser() -> argparse.ArgumentParser:
         return sub.add_parser(name, parents=[obs_parent], **kwargs)
 
     def add_policy_args(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--policy", default="conventional",
-                       choices=["conventional", "ranking", "cfactor", "complete"])
+        p.add_argument("--policy", default="conventional", choices=POLICIES)
         p.add_argument("--fraction", type=_unit_interval, default=1.0,
                        help="ranking fraction (policy=ranking)")
         p.add_argument("--threshold", type=_unit_interval,
@@ -760,8 +800,7 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="JSON pipeline config; overrides the policy/"
                               "objective flags below")
     add_policy_args(p_synth)
-    p_synth.add_argument("--objective", default="delay",
-                         choices=["delay", "power", "area"])
+    p_synth.add_argument("--objective", default="delay", choices=OBJECTIVES)
     p_synth.add_argument("--checkpoint-dir", default=None,
                          help="content-addressed stage checkpoint directory "
                               "(enables resume)")
@@ -775,8 +814,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_sweep = add_parser("sweep", help="ranking-fraction sweep")
     p_sweep.add_argument("benchmark")
-    p_sweep.add_argument("--objective", default="power",
-                         choices=["delay", "power", "area"])
+    p_sweep.add_argument("--objective", default="power", choices=OBJECTIVES)
     p_sweep.add_argument("--points", type=_int_at_least(2), default=5,
                          help="evenly spaced fractions from 0 to 1 (>= 2)")
     _add_jobs_arg(p_sweep)
@@ -850,10 +888,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "nodal", help="internal-DC extraction and reassignment (Sec. 4)"
     )
     p_nodal.add_argument("benchmark")
-    p_nodal.add_argument(
-        "--policy", default="cfactor",
-        choices=["conventional", "ranking", "cfactor", "complete"],
-    )
+    p_nodal.add_argument("--policy", default="cfactor", choices=POLICIES)
     p_nodal.add_argument("--threshold", type=_unit_interval, default=1.0)
     p_nodal.add_argument("--renode", action="store_true",
                          help="repartition into k-feasible nodes first")
@@ -871,6 +906,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_export = add_parser("export", help="write figure/table data as CSV")
     p_export.add_argument("directory")
     p_export.add_argument("--benchmarks", nargs="*", default=None,
+                          choices=benchmark_names(), metavar="NAME",
                           help="benchmark names (default: a fast subset)")
     _add_jobs_arg(p_export)
     p_export.set_defaults(func=_cmd_export)
@@ -898,26 +934,27 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_report.add_argument("benchmark")
     add_policy_args(p_report)
-    p_report.add_argument("--objective", default="area",
-                          choices=["delay", "power", "area"])
-    p_report.add_argument("--distances", type=int, nargs="*", default=[2],
-                          metavar="K",
+    p_report.add_argument("--objective", default="area", choices=OBJECTIVES)
+    p_report.add_argument("--distances", type=_int_at_least(1), nargs="*",
+                          default=[2], metavar="K",
                           help="multi-bit Hamming distances to report "
                                "(default: 2)")
-    p_report.add_argument("--burst", type=int, default=None, metavar="W",
+    p_report.add_argument("--burst", type=_int_at_least(1), default=None,
+                          metavar="W",
                           help="also report the burst model of this width")
-    p_report.add_argument("--samples", type=int, default=20_000,
+    p_report.add_argument("--samples", type=_int_at_least(1), default=20_000,
                           help="Monte-Carlo samples (default %(default)s)")
     p_report.add_argument("--seed", type=int, default=0,
                           help="Monte-Carlo seed (default %(default)s)")
     p_report.add_argument("--json", action="store_true",
                           help="machine-readable report")
-    p_report.set_defaults(func=_cmd_report)
+    p_report.set_defaults(func=_cmd_report, _parser=p_report)
 
     p_gen = add_parser("gen", help="generate a synthetic benchmark")
     p_gen.add_argument("--name", default="synthetic")
-    p_gen.add_argument("--inputs", type=int, required=True)
-    p_gen.add_argument("--outputs", type=int, required=True)
+    p_gen.add_argument("--inputs", type=_input_count, required=True,
+                       help="input count, 1 to 20")
+    p_gen.add_argument("--outputs", type=_int_at_least(1), required=True)
     p_gen.add_argument("--cf", type=_unit_interval, required=True)
     p_gen.add_argument("--dc", type=_unit_interval, required=True)
     p_gen.add_argument("--seed", type=int, default=0)

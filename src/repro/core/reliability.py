@@ -1,4 +1,4 @@
-"""Exact single-bit input-error reliability metrics (Sec. 2 and Sec. 5).
+"""Exact input-error reliability metrics (Sec. 2 and Sec. 5).
 
 Fault model
 -----------
@@ -30,6 +30,10 @@ Under these conventions the paper's decomposition holds exactly::
 
 for any completion ``g`` of the spec ``f``, which is what
 :func:`min_dc_error_count` / :func:`max_dc_error_count` optimise.
+
+One kernel, :func:`error_events`, counts every event: ``base_error_count``
+applies it to the spec itself, and the input-scope fault models of
+:mod:`repro.faults` pass it their error patterns.
 """
 
 from __future__ import annotations
@@ -54,22 +58,17 @@ __all__ = [
 
 
 def base_error_count(phases: np.ndarray) -> np.ndarray:
-    """Directed count of care–care opposite-phase neighbour pairs.
+    """The paper's ``base-error``: :func:`error_events` of the spec itself.
 
-    This is the paper's ``base-error``: twice the number of unordered
-    (on-set, off-set) 1-Hamming-distance pairs.  It is independent of any DC
-    assignment.
+    A spec's own events start on a care minterm and end on a care
+    minterm of the opposite phase, so this is twice the number of
+    unordered (on-set, off-set) 1-Hamming-distance pairs, independent of
+    any DC assignment.
 
     Returns:
         int (1-D input) or per-output int array (2-D input).
     """
-    n = num_inputs_of(phases)
-    count = np.zeros(phases.shape[:-1], dtype=np.int64)
-    for bit in range(n):
-        nb = neighbor_view(phases, bit)
-        count += np.count_nonzero((phases == ON) & (nb == OFF), axis=-1)
-        count += np.count_nonzero((phases == OFF) & (nb == ON), axis=-1)
-    return count if count.ndim else int(count)
+    return error_events(phases)
 
 
 def _dc_neighbor_minmax(phases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -137,34 +136,53 @@ def error_events(
     impl_phases: np.ndarray,
     *,
     source_mask: np.ndarray | None = None,
+    patterns: list[int] | None = None,
 ) -> np.ndarray:
     """Count directed error events of an implementation.
 
-    An event is a pair ``(x, j)`` such that ``x`` is an admissible source
-    and the implementation value changes when input ``j`` flips.  Entries of
-    *impl_phases* that are still DC never produce or absorb events (an
-    unassigned minterm is treated as matching everything, which makes the
-    count of a partial assignment a lower bound on any completion).
+    An event is a pair ``(x, e)`` such that ``x`` is an admissible source,
+    ``e`` is an error pattern, and the implementation value changes
+    between ``x`` and ``x ^ e``.  Entries of *impl_phases* that are still
+    DC never produce or absorb events (an unassigned minterm is treated
+    as matching everything, which makes the count of a partial
+    assignment a lower bound on any completion).
 
     Args:
         impl_phases: phase array of the implementation (usually fully
             specified).
         source_mask: boolean mask of admissible source minterms, same shape
             as *impl_phases* (default: the implementation's own care set).
+        patterns: error patterns as input-index XOR bitmasks, bit *j*
+            flipping input *j* (default: the *n* single-bit flips).
 
     Returns:
         int64 event counts, one per output (scalar for 1-D input).
+
+    Raises:
+        ValueError: on a source-mask shape mismatch, or on an empty
+            *patterns* list for a function with inputs (a 0-input
+            function has no pin to flip and counts 0 events).
     """
     n = num_inputs_of(impl_phases)
+    if patterns is None:
+        patterns = [1 << bit for bit in range(n)]
+    elif n and not patterns:
+        raise ValueError("at least one error pattern is required")
     if source_mask is None:
         source_mask = impl_phases != DC
     if source_mask.shape != impl_phases.shape:
         raise ValueError("source mask shape mismatch")
+    on_sources = (impl_phases == ON) & source_mask
+    off_sources = (impl_phases == OFF) & source_mask
+    idx = np.arange(impl_phases.shape[-1])
     count = np.zeros(impl_phases.shape[:-1], dtype=np.int64)
-    for bit in range(n):
-        nb = neighbor_view(impl_phases, bit)
-        flips = ((impl_phases == ON) & (nb == OFF)) | ((impl_phases == OFF) & (nb == ON))
-        count += np.count_nonzero(flips & source_mask, axis=-1)
+    for error in map(int, patterns):
+        if error.bit_count() == 1:  # a reshape beats the gather
+            nb = neighbor_view(impl_phases, error.bit_length() - 1)
+        else:
+            nb = impl_phases[..., idx ^ error]
+        flips = (on_sources & (nb == OFF)) | (off_sources & (nb == ON))
+        count += np.count_nonzero(flips, axis=-1)
     return count if count.ndim else int(count)
 
 
@@ -172,18 +190,25 @@ def error_rate(
     impl: FunctionSpec,
     *,
     spec: FunctionSpec | None = None,
+    patterns: list[int] | None = None,
 ) -> float:
-    """Mean single-bit input-error rate of an implementation.
+    """Mean input-error rate of an implementation.
 
     Args:
         impl: the implemented (normally fully specified) function.
         spec: original specification whose care set defines the admissible
             error sources; defaults to *impl* itself (all-sources when
             *impl* is fully specified).
+        patterns: error patterns as input-index XOR bitmasks (default:
+            the single-bit flips); see :func:`error_events`.
 
     Returns:
-        events / (n * 2**n), averaged over outputs.
+        events / (patterns * 2**n), averaged over outputs (NaN for a
+        0-input function).
     """
     source = (spec or impl).care_mask()
-    events = np.atleast_1d(error_events(impl.phases, source_mask=source))
-    return float(np.mean(events / (impl.num_inputs * impl.num_minterms)))
+    events = np.atleast_1d(
+        error_events(impl.phases, source_mask=source, patterns=patterns)
+    )
+    count = impl.num_inputs if patterns is None else len(patterns)
+    return float(np.mean(events / (count * impl.num_minterms)))

@@ -27,6 +27,8 @@ __all__ = [
     "ON",
     "DC",
     "PHASE_NAMES",
+    "MAX_DENSE_INPUTS",
+    "check_dense_width",
     "num_inputs_of",
     "validate_phases",
     "neighbor_view",
@@ -46,6 +48,19 @@ DC: int = 2
 
 PHASE_NAMES: dict[int, str] = {OFF: "off", ON: "on", DC: "dc"}
 """Human-readable names for the phase codes."""
+
+MAX_DENSE_INPUTS: int = 20
+"""Widest spec read from a PLA file or generated (``2**20`` phases per
+output)."""
+
+
+def check_dense_width(num_inputs: int) -> None:
+    """Raise ``ValueError`` unless ``1 <= num_inputs <= MAX_DENSE_INPUTS``:
+    a read or generated spec needs an input to flip."""
+    if not 1 <= num_inputs <= MAX_DENSE_INPUTS:
+        raise ValueError(
+            f"{num_inputs} inputs outside the dense range 1..{MAX_DENSE_INPUTS}"
+        )
 
 
 def num_inputs_of(phases: np.ndarray) -> int:

@@ -4,7 +4,8 @@ See :mod:`repro.faults.base` for the :class:`FaultModel` protocol and
 the registry, :mod:`repro.faults.input_models` for the input-vector
 models (single-bit, multi-bit, burst) and :mod:`repro.faults.stuckat`
 for the internal-node models (flip, stuck-at-0/1).  Importing this
-package registers every built-in model.
+package registers every built-in model.  Every exact input-scope rate
+is counted by one kernel, :func:`repro.core.reliability.error_events`.
 """
 
 from .base import (
@@ -12,7 +13,6 @@ from .base import (
     create_fault_model,
     describe_fault_models,
     fault_model_names,
-    pattern_error_rate,
     register_fault_model,
     registered_fault_models,
 )
@@ -29,7 +29,6 @@ __all__ = [
     "create_fault_model",
     "describe_fault_models",
     "fault_model_names",
-    "pattern_error_rate",
     "register_fault_model",
     "registered_fault_models",
 ]

@@ -8,7 +8,9 @@ was hard-wired into :mod:`repro.core.reliability`,
 to the flow instead: every model answers the same two questions,
 
 * **exact enumeration** — what is the implementation's error rate when
-  every admissible (source, fault) pair is counted exhaustively?
+  every admissible (source, fault) pair is counted exhaustively?  Input
+  models answer it by handing their error patterns to the one event
+  kernel, :func:`repro.core.reliability.error_events`.
 * **packed Monte-Carlo sampling** — given a batch of packed input
   vectors, what XOR masks corrupt them the way this fault does?
 
@@ -32,15 +34,14 @@ from typing import Any, Iterable, Mapping, TypeVar
 
 import numpy as np
 
+from ..core import reliability
 from ..core.spec import FunctionSpec
-from ..core.truthtable import OFF, ON
 
 __all__ = [
     "FaultModel",
     "create_fault_model",
     "describe_fault_models",
     "fault_model_names",
-    "pattern_error_rate",
     "register_fault_model",
     "registered_fault_models",
 ]
@@ -85,7 +86,7 @@ class FaultModel:
         Input-scope models define their exact semantics here: an error
         pattern with bit *j* set flips input *j*, and the model's exact
         error rate averages propagation over every (admissible source,
-        pattern) pair — see :func:`pattern_error_rate`.
+        pattern) pair — see :func:`repro.core.reliability.error_events`.
         """
         raise NotImplementedError(f"{self.name} does not enumerate patterns")
 
@@ -107,9 +108,9 @@ class FaultModel:
             probability that a uniformly random error pattern applied to
             a uniformly random admissible vector propagates.
         """
-        self._require_scope("input")
-        return pattern_error_rate(
-            impl, list(self.patterns(impl.num_inputs)), spec=spec
+        self.require_scope("input")
+        return reliability.error_rate(
+            impl, spec=spec, patterns=list(self.patterns(impl.num_inputs))
         )
 
     def corruption_words(
@@ -154,7 +155,8 @@ class FaultModel:
 
     # -------------------------------------------------------------- plumbing
 
-    def _require_scope(self, scope: str) -> None:
+    def require_scope(self, scope: str) -> None:
+        """Raise ``ValueError`` unless this model has *scope*."""
         if self.scope != scope:
             raise ValueError(
                 f"fault model {self.name!r} has scope {self.scope!r}, "
@@ -174,36 +176,6 @@ class FaultModel:
 
     def __hash__(self) -> int:
         return hash(tuple(sorted(self.spec_dict().items())))
-
-
-def pattern_error_rate(
-    impl: FunctionSpec,
-    patterns: list[int],
-    *,
-    spec: FunctionSpec | None = None,
-) -> float:
-    """Exact error rate of *impl* over an explicit error-pattern set.
-
-    The shared enumeration kernel behind every input-scope model: for
-    each pattern (an input-index XOR bitmask) the whole truth table is
-    reindexed at once (``phases[..., idx ^ error]``), opposite-phase
-    changes landing on admissible sources are counted, and the rate is
-    ``events / (patterns * 2**n)`` averaged over outputs.
-
-    Raises:
-        ValueError: on an empty pattern set.
-    """
-    if not patterns:
-        raise ValueError("at least one error pattern is required")
-    source = (spec or impl).care_mask()
-    phases = impl.phases
-    idx = np.arange(impl.num_minterms)
-    events = np.zeros(phases.shape[:-1], dtype=np.int64)
-    for error in patterns:
-        nb = phases[..., idx ^ error]
-        flips = ((phases == ON) & (nb == OFF)) | ((phases == OFF) & (nb == ON))
-        events += np.count_nonzero(flips & source, axis=-1)
-    return float(np.mean(events / (len(patterns) * impl.num_minterms)))
 
 
 _REGISTRY: dict[str, type[FaultModel]] = {}

@@ -9,8 +9,9 @@ incremental fanout-cone engine
 fault re-evaluates only the faulted node's fanout cone, so a whole
 network sweep costs ``O(sum of cone sizes)`` node evaluations.
 
-:class:`NodeFlip` is the existing internal-error metric of
-:func:`repro.synth.odc.internal_error_rate` expressed as a fault model;
+:class:`NodeFlip` is the default fault of
+:func:`repro.synth.odc.internal_error_rate`, the nodal-decomposition
+metric;
 :class:`StuckAtNode` forces a node to a constant 0/1, which is only
 *excited* on vectors where the fault-free value differs — the packed
 constant-force evaluation handles that masking for free.
@@ -92,9 +93,8 @@ class _NodeScopeModel(FaultModel):
 class NodeFlip(_NodeScopeModel):
     """An internal node's value is complemented on every vector.
 
-    The fault model behind the nodal-decomposition metric
-    (:func:`repro.synth.odc.internal_error_rate`): its exhaustive rate
-    matches that function exactly.
+    The fault model behind the nodal-decomposition metric: the default
+    of :func:`repro.synth.odc.internal_error_rate`.
     """
 
     name = "node_flip"

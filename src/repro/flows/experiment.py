@@ -194,7 +194,7 @@ def sampled_error_rate(
 
     Args:
         netlist: the mapped implementation to measure.
-        samples: target number of admissible (vector, fault) trials
+        samples: number of (vector, fault) trials
             (see :func:`repro.core.montecarlo.estimate_error_rate`).
         rng: random generator (default: fresh, seeded 0).
     """
@@ -202,9 +202,8 @@ def sampled_error_rate(
     obs_metrics.counter("flow.mc_runs").inc()
     with span("flow.mc_error_rate", netlist=len(netlist.gates), samples=samples):
         return estimate_error_rate(
-            None,
+            packed_netlist_evaluator(netlist),
             num_inputs,
             samples=samples,
             rng=rng,
-            packed_evaluate=packed_netlist_evaluator(netlist),
         )

@@ -30,9 +30,9 @@ def error_model_report(
     approximates.
 
     Exact rows draw error sources from *source*'s care set (the paper's
-    convention).  The Monte-Carlo row samples the full vector space
-    (no source filter), which coincides with the exact convention when
-    the source spec is fully specified.
+    convention).  The Monte-Carlo row samples the full vector space,
+    which coincides with the exact convention when the source spec is
+    fully specified.
 
     Returns:
         One dict per row: ``model`` (label), ``rate``, and for sampled

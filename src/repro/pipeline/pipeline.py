@@ -247,7 +247,7 @@ def load_config(path: str | os.PathLike) -> dict[str, Any]:
     try:
         config = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: invalid JSON pipeline config: {exc}") from exc
+        raise ValueError(f"invalid JSON pipeline config: {exc}") from exc
     if not isinstance(config, dict):
-        raise ValueError(f"{path}: pipeline config must be a JSON object")
+        raise ValueError("pipeline config must be a JSON object")
     return config

@@ -14,7 +14,7 @@ defines for two-level specs):
 
 Input-plane characters are ``0``, ``1`` and ``-`` (a cube).  Cubes are
 expanded into dense phase arrays, so the parser is intended for the
-benchmark scale of the paper (functions of up to ~20 inputs).
+benchmark scale of the paper (functions of 1 to 20 inputs).
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import os
 import numpy as np
 
 from ..core.spec import FunctionSpec
-from ..core.truthtable import DC, OFF, ON
+from ..core.truthtable import DC, OFF, ON, check_dense_width
 
 __all__ = ["PlaError", "parse_pla", "read_pla"]
 
@@ -56,8 +56,9 @@ def parse_pla(text: str, *, name: str = "pla") -> FunctionSpec:
     """Parse PLA *text* into a :class:`FunctionSpec`.
 
     Raises:
-        PlaError: on syntax errors, missing ``.i``/``.o``, plane-length
-            mismatches, or on/off conflicts within the cube list.
+        PlaError: on syntax errors, missing ``.i``/``.o``, an ``.i`` outside
+            the dense range (1 to 20 inputs), plane-length mismatches, or
+            on/off conflicts within the cube list.
     """
     num_inputs: int | None = None
     num_outputs: int | None = None
@@ -105,8 +106,10 @@ def parse_pla(text: str, *, name: str = "pla") -> FunctionSpec:
 
     if num_inputs is None or num_outputs is None:
         raise PlaError("missing .i or .o directive")
-    if num_inputs > 20:
-        raise PlaError(f".i {num_inputs} too large for dense representation")
+    try:
+        check_dense_width(num_inputs)
+    except ValueError as error:
+        raise PlaError(f".i: {error}") from None
 
     size = 1 << num_inputs
     on_hit = np.zeros((num_outputs, size), dtype=bool)

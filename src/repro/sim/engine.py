@@ -10,8 +10,10 @@ nodes), and the exhaustive primary-input space is generated directly in
 the packed domain.
 
 The module also provides the *evaluator factories* the Monte-Carlo path
-consumes (:func:`packed_network_evaluator` and friends): callables
-mapping packed input words straight to packed output words, so sampling
+consumes (:func:`packed_network_evaluator` and
+:func:`packed_netlist_evaluator`): callables mapping packed input words
+straight to packed output words, the one evaluator kind
+:func:`repro.core.montecarlo.estimate_error_rate` takes, so sampling
 never materialises byte-per-vector arrays.
 
 Instrumentation: the ``sim.words`` counter accumulates the number of
@@ -159,8 +161,9 @@ def aig_output_words(aig) -> dict[str, np.ndarray]:
 
 
 def packed_network_evaluator(network):
-    """A packed evaluator (``(n, W)`` words -> ``(outputs, W)`` words) for
-    :func:`repro.core.montecarlo.estimate_error_rate`."""
+    """Packed Monte-Carlo evaluator for a logic network: ``(n, W)`` input
+    words -> ``(outputs, W)`` output words, as
+    :func:`repro.core.montecarlo.estimate_error_rate` takes them."""
 
     def evaluate(pi_words: np.ndarray, num_vectors: int) -> np.ndarray:
         values = network_values(network, pi_words, num_vectors)
@@ -170,7 +173,8 @@ def packed_network_evaluator(network):
 
 
 def packed_netlist_evaluator(netlist):
-    """Packed Monte-Carlo evaluator for a mapped netlist."""
+    """Packed Monte-Carlo evaluator for a mapped netlist (same shapes as
+    :func:`packed_network_evaluator`)."""
 
     def evaluate(pi_words: np.ndarray, num_vectors: int) -> np.ndarray:
         values = netlist_values(netlist, pi_words, num_vectors)

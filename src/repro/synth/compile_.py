@@ -34,8 +34,6 @@ from .network import LogicNetwork
 
 __all__ = ["SynthesisResult", "compile_spec", "compile_network"]
 
-_OBJECTIVES = ("delay", "power", "area")
-
 
 @dataclass(frozen=True)
 class SynthesisResult:

@@ -209,32 +209,29 @@ def internal_error_rate(
 
     Averages, over all internal nodes and admissible PI vectors, the
     indicator that injecting the fault on the node changes at least one
-    primary output.  The default fault is the paper-era complement
-    (node flip); any node-scope :class:`~repro.faults.FaultModel` —
-    e.g. ``StuckAtNode`` — can be injected instead.  This is the
-    circuit-internal analogue of the paper's input-error rate and the
-    metric the nodal-decomposition extension improves.
+    primary output.  The default fault is the registered ``node_flip``
+    model (the paper-era complement); any node-scope
+    :class:`~repro.faults.FaultModel` — e.g. ``StuckAtNode`` — can be
+    injected instead.  This is the circuit-internal analogue of the
+    paper's input-error rate and the metric the nodal-decomposition
+    extension improves.
 
     Args:
         network: the network under test.
         source_mask: admissible PI vectors (default: all).
         sim: a live :class:`IncrementalNetworkSim` to reuse (optional).
         fault_model: node-scope fault model or declarative spec
-            (default: the node flip).
+            (default: ``node_flip``).
     """
     node_names = list(network.nodes)
     if not node_names:
         return 0.0
-    if fault_model is not None:
-        from ..faults import create_fault_model
+    from ..faults import create_fault_model
 
-        fault_model = create_fault_model(fault_model)
-        if fault_model.scope != "node":
-            raise ValueError(
-                f"fault model {fault_model.name!r} has scope "
-                f"{fault_model.scope!r}; the internal error rate needs a "
-                f"node-scope model"
-            )
+    fault_model = create_fault_model(
+        "node_flip" if fault_model is None else fault_model
+    )
+    fault_model.require_scope("node")
     if sim is None:
         sim = IncrementalNetworkSim(network)
     if source_mask is None:
@@ -246,10 +243,7 @@ def internal_error_rate(
     total = 0
     with span("odc.internal_error_rate", nodes=len(node_names)):
         for name in node_names:
-            if fault_model is None:
-                diff = sim.flip_difference(name)
-            else:
-                diff = fault_model.node_difference(sim, name)
+            diff = fault_model.node_difference(sim, name)
             if source_words is not None:
                 diff = diff & source_words
             total += pk.popcount(diff)

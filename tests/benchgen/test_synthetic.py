@@ -113,6 +113,16 @@ class TestGenerateSpec:
         )
         assert spec_expected_complexity_factor(spec) == pytest.approx(0.56, abs=0.01)
 
+    @pytest.mark.parametrize("inputs", [0, 21, 40])
+    def test_width_outside_dense_range(self, inputs):
+        """Rejected before any 2**n table is allocated."""
+        with pytest.raises(ValueError, match="outside the dense range"):
+            generate_spec("w", inputs, 1, target_cf=0.5, dc_fraction=0.5)
+
+    def test_needs_an_output(self):
+        with pytest.raises(ValueError, match="at least one output"):
+            generate_spec("o", 4, 0, target_cf=0.5, dc_fraction=0.5)
+
     def test_seeds_differ(self):
         a = generate_spec("a", 8, 1, target_cf=0.6, dc_fraction=0.5, seed=1)
         b = generate_spec("b", 8, 1, target_cf=0.6, dc_fraction=0.5, seed=2)

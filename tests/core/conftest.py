@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.spec import FunctionSpec
 from repro.core.truthtable import DC, OFF, ON
+from repro.sim import packed as pk
 
 
 @pytest.fixture
@@ -38,3 +39,32 @@ def random_spec(seed: int, num_inputs: int = 6, num_outputs: int = 2,
         p=[care, care, dc_fraction],
     )
     return FunctionSpec(phases, name=f"rand{seed}")
+
+
+def packed_adapter(evaluate):
+    """A packed Monte-Carlo evaluator around a boolean one.
+
+    *evaluate* maps ``(vectors, inputs)`` booleans to ``(outputs,
+    vectors)`` booleans.  The adapter unpacks the sampled words, calls it
+    and packs the outputs, so its estimates equal a native packed
+    evaluator's bit for bit.
+    """
+
+    def run(words: np.ndarray, count: int) -> np.ndarray:
+        vectors = pk.unpack_matrix(words, count).T
+        return pk.pack_matrix(np.atleast_2d(evaluate(vectors)).T)
+
+    return run
+
+
+def spec_evaluator(spec: FunctionSpec):
+    """Packed evaluator of a fully specified *spec*'s truth table."""
+    tables = spec.truth_values()
+
+    def evaluate(vectors: np.ndarray) -> np.ndarray:
+        indices = np.zeros(vectors.shape[0], dtype=np.int64)
+        for j in range(spec.num_inputs):
+            indices |= vectors[:, j].astype(np.int64) << j
+        return tables[:, indices]
+
+    return packed_adapter(evaluate)

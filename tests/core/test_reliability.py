@@ -124,6 +124,25 @@ class TestErrorEvents:
         with pytest.raises(ValueError, match="mismatch"):
             error_events(phases, source_mask=np.ones((2, 4), dtype=bool))
 
+    def test_zero_input_function_counts_nothing(self):
+        """No pin to flip: 0 events, a NaN (0 / 0) rate under the default
+        single-bit flips and the single-bit model alike, no error."""
+        from repro.faults import SingleBitInput
+
+        spec = FunctionSpec(np.array([[ON], [OFF]], dtype=np.uint8))
+        assert spec.num_inputs == 0
+        assert error_events(spec.phases[0]) == 0
+        assert np.array_equal(error_events(spec.phases), [0, 0])
+        with np.errstate(invalid="ignore"):
+            assert np.isnan(error_rate(spec))
+            assert np.isnan(SingleBitInput().error_rate(spec))
+
+    def test_multi_bit_pattern(self):
+        """Flipping both inputs of x0 XOR x1 never changes it."""
+        phases = np.array([OFF, ON, ON, OFF], dtype=np.uint8)
+        assert error_events(phases, patterns=[0b11]) == 0
+        assert error_events(phases, patterns=[0b01, 0b11]) == 4
+
 
 class TestErrorRate:
     def test_rate_units(self):

@@ -16,6 +16,8 @@ from repro.faults import SingleBitInput
 from repro.flows.experiment import apply_policy, run_flow
 from repro.synth.compile_ import compile_spec
 
+from ..core.conftest import spec_evaluator
+
 POLICIES = [
     ("conventional", {}),
     ("ranking", {"fraction": 1.0}),
@@ -58,13 +60,7 @@ class TestMonteCarloBitIdentity:
         spec = generate_spec(
             "mcid", 6, 2, target_cf=0.6, dc_fraction=0.0, seed=3
         )
-        tables = spec.truth_values()
-
-        def evaluate(vectors):
-            indices = np.zeros(vectors.shape[0], dtype=np.int64)
-            for j in range(spec.num_inputs):
-                indices |= vectors[:, j].astype(np.int64) << j
-            return tables[:, indices]
+        evaluate = spec_evaluator(spec)
 
         legacy = estimate_error_rate(
             evaluate, spec.num_inputs, samples=5000,

@@ -13,23 +13,11 @@ import pytest
 from repro.core.montecarlo import estimate_error_rate
 from repro.faults import registered_fault_models
 
-from ..core.conftest import random_spec
+from ..core.conftest import random_spec, spec_evaluator
 
 INPUT_MODELS = [
     cls() for cls in registered_fault_models().values() if cls.scope == "input"
 ]
-
-
-def spec_evaluator(spec):
-    tables = spec.truth_values()
-
-    def evaluate(vectors):
-        indices = np.zeros(vectors.shape[0], dtype=np.int64)
-        for j in range(spec.num_inputs):
-            indices |= vectors[:, j].astype(np.int64) << j
-        return tables[:, indices]
-
-    return evaluate
 
 
 @pytest.mark.parametrize("model", INPUT_MODELS, ids=lambda m: m.name)

@@ -3,12 +3,16 @@
 import numpy as np
 import pytest
 
-from repro.core.reliability import error_rate
 from repro.core.spec import FunctionSpec
 from repro.faults import BurstInput, MultiBitInput, SingleBitInput
 from repro.sim import packed as pk
 
 from ..core.conftest import random_spec
+from .test_kernel_differential import (
+    reference_base_error_count,
+    reference_pattern_error_rate,
+    single_bit,
+)
 
 
 def completed(seed: int, n: int = 5) -> FunctionSpec:
@@ -33,7 +37,7 @@ class TestExactReductions:
     def test_multibit_k1_matches_single_bit(self, seed):
         spec = completed(seed)
         assert MultiBitInput(1).error_rate(spec) == pytest.approx(
-            SingleBitInput().error_rate(spec)
+            reference_pattern_error_rate(spec, single_bit(spec.num_inputs))
         )
 
     @pytest.mark.parametrize("seed", [1, 7, 42])
@@ -44,8 +48,13 @@ class TestExactReductions:
         )
 
     def test_single_bit_matches_legacy(self):
+        """The neighbour-view count the single-bit rate used to divide."""
         spec = completed(9)
-        assert SingleBitInput().error_rate(spec) == error_rate(spec)
+        legacy = np.mean(
+            reference_base_error_count(spec.phases)
+            / (spec.num_inputs * spec.num_minterms)
+        )
+        assert SingleBitInput().error_rate(spec) == float(legacy)
 
     def test_parity_multibit(self):
         """Parity flips on every odd-weight error and never on even."""

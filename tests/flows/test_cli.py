@@ -155,6 +155,124 @@ class TestCli:
         assert "generated" in capsys.readouterr().out
 
 
+class TestCliErrors:
+    """A bad argument or an unusable input ends in one line on stderr:
+    argparse's usage error (exit 2) or a ``SystemExit`` message (exit 1),
+    never a traceback."""
+
+    @pytest.mark.parametrize("argv, message", [
+        pytest.param(["report", "bench", "--samples", "0"],
+                     "--samples: must be at least 1", id="samples-0"),
+        pytest.param(["report", "bench", "--samples", "-5"],
+                     "--samples: must be at least 1", id="samples-negative"),
+        pytest.param(["report", "bench", "--distances", "2", "0"],
+                     "--distances: must be at least 1", id="distance-0"),
+        pytest.param(["report", "bench", "--distances", "9"],
+                     "--distances: 9 is wider than the 6 inputs of bench",
+                     id="distance-too-wide"),
+        pytest.param(["report", "bench", "--burst", "0"],
+                     "--burst: must be at least 1", id="burst-0"),
+        pytest.param(["report", "bench", "--burst", "7"],
+                     "--burst: 7 is wider than the 6 inputs of bench",
+                     id="burst-too-wide"),
+        pytest.param(["gen", "--inputs", "0", "--outputs", "2", "--cf", "0.5",
+                      "--dc", "0.5"],
+                     "--inputs: must be at least 1", id="gen-inputs-0"),
+        pytest.param(["gen", "--inputs", "40", "--outputs", "2", "--cf", "0.5",
+                      "--dc", "0.5"],
+                     "--inputs: 40 inputs outside the dense range 1..20",
+                     id="gen-inputs-40"),
+        pytest.param(["gen", "--inputs", "4", "--outputs", "0", "--cf", "0.5",
+                      "--dc", "0.5"],
+                     "--outputs: must be at least 1", id="gen-outputs-0"),
+        pytest.param(["export", "unused-dir", "--benchmarks", "nosuch"],
+                     "--benchmarks: invalid choice: 'nosuch'",
+                     id="export-unknown-benchmark"),
+    ])
+    def test_usage_error(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert f"argument {message}" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+    def test_gen_too_wide_writes_no_file(self, tmp_path, capsys):
+        out_path = tmp_path / "g.pla"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["gen", "--inputs", "21", "--outputs", "2", "--cf", "0.5",
+                  "--dc", "0.5", "-o", str(out_path)])
+        assert excinfo.value.code == 2
+        assert "--inputs: 21 inputs outside the dense range 1..20" in (
+            capsys.readouterr().err
+        )
+        assert not out_path.exists()
+
+    @staticmethod
+    def _one_line_exit(argv) -> str:
+        """The message of a one-line ``SystemExit`` (printed, exit 1)."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        message = excinfo.value.code
+        assert isinstance(message, str) and "\n" not in message
+        return message
+
+    @pytest.mark.parametrize("command", [["synth", "--json"], ["info"]])
+    def test_zero_input_pla(self, tmp_path, command):
+        path = tmp_path / "zero.pla"
+        path.write_text(".i 0\n.o 2\n 10\n.e\n")
+        message = self._one_line_exit(
+            [command[0], str(path), *command[1:]]
+        )
+        assert message == (
+            f"{path}: .i: 0 inputs outside the dense range 1..20"
+        )
+
+    def test_missing_pla(self, tmp_path):
+        path = tmp_path / "nosuch.pla"
+        message = self._one_line_exit(["info", str(path)])
+        assert message == f"{path}: No such file or directory"
+
+    @pytest.mark.parametrize("text, reason", [
+        (None, "No such file or directory"),
+        ("{bad json", "invalid JSON pipeline config"),
+        ("[1, 2]", "pipeline config must be a JSON object"),
+        ('{"stages": ["nosuch"]}', "unknown stage 'nosuch'"),
+    ], ids=["missing", "bad-json", "not-an-object", "unknown-stage"])
+    def test_bad_config(self, tmp_path, text, reason):
+        path = tmp_path / "config.json"
+        if text is not None:
+            path.write_text(text)
+        message = self._one_line_exit(
+            ["synth", "bench", "--config", str(path)]
+        )
+        assert message.startswith(f"{path}: {reason}")
+
+    def test_process_exit_status_and_stderr(self, tmp_path):
+        """The real process: status 1 and the message alone on stderr."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        env = dict(os.environ)
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")])
+        )
+        path = tmp_path / "nosuch.pla"
+        completed = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "info", str(path)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert completed.returncode == 1
+        assert completed.stderr == f"{path}: No such file or directory\n"
+        assert completed.stdout == ""
+
+
 class TestCliObservability:
     def test_version_flag(self, capsys):
         from repro import __version__

@@ -78,6 +78,12 @@ class TestParser:
         with pytest.raises(PlaError, match="bad output"):
             parse_pla(".i 2\n.o 1\n11 x\n")
 
+    @pytest.mark.parametrize("width", [0, 21, 40])
+    def test_width_outside_dense_range(self, width):
+        """Rejected before any 2**n table is allocated."""
+        with pytest.raises(PlaError, match=r"outside the dense range 1\.\.20"):
+            parse_pla(f".i {width}\n.o 1\n.e\n")
+
     def test_unknown_type(self):
         with pytest.raises(PlaError, match="unsupported .type"):
             parse_pla(".i 2\n.o 1\n.type q\n")

@@ -5,8 +5,8 @@ The packed simulators behind ``LogicNetwork.evaluate``,
 ``Aig.evaluate`` have byte-per-vector ``*_reference`` counterparts.
 These tests pin the packed paths to the references bit for bit, including
 the degenerate shapes (constant nodes, zero-gate netlists, multi-output
-covers) and the Monte-Carlo estimator's two evaluator kinds under a
-shared seed.
+covers) and the Monte-Carlo estimates of the packed engine and of the
+reference under a shared seed.
 """
 
 import numpy as np
@@ -20,6 +20,8 @@ from repro.synth.aig import Aig, aig_from_network
 from repro.synth.library import generic_70nm_library
 from repro.synth.netlist import GateInstance, MappedNetlist
 from repro.synth.network import LogicNetwork
+
+from ..core.conftest import packed_adapter
 
 
 def random_multilevel_network(seed: int, num_pis: int = 5, levels: int = 4):
@@ -164,8 +166,9 @@ class TestAigEquivalence:
 
 class TestMonteCarloAgreement:
     def test_packed_and_bool_paths_identical(self):
-        """Both evaluator kinds consume the same packed draws, so a fixed
-        seed gives bit-identical estimates -- not merely close ones."""
+        """The packed engine and an adapter around the boolean reference
+        consume the same packed draws, so a fixed seed gives
+        bit-identical estimates -- not merely close ones."""
         net = random_multilevel_network(7)
         n = len(net.primary_inputs)
 
@@ -174,34 +177,12 @@ class TestMonteCarloAgreement:
             return np.vstack([values[sig] for sig in net.outputs.values()])
 
         packed_est = estimate_error_rate(
-            None, n, samples=3000, rng=np.random.default_rng(42),
-            packed_evaluate=sim_engine.packed_network_evaluator(net),
+            sim_engine.packed_network_evaluator(net), n, samples=3000,
+            rng=np.random.default_rng(42),
         )
         bool_est = estimate_error_rate(
-            bool_evaluate, n, samples=3000, rng=np.random.default_rng(42)
+            packed_adapter(bool_evaluate), n, samples=3000,
+            rng=np.random.default_rng(42),
         )
         assert packed_est.rate == bool_est.rate
         assert packed_est.samples == bool_est.samples == 3000
-
-    def test_identical_with_source_filter(self):
-        net = random_multilevel_network(11)
-        n = len(net.primary_inputs)
-
-        def bool_evaluate(vectors):
-            values = net.evaluate_vectors_reference(vectors)
-            return np.vstack([values[sig] for sig in net.outputs.values()])
-
-        def admit(vectors):
-            return vectors[:, 0] & vectors[:, 1]
-
-        packed_est = estimate_error_rate(
-            None, n, samples=2000, rng=np.random.default_rng(9),
-            source_filter=admit,
-            packed_evaluate=sim_engine.packed_network_evaluator(net),
-        )
-        bool_est = estimate_error_rate(
-            bool_evaluate, n, samples=2000, rng=np.random.default_rng(9),
-            source_filter=admit,
-        )
-        assert packed_est.rate == bool_est.rate
-        assert packed_est.samples == bool_est.samples
