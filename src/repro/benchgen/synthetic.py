@@ -115,10 +115,10 @@ def _face_field(num_inputs: int, rng: np.random.Generator) -> np.ndarray:
         bound = int(rng.integers(2, 5))
         variables = rng.choice(num_inputs, size=bound, replace=False)
         values = rng.integers(0, 2, size=bound)
-        mask = np.ones(idx.shape, dtype=bool)
-        for j, v in zip(variables, values):
-            mask &= ((idx >> int(j)) & 1) == int(v)
-        score[mask] += float(rng.standard_normal())
+        # The face: the minterms whose bound bits equal *values*.
+        care = sum(1 << int(j) for j in variables)
+        level = sum(int(v) << int(j) for j, v in zip(variables, values))
+        score[(idx & care) == level] += float(rng.standard_normal())
     return score / max(float(np.std(score)), 1e-12)
 
 

@@ -56,6 +56,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict
 
@@ -142,8 +143,8 @@ def _add_jobs_arg(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _unreadable(path: str, error: Exception) -> SystemExit:
-    """The one-line exit for an input file that cannot be used."""
+def _unusable(path: str, error: Exception) -> SystemExit:
+    """The one-line exit for a file that cannot be used."""
     if isinstance(error, OSError):
         reason = error.strerror
     else:  # a KeyError's str() is its repr; show the message itself
@@ -151,12 +152,27 @@ def _unreadable(path: str, error: Exception) -> SystemExit:
     return SystemExit(f"{path}: {reason}")
 
 
+def _check_writable(path: str | None) -> None:
+    """Exit with one line, before any work is done, unless a file can be
+    written at *path* (None: nothing will be written)."""
+    if path is None:
+        return
+    existed = os.path.lexists(path)
+    try:
+        with open(path, "a", encoding="utf-8"):
+            pass
+    except OSError as error:
+        raise _unusable(path, error) from None
+    if not existed:
+        os.remove(path)
+
+
 def _load_spec(token: str) -> FunctionSpec:
     if token.endswith(".pla"):
         try:
             return read_pla(token)
         except (OSError, ValueError) as error:
-            raise _unreadable(token, error) from None
+            raise _unusable(token, error) from None
     if token in benchmark_names():
         return mcnc_benchmark(token)
     raise SystemExit(
@@ -244,6 +260,7 @@ def _cmd_info(args: argparse.Namespace) -> int:
 
 
 def _cmd_assign(args: argparse.Namespace) -> int:
+    _check_writable(args.output)
     spec = _load_spec(args.benchmark)
     assigned, assignment = apply_policy(
         spec, args.policy, fraction=args.fraction, threshold=args.threshold
@@ -263,14 +280,16 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     from .obs import metrics as obs_metrics
     from .pipeline import Pipeline, default_config, load_config
 
+    _check_writable(args.verilog)
     spec = _load_spec(args.benchmark)
     if args.config:
         try:
             pipe = Pipeline.from_config(
                 load_config(args.config), checkpoint=args.checkpoint_dir
             )
+            pipe.validate(["spec"])
         except (OSError, KeyError, ValueError) as error:
-            raise _unreadable(args.config, error) from None
+            raise _unusable(args.config, error) from None
     else:
         pipe = Pipeline.from_config(
             default_config(
@@ -721,6 +740,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
+    _check_writable(args.output)
     spec = generate_spec(
         args.name,
         args.inputs,

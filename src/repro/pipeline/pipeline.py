@@ -45,6 +45,7 @@ from ..perf.cache import stage_key
 from .checkpoint import CheckpointStore
 from .context import FlowContext
 from .stage import Stage, get_stage, params_fingerprint
+from .stages import validate_objective, validate_policy
 
 __all__ = [
     "DEFAULT_STAGES",
@@ -104,8 +105,9 @@ class Pipeline:
         """Build a pipeline from a declarative (JSON-compatible) config.
 
         Raises:
-            ValueError: on malformed configs (missing/empty ``stages``, or
-                an entry that is not a stage name).
+            ValueError: on malformed configs (missing/empty ``stages``, an
+                entry that is not a stage name, a ``params`` that is not a
+                dict, an unknown ``policy`` or ``objective``).
             KeyError: on unknown stage names.
         """
         if not isinstance(config, dict):
@@ -119,10 +121,19 @@ class Pipeline:
                     f"bad stage entry {entry!r}: expected a stage name; "
                     f"flow parameters go in the config's 'params'"
                 )
+        params = config.get("params") or {}
+        if not isinstance(params, dict):
+            raise ValueError(
+                f"pipeline config 'params' must be a dict, got {type(params).__name__}"
+            )
+        if "policy" in params:
+            validate_policy(params["policy"])
+        if "objective" in params:
+            validate_objective(params["objective"])
         return cls(
             entries,
             name=str(config.get("name", "pipeline")),
-            params=config.get("params") or {},
+            params=params,
             checkpoint=checkpoint,
         )
 

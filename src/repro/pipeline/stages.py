@@ -71,6 +71,7 @@ __all__ = [
     "MeasureStage",
     "apply_policy",
     "validate_objective",
+    "validate_policy",
 ]
 
 POLICIES = ("conventional", "ranking", "cfactor", "complete")
@@ -92,18 +93,27 @@ def apply_policy(
     Raises:
         ValueError: on unknown policy names.
     """
+    validate_policy(policy)
     if policy == "conventional":
         assignment = Assignment()
     elif policy == "ranking":
         assignment = ranking_assignment(spec, fraction)
     elif policy == "cfactor":
         assignment = cfactor_assignment(spec, threshold)
-    elif policy == "complete":
-        assignment = complete_assignment(spec)
     else:
-        raise ValueError(f"unknown policy {policy!r}; choose from {POLICIES}")
+        assignment = complete_assignment(spec)
     assigned = assignment.apply(spec) if len(assignment) else spec
     return assigned, assignment
+
+
+def validate_policy(policy: str) -> None:
+    """Reject unknown assignment policies.
+
+    Raises:
+        ValueError: when *policy* is not one of :data:`POLICIES`.
+    """
+    if policy not in POLICIES:
+        raise ValueError(f"unknown policy {policy!r}; choose from {POLICIES}")
 
 
 def validate_objective(objective: str) -> None:

@@ -15,7 +15,7 @@ from .flexibility import (
     node_flexibility_sat,
     reassign_complete_dcs,
 )
-from .kernels import algebraic_divide, cover_to_cubes, cubes_to_cover, kernels
+from .kernels import LiteralCoder, algebraic_divide, cubes_to_cover, kernels
 from .library import Cell, Library, generic_70nm_library
 from .mapping import map_graph
 from .netlist import GateInstance, MappedNetlist
@@ -41,8 +41,8 @@ __all__ = [
     "CompleteDcReport",
     "CompleteFlexibilityOracle",
     "reassign_complete_dcs",
+    "LiteralCoder",
     "algebraic_divide",
-    "cover_to_cubes",
     "cubes_to_cover",
     "kernels",
     "Cell",

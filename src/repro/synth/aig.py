@@ -26,7 +26,7 @@ import numpy as np
 from ..espresso.cube import FREE, V0, V1, Cover
 from ..espresso.minimize import espresso
 from .factor import And, Expr, Lit, Or, good_factor
-from .kernels import cover_to_cubes
+from .kernels import LiteralCoder
 from .network import LogicNetwork
 
 __all__ = ["Aig", "aig_from_network", "resyn2rs"]
@@ -233,6 +233,7 @@ class Aig:
         tables = self.evaluate()
         result = Aig(self.num_pis, self.pi_names)
         pi_lits = {name: result.pi_lit(i) for i, name in enumerate(self.pi_names)}
+        coder = LiteralCoder()
 
         def lower(expr: Expr) -> int:
             if isinstance(expr, Lit):
@@ -253,8 +254,8 @@ class Aig:
                 result.set_output(name, result.const1)
                 continue
             cover = espresso(Cover.from_minterms(self.num_pis, minterms))
-            cubes = cover_to_cubes(cover, self.pi_names)
-            result.set_output(name, lower(good_factor(cubes)))
+            cubes = coder.encode(cover, self.pi_names)
+            result.set_output(name, lower(good_factor(cubes, coder)))
         return result
 
     # ------------------------------------------------------------- conversion
@@ -304,6 +305,7 @@ def aig_from_network(network: LogicNetwork) -> Aig:
     lits: dict[str, int] = {
         name: aig.pi_lit(i) for i, name in enumerate(network.primary_inputs)
     }
+    coder = LiteralCoder()
 
     def lower(expr: Expr) -> int:
         if isinstance(expr, Lit):
@@ -320,11 +322,11 @@ def aig_from_network(network: LogicNetwork) -> Aig:
         if node.cover.num_cubes == 0:
             lits[name] = aig.const0
             continue
-        cubes = cover_to_cubes(node.cover, node.fanins)
-        if frozenset() in cubes:
+        cubes = coder.encode(node.cover, node.fanins)
+        if 0 in cubes:
             lits[name] = aig.const1
             continue
-        lits[name] = lower(good_factor(cubes))
+        lits[name] = lower(good_factor(cubes, coder))
 
     for out_name, signal in network.outputs.items():
         aig.set_output(out_name, lits[signal])

@@ -9,26 +9,33 @@ final nodes happens later, during subject-graph construction.
 
 Both loops are incremental.  One extraction adds one node and rewrites
 only the divisor's users, so each call keeps the algebraic view of every
-node (cube set, literal counts, kernels, candidate values) across
+node (cube set, literal set, kernels, candidate values) across
 iterations and recomputes it only for the cubes a step rewrote or added.
-A rewritten node's fanins and cover are written once, when the loop ends.
-The greedy choices, their tie-breaks and the node names are exactly those
-of rebuilding everything per iteration.
+The kernel candidates stay in one sorted list of rank entries, so the
+most promising are its head.  A rewritten node's fanins and cover are
+written once, when the loop ends.  The greedy choices, their tie-breaks
+and the node names are exactly those of rebuilding everything per
+iteration.
+
+Each call codes the network's literals with one
+:class:`~repro.synth.kernels.LiteralCoder`: cubes, literal sets and
+2-literal pairs are ints, and names are decoded only to write a cover, to
+name a divisor's fanins and to break ties by the canonical keys.
 """
 
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left, insort
 from collections import Counter, defaultdict
 from collections.abc import Iterable, Iterator
 from itertools import chain, combinations
 
 from .kernels import (
     CubeSet,
-    Literal,
+    LiteralCoder,
     algebraic_divide,
-    cover_to_cubes,
-    cube_set_key,
+    bit_masks,
     cube_set_literals,
     cubes_to_cover,
     kernels,
@@ -41,89 +48,83 @@ _MAX_EXTRACTIONS = 200
 """Divisor nodes each extraction loop may create at most."""
 
 
-def _node_cubes(network: LogicNetwork, name: str) -> CubeSet:
-    node = network.nodes[name]
-    return cover_to_cubes(node.cover, node.fanins)
-
-
-def _rewrite_node(quotient: CubeSet, remainder: CubeSet, divisor_signal: str) -> CubeSet:
-    """The cube set ``quotient * divisor_signal + remainder``."""
-    return frozenset(
-        {cube | {(divisor_signal, True)} for cube in quotient} | set(remainder)
-    )
+def _rewrite_node(quotient: CubeSet, remainder: CubeSet, divisor_code: int) -> CubeSet:
+    """The cube set ``quotient * divisor + remainder``, where *divisor_code*
+    is the divisor signal's one-literal cube."""
+    return frozenset([cube | divisor_code for cube in quotient]).union(remainder)
 
 
 def _write_nodes(network: LogicNetwork, nodes: _AlgebraicNodes, names: Iterable[str]) -> None:
     """Give each node of *names*, in network order, the fanins and cover of
     its cube set."""
+    coder = nodes.coder
     for name in sorted(names, key=nodes.position.__getitem__):
         cubes = nodes.cubes[name]
-        signals = sorted({literal[0] for cube in cubes for literal in cube})
+        signals = coder.signals(cubes)
         node = network.nodes[name]
         node.fanins = signals
-        node.cover = cubes_to_cover(cubes, signals)
+        node.cover = cubes_to_cover(cubes, signals, coder)
     # Direct fanin rewrite: the cached topological order / fanout map are
     # stale now (add_node/set_output invalidate automatically, this does
     # not go through them).
     network.invalidate_structure_caches()
 
 
-def _install_divisor(network: LogicNetwork, divisor: CubeSet, stem: str) -> str:
-    signals = sorted({literal[0] for cube in divisor for literal in cube})
-    cover = cubes_to_cover(divisor, signals)
+def _install_divisor(
+    network: LogicNetwork, coder: LiteralCoder, divisor: CubeSet, stem: str
+) -> tuple[str, int]:
+    """Add *divisor* as a fresh node; its name and its one-literal cube."""
+    signals = coder.signals(divisor)
+    cover = cubes_to_cover(divisor, signals, coder)
     name = network.fresh_name(stem)
     network.add_node(name, signals, cover)
-    return name
+    return name, coder.code((name, True))
 
 
 class _AlgebraicNodes:
     """The network's nodes as cube sets, kept in step with the rewrites.
 
-    ``cubes[name]`` is a node's cube set, ``counts[name]`` the number of
-    its cubes holding each literal and ``literals[name]`` its literal set;
-    ``readers[literal]`` holds the nodes whose literal set contains
-    *literal*, and ``position[name]`` a node's place in network order.
+    ``coder`` codes the literals, ``cubes[name]`` is a node's cube set and
+    ``literals[name]`` its literal set (the union of its cubes);
+    ``readers[mask]`` holds the nodes whose literal set contains the
+    one-literal cube *mask*, and ``position[name]`` a node's place in
+    network order.
     """
 
     def __init__(self, network: LogicNetwork):
+        self.coder = LiteralCoder()
         self.cubes: dict[str, CubeSet] = {}
-        self.counts: dict[str, Counter] = {}
-        self.literals: dict[str, frozenset] = {}
+        self.literals: dict[str, int] = {}
         self.position: dict[str, int] = {}
-        self.readers: defaultdict[Literal, set[str]] = defaultdict(set)
-        for name in network.nodes:
-            self.update(name, _node_cubes(network, name))
+        self.readers: defaultdict[int, set[str]] = defaultdict(set)
+        for name, node in network.nodes.items():
+            self.update(name, self.coder.encode(node.cover, node.fanins))
 
-    def update(self, name: str, cubes: CubeSet) -> tuple[CubeSet, CubeSet, frozenset]:
+    def update(self, name: str, cubes: CubeSet) -> tuple[CubeSet, CubeSet, int]:
         """Record *cubes* as node *name*'s expression (a new node goes last).
 
         Returns:
             The cubes the node lost, the cubes it gained and its previous
-            literal set (empty if new).
+            literal set (0 if new).
         """
         old_cubes = self.cubes.get(name, frozenset())
-        old_literals = self.literals.get(name, frozenset())
-        removed, added = old_cubes - cubes, cubes - old_cubes
-        counts = self.counts.setdefault(name, Counter())
-        counts.update(chain.from_iterable(added))
-        for literal, count in Counter(chain.from_iterable(removed)).items():
-            counts[literal] -= count
-            if not counts[literal]:
-                del counts[literal]
-        literals = frozenset(counts)
-        for literal in old_literals - literals:
-            self.readers[literal].discard(name)
-        for literal in literals - old_literals:
-            self.readers[literal].add(name)
+        old_literals = self.literals.get(name, 0)
+        literals = 0
+        for cube in cubes:
+            literals |= cube
+        for mask in bit_masks(old_literals & ~literals):
+            self.readers[mask].discard(name)
+        for mask in bit_masks(literals & ~old_literals):
+            self.readers[mask].add(name)
         self.position.setdefault(name, len(self.position))
         self.cubes[name] = cubes
         self.literals[name] = literals
-        return removed, added, old_literals
+        return old_cubes - cubes, cubes - old_cubes, old_literals
 
-    def covering(self, literals) -> list[str]:
-        """Nodes whose literal set contains every one of the (non-empty)
-        *literals*, in network order."""
-        groups = sorted((self.readers[literal] for literal in literals), key=len)
+    def covering(self, literals: int) -> list[str]:
+        """Nodes whose literal set contains the (non-empty) cube *literals*,
+        in network order."""
+        groups = sorted((self.readers[mask] for mask in bit_masks(literals)), key=len)
         names = groups[0].intersection(*groups[1:])
         return sorted(names, key=self.position.__getitem__)
 
@@ -156,61 +157,79 @@ def extract_kernels(network: LogicNetwork) -> int:
         Number of divisor nodes created.
     """
     nodes = _AlgebraicNodes(network)
+    coder = nodes.coder
     node_kernels: dict[str, set[CubeSet]] = {}
-    # Candidates: the number of nodes each kernel comes from, and its rank
-    # key.  Score ties are broken canonically (cube_set_key), not by set
-    # iteration order, so extraction is hash-seed independent.
+    # Candidates: the number of nodes each kernel comes from, its rank
+    # entry (negated intrinsic value, cube_set_key, kernel) and every rank
+    # entry in sorted order.  Score ties are broken canonically
+    # (cube_set_key), not by set iteration order, so extraction is
+    # hash-seed independent.
     refs: Counter = Counter()
     rank: dict[CubeSet, tuple] = {}
+    ranked: list[tuple] = []
     # Per kernel tried so far: its literal set, the nodes it shrinks (name
-    # -> _divide_node result) and the nodes to divide again before its next
-    # evaluation — those rewritten or added since whose literal set
-    # contains the kernel's literals (no other node can be divided by it).
-    tried: dict[CubeSet, tuple[frozenset, dict[str, tuple], set[str]]] = {}
+    # -> _divide_node result), its extraction value (the literals those
+    # divisions save minus the kernel's own) and the nodes to divide again
+    # before its next evaluation — those rewritten or added since whose
+    # literal set contains the kernel's literals (no other node can be
+    # divided by it).  A node leaves the uses when it is rewritten, before
+    # it can turn stale, so the two never share a name.
+    tried: dict[CubeSet, list] = {}
 
-    def refresh(name: str, old_literals: frozenset) -> None:
+    def refresh(name: str, old_literals: int) -> None:
         """Bring the candidates and tried kernels up to date with node
         *name*'s new cube set (its literal set was *old_literals*)."""
         literals = nodes.literals[name]
-        for kernel_literals, uses, stale in tried.values():
-            if kernel_literals <= old_literals:
-                uses.pop(name, None)
-            if kernel_literals <= literals:
+        for entry in tried.values():
+            kernel_literals, uses, _, stale = entry
+            if kernel_literals & old_literals == kernel_literals:
+                division = uses.pop(name, None)
+                if division is not None:
+                    entry[2] -= division[2]
+            if kernel_literals & literals == kernel_literals:
                 stale.add(name)
         cubes = nodes.cubes[name]
-        found = kernels(cubes, max_kernels=50) if len(cubes) >= 2 else set()
+        found = kernels(cubes, coder, max_kernels=50) if len(cubes) >= 2 else set()
         previous = node_kernels.get(name, set())
         node_kernels[name] = found
         for kernel in previous - found:
             refs[kernel] -= 1
             if not refs[kernel]:
-                del refs[kernel], rank[kernel]
+                del refs[kernel], ranked[bisect_left(ranked, rank.pop(kernel))]
                 tried.pop(kernel, None)
         for kernel in found - previous:
             if not refs[kernel]:
-                rank[kernel] = (
+                rank[kernel] = entry = (
                     -(len(kernel) - 1) * (cube_set_literals(kernel) - 1),
-                    cube_set_key(kernel),
+                    coder.cube_set_key(kernel),
+                    kernel,
                 )
+                insort(ranked, entry)
             refs[kernel] += 1
 
     def evaluate(kernel: CubeSet) -> tuple[dict[str, tuple], int]:
         """The nodes *kernel* shrinks, and its extraction's value: literals
         saved minus the kernel's own."""
-        if kernel not in tried:
-            kernel_literals = frozenset(lit for cube in kernel for lit in cube)
-            tried[kernel] = (kernel_literals, {}, set(nodes.covering(kernel_literals)))
-        _, uses, stale = tried[kernel]
+        entry = tried.get(kernel)
+        if entry is None:
+            kernel_literals = 0
+            for cube in kernel:
+                kernel_literals |= cube
+            entry = tried[kernel] = [
+                kernel_literals, {}, -cube_set_literals(kernel),
+                set(nodes.covering(kernel_literals)),
+            ]
+        _, uses, _, stale = entry
         for name in stale:
             division = _divide_node(nodes.cubes[name], kernel)
             if division is not None:
                 uses[name] = division
+                entry[2] += division[2]
         stale.clear()
-        saved = sum(division[2] for division in uses.values())
-        return uses, saved - cube_set_literals(kernel)
+        return uses, entry[2]
 
     for name in network.nodes:
-        refresh(name, frozenset())
+        refresh(name, 0)
     rewritten: set[str] = set()
     created = 0
     for _ in range(_MAX_EXTRACTIONS):
@@ -220,16 +239,16 @@ def extract_kernels(network: LogicNetwork) -> int:
         # (full cross-division is quadratic).
         best_kernel: CubeSet | None = None
         best_value = 0
-        for kernel in heapq.nsmallest(60, rank, key=rank.__getitem__):
+        for *_, kernel in ranked[:60]:
             uses, value = evaluate(kernel)
             if uses and value > best_value:
                 best_kernel, best_value = kernel, value
         if best_kernel is None:
             break
-        _, uses, _ = tried[best_kernel]
-        divisor_signal = _install_divisor(network, best_kernel, "k")
+        uses = tried[best_kernel][1]
+        divisor_signal, divisor_code = _install_divisor(network, coder, best_kernel, "k")
         changed = [(divisor_signal, best_kernel)] + [
-            (name, _rewrite_node(quotient, remainder, divisor_signal))
+            (name, _rewrite_node(quotient, remainder, divisor_code))
             for name, (quotient, remainder, _) in sorted(
                 uses.items(), key=lambda item: nodes.position[item[0]]
             )
@@ -253,31 +272,36 @@ def extract_cubes(network: LogicNetwork) -> int:
         Number of divisor nodes created.
     """
     nodes = _AlgebraicNodes(network)
+    coder = nodes.coder
     counts = Counter(_pairs(chain.from_iterable(nodes.cubes.values())))
     # Extracting a 2-literal cube saves one literal per occurrence beyond
     # the new node's own two literals: the most frequent pair wins if it
-    # occurs more than twice, ties going to the smallest cube_key, which
-    # is the pair itself.  The heap holds (-count, pair) for every pair
-    # counted more than twice, pushed again whenever its count moves;
-    # entries whose count has moved on are stale and dropped at the top.
-    heap = [(-count, pair) for pair, count in counts.items() if count > 2]
+    # occurs more than twice, ties going to the smallest cube_key.  The
+    # heap holds (-count, cube_key, pair) for every pair counted more than
+    # twice, pushed again whenever its count moves; entries whose count
+    # has moved on are stale and dropped at the top.
+    heap = [
+        (-count, coder.cube_key(pair), pair)
+        for pair, count in counts.items()
+        if count > 2
+    ]
     heapq.heapify(heap)
     rewritten: set[str] = set()
     created = 0
     for _ in range(_MAX_EXTRACTIONS):
-        while heap and counts[heap[0][1]] != -heap[0][0]:
+        while heap and counts[heap[0][2]] != -heap[0][0]:
             heapq.heappop(heap)
         if not heap:
             break
-        best_cube = frozenset(heap[0][1])
+        best_cube = heap[0][2]
         divisor = frozenset({best_cube})
         users = nodes.covering(best_cube)
-        divisor_signal = _install_divisor(network, divisor, "c")
+        divisor_signal, divisor_code = _install_divisor(network, coder, divisor, "c")
         changed = [(divisor_signal, divisor)]
         for name in users:
             quotient, remainder = algebraic_divide(nodes.cubes[name], divisor)
             if quotient:
-                changed.append((name, _rewrite_node(quotient, remainder, divisor_signal)))
+                changed.append((name, _rewrite_node(quotient, remainder, divisor_code)))
                 rewritten.add(name)
         moved: Counter = Counter()
         for name, cubes in changed:
@@ -292,15 +316,19 @@ def extract_cubes(network: LogicNetwork) -> int:
                 else:
                     del counts[pair]
                 if count > 2:
-                    heapq.heappush(heap, (-count, pair))
+                    heapq.heappush(heap, (-count, coder.cube_key(pair), pair))
         created += 1
     _write_nodes(network, nodes, rewritten)
     return created
 
 
-def _pairs(cubes: Iterable[frozenset]) -> Iterator[tuple[Literal, Literal]]:
-    """Every 2-literal sub-cube of *cubes*, as its sorted literal pair."""
-    return (pair for cube in cubes for pair in combinations(sorted(cube), 2))
+def _pairs(cubes: Iterable[int]) -> Iterator[int]:
+    """Every 2-literal sub-cube of *cubes*."""
+    return (
+        first | second
+        for cube in cubes
+        for first, second in combinations(bit_masks(cube), 2)
+    )
 
 
 def optimize_network(network: LogicNetwork) -> LogicNetwork:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .factor import And, Expr, Lit, Or, good_factor
-from .kernels import cover_to_cubes
+from .kernels import LiteralCoder
 from .network import LogicNetwork
 
 __all__ = ["SubjectGraph", "SubjectNode", "build_subject_graph"]
@@ -159,6 +159,7 @@ def build_subject_graph(network: LogicNetwork) -> SubjectGraph:
     vertices.
     """
     graph = SubjectGraph()
+    coder = LiteralCoder()
     refs: dict[str, int] = {}
     for name in network.primary_inputs:
         refs[name] = graph.pi(name)
@@ -167,11 +168,11 @@ def build_subject_graph(network: LogicNetwork) -> SubjectGraph:
         if node.cover.num_cubes == 0:
             refs[name] = graph.const(False)
             continue
-        cubes = cover_to_cubes(node.cover, node.fanins)
-        if frozenset() in cubes:
+        cubes = coder.encode(node.cover, node.fanins)
+        if 0 in cubes:
             refs[name] = graph.const(True)
             continue
-        expr = good_factor(cubes)
+        expr = good_factor(cubes, coder)
         refs[name] = _lower_expr(graph, expr, refs)
     for out_name, signal in network.outputs.items():
         graph.set_output(out_name, refs[signal])

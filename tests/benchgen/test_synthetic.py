@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.benchgen.synthetic import (
+    _face_field,
     care_fractions_from_expected,
     generate_output,
     generate_spec,
@@ -127,3 +128,32 @@ class TestGenerateSpec:
         a = generate_spec("a", 8, 1, target_cf=0.6, dc_fraction=0.5, seed=1)
         b = generate_spec("b", 8, 1, target_cf=0.6, dc_fraction=0.5, seed=2)
         assert a != b
+
+
+def reference_face_field(num_inputs: int, rng: np.random.Generator) -> np.ndarray:
+    """The face field as first written: one shift, AND and compare per
+    bound variable."""
+    idx = np.arange(1 << num_inputs)
+    score = np.zeros(idx.shape, dtype=np.float64)
+    for _ in range(2 * num_inputs):
+        bound = int(rng.integers(2, 5))
+        variables = rng.choice(num_inputs, size=bound, replace=False)
+        values = rng.integers(0, 2, size=bound)
+        mask = np.ones(idx.shape, dtype=bool)
+        for j, v in zip(variables, values):
+            mask &= ((idx >> int(j)) & 1) == int(v)
+        score[mask] += float(rng.standard_normal())
+    return score / max(float(np.std(score)), 1e-12)
+
+
+class TestFaceField:
+    @given(st.integers(4, 14), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_reference(self, num_inputs, seed):
+        """Bit-identical field, and the generator left in the same state."""
+        rng = np.random.default_rng(seed)
+        reference_rng = np.random.default_rng(seed)
+        np.testing.assert_array_equal(
+            _face_field(num_inputs, rng), reference_face_field(num_inputs, reference_rng)
+        )
+        assert rng.random() == reference_rng.random()

@@ -53,14 +53,14 @@ class TestCoverConstruction:
         """Over no inputs a cube is the constant 1: a (k, 0) array keeps its
         k cubes, and only a cover with no rows is the constant 0."""
         from repro.espresso.unate import is_tautology
-        from repro.synth.kernels import cubes_to_cover
+        from repro.synth.kernels import LiteralCoder, cubes_to_cover
 
         universe = Cover.universe(0)
         assert universe.num_cubes == 1
         assert is_tautology(universe)
         assert universe.evaluate().tolist() == [True]
         assert Cover.from_minterms(0, [0]).evaluate().tolist() == [True]
-        assert cubes_to_cover(frozenset({frozenset()}), []).num_cubes == 1
+        assert cubes_to_cover(frozenset({0}), [], LiteralCoder()).num_cubes == 1
         empty = Cover.empty(0)
         assert empty.num_cubes == 0
         assert not is_tautology(empty)

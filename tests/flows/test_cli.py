@@ -239,7 +239,17 @@ class TestCliErrors:
         ("{bad json", "invalid JSON pipeline config"),
         ("[1, 2]", "pipeline config must be a JSON object"),
         ('{"stages": ["nosuch"]}', "unknown stage 'nosuch'"),
-    ], ids=["missing", "bad-json", "not-an-object", "unknown-stage"])
+        ('{"stages": ["assign"], "params": {"policy": "bogus"}}',
+         "unknown policy 'bogus'"),
+        ('{"stages": ["assign"], "params": {"objective": "speed"}}',
+         "objective must be one of"),
+        ('{"stages": ["assign"], "params": [1]}',
+         "pipeline config 'params' must be a dict"),
+        ('{"stages": ["espresso"]}',
+         "stage 'espresso' is missing inputs ['assigned_spec']"),
+    ], ids=["missing", "bad-json", "not-an-object", "unknown-stage",
+            "unknown-policy", "unknown-objective", "params-not-an-object",
+            "broken-stage-chain"])
     def test_bad_config(self, tmp_path, text, reason):
         path = tmp_path / "config.json"
         if text is not None:
@@ -248,6 +258,31 @@ class TestCliErrors:
             ["synth", "bench", "--config", str(path)]
         )
         assert message.startswith(f"{path}: {reason}")
+
+    @pytest.mark.parametrize("argv", [
+        ["assign", "bench", "--policy", "ranking", "-o", "{out}"],
+        ["gen", "--inputs", "4", "--outputs", "1", "--cf", "0.5", "--dc", "0.3",
+         "-o", "{out}"],
+        ["synth", "bench", "--verilog", "{out}"],
+    ], ids=["assign", "gen", "synth-verilog"])
+    def test_unwritable_output(self, tmp_path, argv, capsys):
+        """Checked before any work is done: nothing is printed."""
+        out = tmp_path / "missing" / "out"
+        message = self._one_line_exit([arg.format(out=out) for arg in argv])
+        assert message == f"{out}: No such file or directory"
+        assert capsys.readouterr().out == ""
+
+    def test_output_check_leaves_no_file(self, tmp_path):
+        """A run that fails after the output check does not leave the
+        file the check made behind."""
+        out = tmp_path / "x.v"
+        config = tmp_path / "config.json"
+        config.write_text('{"stages": ["espresso"]}')
+        message = self._one_line_exit(
+            ["synth", "bench", "--verilog", str(out), "--config", str(config)]
+        )
+        assert "missing inputs" in message
+        assert not out.exists()
 
     def test_process_exit_status_and_stderr(self, tmp_path):
         """The real process: status 1 and the message alone on stderr."""

@@ -8,46 +8,49 @@ from hypothesis import strategies as st
 from repro.espresso.cube import Cover
 from repro.synth.factor import expr_literals, good_factor
 from repro.synth.kernels import (
+    LiteralCoder,
     algebraic_divide,
     common_cube,
-    cover_to_cubes,
     cube_set_literals,
     cubes_to_cover,
     kernels,
     make_cube_free,
 )
 
+CODER = LiteralCoder()
+"""Codes the literals of every expression built by :func:`cubes`."""
+
 
 def cubes(*texts):
     """Build a cube set from 'ab', "a'c" style strings (letters = signals)."""
     result = set()
     for text in texts:
-        cube = set()
+        cube = 0
         i = 0
         while i < len(text):
             name = text[i]
             if i + 1 < len(text) and text[i + 1] == "'":
-                cube.add((name, False))
+                cube |= CODER.code((name, False))
                 i += 2
             else:
-                cube.add((name, True))
+                cube |= CODER.code((name, True))
                 i += 1
-        result.add(frozenset(cube))
+        result.add(cube)
     return frozenset(result)
 
 
 class TestConversion:
     def test_round_trip(self):
         cover = Cover.from_strings(["01-", "1-0"])
-        expr = cover_to_cubes(cover, ["a", "b", "c"])
-        back = cubes_to_cover(expr, ["a", "b", "c"])
+        expr = CODER.encode(cover, ["a", "b", "c"])
+        back = cubes_to_cover(expr, ["a", "b", "c"], CODER)
         np.testing.assert_array_equal(
             np.sort(back.cubes, axis=0), np.sort(cover.cubes, axis=0)
         )
 
     def test_unknown_signal_rejected(self):
         with pytest.raises(ValueError, match="not among"):
-            cubes_to_cover(cubes("ab"), ["a"])
+            cubes_to_cover(cubes("ab"), ["a"], CODER)
 
 
 class TestDivision:
@@ -76,7 +79,8 @@ class TestDivision:
 
 class TestKernels:
     def test_common_cube(self):
-        assert common_cube(cubes("abc", "abd")) == frozenset({("a", True), ("b", True)})
+        shared = common_cube(cubes("abc", "abd"))
+        assert frozenset(CODER.cube_key(shared)) == frozenset({("a", True), ("b", True)})
 
     def test_make_cube_free(self):
         free = make_cube_free(cubes("abc", "abd"))
@@ -85,17 +89,17 @@ class TestKernels:
     def test_kernels_of_textbook_expression(self):
         """f = ace + bce + de + g has kernels {a+b, ac+bc+d, f/1}."""
         expr = cubes("ace", "bce", "de", "g")
-        found = kernels(expr)
+        found = kernels(expr, CODER)
         assert cubes("a", "b") in found
         assert cubes("ac", "bc", "d") in found
         assert expr in found  # f itself is cube-free
 
     def test_single_cube_has_no_kernels(self):
-        assert kernels(cubes("abc"), include_self=False) == set()
+        assert kernels(cubes("abc"), CODER, include_self=False) == set()
 
     def test_max_kernels_cap(self):
         expr = cubes("ab", "cd", "ef", "ac", "bd", "ae", "bf", "ce", "df")
-        capped = kernels(expr, max_kernels=2)
+        capped = kernels(expr, CODER, max_kernels=2)
         assert 0 < len(capped) <= 3  # cap plus possibly the expression itself
 
 
@@ -103,13 +107,13 @@ class TestFactor:
     def test_factored_literal_count_drops(self):
         """ab + ac + ad -> a(b + c + d): 6 literals down to 4."""
         expr = cubes("ab", "ac", "ad")
-        tree = good_factor(expr)
+        tree = good_factor(expr, CODER)
         assert expr_literals(tree) == 4
 
     def test_factoring_preserves_function(self):
         cover = Cover.from_strings(["110-", "1-10", "0011", "01--"])
-        expr = cover_to_cubes(cover, ["a", "b", "c", "d"])
-        tree = good_factor(expr)
+        expr = CODER.encode(cover, ["a", "b", "c", "d"])
+        tree = good_factor(expr, CODER)
         # Evaluate the tree and compare against the cover, point by point.
         idx = np.arange(16)
         values = {
@@ -132,12 +136,12 @@ class TestFactor:
         np.testing.assert_array_equal(eval_tree(tree), cover.evaluate())
 
     def test_single_cube(self):
-        tree = good_factor(cubes("ab'c"))
+        tree = good_factor(cubes("ab'c"), CODER)
         assert expr_literals(tree) == 3
 
     def test_constant_rejected(self):
         with pytest.raises(ValueError, match="constant-0"):
-            good_factor(frozenset())
+            good_factor(frozenset(), CODER)
 
     @given(st.integers(0, 10**9))
     @settings(max_examples=30, deadline=None)
@@ -152,8 +156,7 @@ class TestFactor:
             return
         cover = Cover(rows, n)
         names = [f"x{i}" for i in range(n)]
-        expr = cover_to_cubes(cover, names)
-        tree = good_factor(expr)
-        back_names = sorted({lit[0] for cube in expr for lit in cube})
+        coder = LiteralCoder()
+        expr = coder.encode(cover, names)
+        tree = good_factor(expr, coder)
         assert expr_literals(tree) <= cube_set_literals(expr)
-        del back_names
